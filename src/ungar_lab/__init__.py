@@ -59,7 +59,6 @@ from .percolation import (
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
-    tasep_run,
     tasep_trajectory,
     tracy_widom_tail,
     upsilon,
@@ -101,7 +100,6 @@ from .skyline import (
     is_childlike,
     is_good,
     lower_bound_f,
-    naive_tamari_run,
     skyline,
     summarize,
     summary_columns,
@@ -113,7 +111,6 @@ from .tamari import (
     av312_permutations,
     catalan,
     covers_av312,
-    forest_ungar_move,
     ordered_forests,
     phi,
     phi_inverse,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .errors import (
     UngarLabError,
 )
 from .poset import FinitePoset, grid_poset
-from .rng import replica_random
+from .rng import replica_random, replica_seed_sequence
 
 
 def _fmt(x) -> str:
@@ -45,11 +44,15 @@ def _emit(rows: list[dict], args) -> None:
         lines = [",".join(header)]
         lines += [",".join(r[k] for k in header) for r in text_rows]
         out = "\n".join(lines) + "\n"
+    _write(out, args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(out)
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
 
 
 def _seed(args) -> int:
@@ -61,9 +64,17 @@ def _seed(args) -> int:
 def _validate_common(args) -> None:
     if getattr(args, "reps", 1) < 1:
         raise ConfigError("--reps must be at least 1")
-    for name in ("cap_states", "cap_chains"):
-        if getattr(args, name, 1) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive")
+    if getattr(args, "cap_states", 1) < 1:
+        raise ConfigError("--cap-states must be positive")
+
+
+def _grid_shape(args, what: str) -> tuple[int, int]:
+    """``(--rows, --cols)``, both required and at least 1."""
+    if args.rows is None or args.cols is None:
+        raise ConfigError(f"{what} requires --rows and --cols")
+    if args.rows < 1 or args.cols < 1:
+        raise ConfigError(f"{what} needs --rows and --cols of at least 1")
+    return args.rows, args.cols
 
 
 def _lattice(args):
@@ -81,11 +92,8 @@ def _lattice(args):
             raise ConfigError("--lattice tamari-av requires --n")
         return engine.TamariAvLattice(args.n)
     if kind == "grid":
-        if args.rows is None or args.cols is None:
-            raise ConfigError("--lattice grid requires --rows and --cols")
-        return engine.IdealLattice(
-            grid_poset(args.rows, args.cols), name=f"grid-{args.rows}x{args.cols}"
-        )
+        rows, cols = _grid_shape(args, "--lattice grid")
+        return engine.IdealLattice(grid_poset(rows, cols), name=f"grid-{rows}x{cols}")
     if kind == "ideal":
         if not args.poset:
             raise ConfigError("--lattice ideal requires --poset FILE")
@@ -108,8 +116,13 @@ def _add_common(sub):
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--out", default=None)
     sub.add_argument("--cap-states", type=int, default=10**6)
-    sub.add_argument("--cap-chains", type=int, default=10**6)
     sub.add_argument("--c1", type=float, default=10.0)
+
+
+def _stats(res: engine.McResult) -> dict:
+    """The reps, mean, stderr, min and max columns of a result row."""
+    return {"reps": res.reps, "mean": res.mean, "stderr": res.stderr,
+            "min": res.minimum, "max": res.maximum}
 
 
 def cmd_exact(args) -> None:
@@ -144,11 +157,7 @@ def cmd_simulate(args) -> None:
         "n": args.n if args.n is not None else "",
         "p": args.p,
         "seed": seed,
-        "reps": res.reps,
-        "mean": res.mean,
-        "stderr": res.stderr,
-        "min": res.minimum,
-        "max": res.maximum,
+        **_stats(res),
     }
     # linear-growth reporting (informational; asymptotic constants are
     # never asserted at finite n)
@@ -167,7 +176,7 @@ def cmd_simulate(args) -> None:
     if args.trace:
         rnd = replica_random(seed, 0)
         run = engine.run_chain(lattice, args.p, rnd, record_states=True,
-                               record_picks=True, seed=seed)
+                               record_picks=True)
         with open(args.trace, "w") as fh:
             for step, (state, picks) in enumerate(
                 zip(run.states[1:], run.picks), start=1
@@ -187,88 +196,52 @@ def _stateify(state):
 
 
 def cmd_lpp(args) -> None:
+    seed = _seed(args)
     if args.lattice == "grid":
-        if args.rows is None or args.cols is None:
-            raise ConfigError("lpp on a grid needs --rows/--cols")
-        seed = _seed(args)
-        samples = percolation.lpp_grid_samples(
-            args.rows, args.cols, args.p, args.reps, seed
-        )
-        name = f"grid-{args.rows}x{args.cols}"
+        rows, cols = _grid_shape(args, "lpp on a grid")
+        samples = percolation.lpp_grid_samples(rows, cols, args.p, args.reps, seed)
+        name = f"grid-{rows}x{cols}"
     else:
         if not args.poset:
             raise ConfigError("lpp needs --lattice grid or --poset FILE")
         with open(args.poset) as fh:
             poset = FinitePoset.from_json(fh.read())
-        seed = _seed(args)
         rnd = engine.replica_generator(seed, 0)
         samples = np.array(
             [percolation.lpp_sample(poset, args.p, rnd).total for _ in range(args.reps)]
         )
         name = f"poset-{poset.n}"
-    _emit(
-        [
-            {
-                "backend": name,
-                "p": args.p,
-                "seed": _seed(args),
-                "reps": args.reps,
-                "mean": float(samples.mean()),
-                "stderr": float(samples.std(ddof=1) / math.sqrt(len(samples))),
-                "min": int(samples.min()),
-                "max": int(samples.max()),
-            }
-        ],
-        args,
-    )
+    _emit([{"backend": name, "p": args.p, "seed": seed,
+            **_stats(engine.McResult.from_samples(samples))}], args)
 
 
 def cmd_tasep(args) -> None:
-    if args.rows is None or args.cols is None:
-        raise ConfigError("tasep requires --rows and --cols")
+    rows, cols = _grid_shape(args, "tasep")
     seed = _seed(args)
-    samples = percolation.tasep_absorption_samples(
-        args.rows, args.cols, args.p, args.reps, seed
-    )
-    _emit(
-        [
-            {
-                "rows": args.rows,
-                "cols": args.cols,
-                "p": args.p,
-                "seed": seed,
-                "reps": args.reps,
-                "mean": float(samples.mean()),
-                "stderr": float(samples.std(ddof=1) / math.sqrt(len(samples))),
-                "min": int(samples.min()),
-                "max": int(samples.max()),
-            }
-        ],
-        args,
-    )
+    samples = percolation.tasep_absorption_samples(rows, cols, args.p, args.reps, seed)
+    _emit([{"rows": rows, "cols": cols, "p": args.p, "seed": seed,
+            **_stats(engine.McResult.from_samples(samples))}], args)
 
 
 def cmd_fluctuation(args) -> None:
-    if args.rows is None or args.cols is None:
-        raise ConfigError("fluctuation requires --rows and --cols")
+    rows, cols = _grid_shape(args, "fluctuation")
     if not 0 < args.p < 1:
         raise ConfigError("fluctuation requires p in (0, 1)")
     seed = _seed(args)
-    samples = percolation.lpp_grid_samples(
-        args.rows, args.cols, args.p, args.reps, seed
-    ).astype(float)
-    phi, eta = percolation.rescaling_constants(args.p, args.rows, args.cols)
+    samples = percolation.lpp_grid_samples(rows, cols, args.p, args.reps, seed)
+    samples = samples.astype(float)
+    phi, eta = percolation.rescaling_constants(args.p, rows, cols)
     rescaled = (samples - phi) / eta
     row = {
-        "n": args.rows,
-        "m": args.cols,
+        "n": rows,
+        "m": cols,
         "p": args.p,
         "reps": args.reps,
         "mean_T": float(samples.mean()),
         "Phi": phi,
         "eta": eta,
         "mean_rescaled": float(rescaled.mean()),
-        "sd_rescaled": float(rescaled.std(ddof=1)),
+        "sd_rescaled": engine.sample_sd(rescaled),
     }
     if args.tail is not None:
         row["tail_t"] = args.tail
@@ -283,14 +256,11 @@ def cmd_skyline(args) -> None:
     seed = _seed(args)
     lines = []
     for r in range(args.reps):
-        res = algorithm1_run(args.n, args.p, seed + r)
+        # run r gets its own integer seed from the replica spawn key (1, r)
+        run_seed = int(replica_seed_sequence(seed, r).generate_state(1)[0])
+        res = algorithm1_run(args.n, args.p, run_seed)
         lines.append(json.dumps(res.to_jsonable()))
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write("\n".join(lines) + "\n", args)
 
 
 def cmd_zeta(args) -> None:
@@ -338,10 +308,9 @@ def cmd_bounds(args) -> None:
             raise ConfigError("tw-tail requires --t")
         row.update(t=args.t, value=percolation.tracy_widom_tail(args.t))
     elif what == "rescale":
-        if args.rows is None or args.cols is None:
-            raise ConfigError("rescale requires --rows and --cols")
-        phi, eta = percolation.rescaling_constants(args.p, args.rows, args.cols)
-        row.update(p=args.p, x=args.rows, y=args.cols, Phi=phi, eta=eta)
+        rows, cols = _grid_shape(args, "rescale")
+        phi, eta = percolation.rescaling_constants(args.p, rows, cols)
+        row.update(p=args.p, x=rows, y=cols, Phi=phi, eta=eta)
     elif what == "sn-coefficient":
         row.update(p=args.p, value=percolation.sn_linear_coefficient(args.p))
     elif what == "tamari-coefficient":

@@ -202,7 +202,6 @@ class ChainRun:
     absorption: int
     states: tuple | None = None
     picks: tuple | None = None
-    seed: int | None = None
 
 
 def run_chain(
@@ -214,7 +213,6 @@ def run_chain(
     record_states: bool = False,
     record_picks: bool = False,
     max_steps: int | None = None,
-    seed: int | None = None,
 ) -> ChainRun:
     """Run one trajectory from ``start`` (default: top) to absorption."""
     p = _check_p(p)
@@ -241,7 +239,6 @@ def run_chain(
         absorption=t,
         states=tuple(states) if states is not None else None,
         picks=tuple(picks) if picks is not None else None,
-        seed=seed,
     )
 
 
@@ -274,6 +271,14 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
     return sorted(seen, key=lattice.rank)
 
 
+def _transitions(lattice, x, sites, p: float, q: float):
+    """``(weight, successor)`` for every nonempty selection of ``sites``."""
+    s = len(sites)
+    for bitsel in range(1, 1 << s):
+        selected = [sites[i] for i in range(s) if bitsel >> i & 1]
+        yield p ** len(selected) * q ** (s - len(selected)), lattice.apply(x, selected)
+
+
 def exact_expected_absorption(
     lattice, p: float, *, cap_states: int = DEFAULT_STATE_CAP
 ) -> dict:
@@ -303,23 +308,17 @@ def exact_expected_absorption(
         if stay >= 1.0:
             raise SingularSystem("staying probability reached 1; p too small")
         acc = 1.0
-        for bitsel in range(1, 1 << s):
-            selected = [sites[i] for i in range(s) if bitsel >> i & 1]
-            w = p ** len(selected) * q ** (s - len(selected))
-            acc += w * expect[lattice.apply(x, selected)]
+        for w, y in _transitions(lattice, x, sites, p, q):
+            acc += w * expect[y]
         expect[x] = acc / (1.0 - stay)
     # residual audit on the defining equations
     for x in states[: min(len(states), 64)]:
         if x == bottom:
             continue
         sites = lattice.pick_sites(x)
-        s = len(sites)
-        rhs = 1.0 + (q**s) * expect[x]
-        for bitsel in range(1, 1 << s):
-            selected = [sites[i] for i in range(s) if bitsel >> i & 1]
-            rhs += p ** len(selected) * q ** (s - len(selected)) * expect[
-                lattice.apply(x, selected)
-            ]
+        rhs = 1.0 + (q ** len(sites)) * expect[x]
+        for w, y in _transitions(lattice, x, sites, p, q):
+            rhs += w * expect[y]
         if abs(expect[x] - rhs) > 1e-10 * max(1.0, abs(expect[x])):
             raise SingularSystem(f"residual {abs(expect[x] - rhs)} at state {x!r}")
     return expect
@@ -333,6 +332,11 @@ def expected_absorption_time(lattice, p: float, **kw) -> float:
 # -- Monte Carlo ----------------------------------------------------------------
 
 
+def sample_sd(samples: np.ndarray) -> float:
+    """Sample standard deviation (``ddof=1``); ``inf`` below two samples."""
+    return float(samples.std(ddof=1)) if len(samples) > 1 else math.inf
+
+
 @dataclass
 class McResult:
     mean: float
@@ -341,6 +345,22 @@ class McResult:
     minimum: int
     maximum: int
     samples: np.ndarray | None = None
+
+    @classmethod
+    def from_samples(
+        cls, samples: np.ndarray, *, keep_samples: bool = False
+    ) -> "McResult":
+        """Mean, standard error, min and max; ``stderr`` is ``inf`` for one
+        sample."""
+        reps = len(samples)
+        return cls(
+            mean=float(samples.mean()),
+            stderr=sample_sd(samples) / math.sqrt(reps),
+            reps=reps,
+            minimum=int(samples.min()),
+            maximum=int(samples.max()),
+            samples=samples if keep_samples else None,
+        )
 
 
 def monte_carlo_expectation(
@@ -371,16 +391,7 @@ def monte_carlo_expectation(
             samples[r] = fast(p, rnd)
         else:
             samples[r] = run_chain(lattice, p, rnd, start=start).absorption
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("inf")
-    return McResult(
-        mean=mean,
-        stderr=stderr,
-        reps=reps,
-        minimum=int(samples.min()),
-        maximum=int(samples.max()),
-        samples=samples if keep_samples else None,
-    )
+    return McResult.from_samples(samples, keep_samples=keep_samples)
 
 
 def empirical_survival(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,11 +465,6 @@ class GeometricSampler:
         while u <= 0.0:  # guard the measure-zero edge
             u = self.rng.random()
         return int(math.ceil(math.log(u) / math.log1p(-self.p)))
-
-    def sample_array(self, size: int) -> np.ndarray:
-        if hasattr(self.rng, "geometric"):
-            return self.rng.geometric(self.p, size=size)
-        return np.array([self.sample() for _ in range(size)], dtype=np.int64)
 
 
 def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> float:

@@ -15,10 +15,10 @@ maximal-chain oracle lives in the tests.
 On the grid ``R_{n,m}`` the same chain is the multicorner growth TASEP
 seen through complements: the complement of the ideal, rows reversed, is
 a Young diagram, and deleting maximal ideal elements is adding external
-corners.  :func:`tasep_run` grows the diagram directly, clipped to the
-``n x m`` window; growth outside the window never influences the clipped
-process, which the tests check by replaying coupled randomness with a
-larger window.
+corners.  :func:`tasep_trajectory` grows the diagram directly, clipped to
+the ``n x m`` window; growth outside the window never influences the
+clipped process, which the tests check by replaying coupled randomness
+with a larger window.
 
 Fluctuation constants for the rescaled limit and the upper-tail
 asymptotic of the limiting distribution are provided as plain formulas;
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import GeometricSampler, IdealLattice, _check_p
+from .engine import GeometricSampler, IdealLattice, _check_p, run_chain
 from .errors import CouplingViolation, DomainError, SeriesTruncationError
 from .poset import FinitePoset, GridPoset
 from .rng import replica_generator
@@ -44,7 +44,6 @@ __all__ = [
     "max_chain_weight",
     "coupled_ideal_run",
     "CoupledIdealRun",
-    "tasep_run",
     "tasep_absorption_samples",
     "tasep_trajectory",
     "ideal_complement_rows",
@@ -123,20 +122,13 @@ def coupled_ideal_run(
     of the current ideal; the absorption time must equal the max-chain
     sum of these counts on this very run.
     """
-    p = _check_p(p)
     lattice = IdealLattice(poset)
-    mask = poset.full_mask()
+    run = run_chain(lattice, p, rnd, record_states=True)
     counts = [0] * poset.n
-    masks = [mask] if record_states else None
-    t = 0
-    while mask:
-        t += 1
+    for mask in run.states[:-1]:
         for x in lattice.pick_sites(mask):
             counts[x] += 1
-            if rnd.random() < p:
-                mask &= ~(1 << x)
-        if record_states:
-            masks.append(mask)
+    t = run.absorption
     total = max_chain_weight(poset, counts) if poset.n else 0
     if total != t:
         raise CouplingViolation(
@@ -144,10 +136,10 @@ def coupled_ideal_run(
         )
     return CoupledIdealRun(
         poset=poset,
-        p=p,
+        p=run.p,
         absorption=t,
         weights=tuple(counts),
-        masks=tuple(masks) if masks is not None else None,
+        masks=run.states if record_states else None,
     )
 
 
@@ -173,42 +165,6 @@ def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:
 # -- multicorner growth ------------------------------------------------------------
 
 
-def tasep_run(
-    n: int,
-    m: int,
-    p: float,
-    rnd,
-    *,
-    bit_fn: Callable[[int, int, int], bool] | None = None,
-) -> int:
-    """Steps until the window of the growing Young diagram fills ``n x m``.
-
-    The diagram starts empty and each external corner is added with
-    independent probability ``p`` per step.  Only the first ``n`` rows and
-    ``m`` columns are tracked: a cell ``(i, j)`` with ``j <= m`` is an
-    external corner iff ``lambda_i = j - 1 < m`` and ``lambda_{i-1} >= j``,
-    which depends only on the clipped state, so growth outside the window
-    is never simulated.  ``bit_fn(step, row, col)`` overrides the coin
-    flips (used by the window-independence tests).
-    """
-    p = _check_p(p)
-    lam = [0] * n
-    t = 0
-    while lam[-1] < m:
-        t += 1
-        old = lam[:]  # corners are tested against the pre-step diagram
-        for i in range(n):
-            prev = m if i == 0 else old[i - 1]
-            if old[i] < m and prev > old[i]:
-                if bit_fn is not None:
-                    grow = bit_fn(t, i, old[i])
-                else:
-                    grow = rnd.random() < p
-                if grow:
-                    lam[i] = old[i] + 1
-    return t
-
-
 def tasep_trajectory(
     n: int,
     m: int,
@@ -218,7 +174,17 @@ def tasep_trajectory(
     steps: int | None = None,
     bit_fn: Callable[[int, int, int], bool] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Clipped diagram after each step, until full (or ``steps`` moves)."""
+    """Clipped diagram after each step, until full (or ``steps`` moves).
+
+    The diagram starts empty and each external corner is added with
+    independent probability ``p`` per step.  Only the first ``n`` rows and
+    ``m`` columns are tracked: a cell ``(i, j)`` with ``j <= m`` is an
+    external corner iff ``lambda_i = j - 1 < m`` and ``lambda_{i-1} >= j``,
+    which depends only on the clipped state, so growth outside the window
+    is never simulated.  The window-fill time is ``len(trajectory) - 1``.
+    ``bit_fn(step, row, col)`` overrides the coin flips (used by the
+    window-independence tests).
+    """
     p = _check_p(p)
     lam = [0] * n
     out = [tuple(lam)]

@@ -335,9 +335,6 @@ class IdealLatticePoset(FinitePoset):
         self.ideal_masks = ideal_masks
         super().__init__(covers, validate=False)
 
-    def index_of(self, mask: int) -> int:
-        return self.ideal_masks.index(mask)
-
 
 def enumerate_ideal_masks(
     poset: FinitePoset, *, cap: int = DEFAULT_STATE_CAP

@@ -57,7 +57,6 @@ __all__ = [
     "good_frequency",
     "Algorithm1Result",
     "algorithm1_run",
-    "naive_tamari_run",
 ]
 
 
@@ -593,22 +592,3 @@ def algorithm1_run(
         steps=t,
         audit_ok=audit_ok,
     )
-
-
-def naive_tamari_run(n: int, p: float, rnd) -> tuple[int, np.ndarray, int]:
-    """Direct simulator: every vertex tosses one coin per step.
-
-    Returns ``(absorption, per-vertex operation counts, steps)``; the
-    distributional twin of :func:`algorithm1_run`.
-    """
-    p = _check_p(p)
-    sim = SimForest.path(n)
-    op_counts = np.zeros(n + 1, dtype=np.int64)
-    t = 0
-    while not sim.absorbed():
-        t += 1
-        selected = [v for v in range(1, n + 1) if rnd.random() < p]
-        for v in selected:
-            op_counts[v] += 1
-            sim.operate(v)
-    return t, op_counts, t

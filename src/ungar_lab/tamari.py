@@ -33,7 +33,6 @@ __all__ = [
     "phi",
     "phi_inverse",
     "restrict",
-    "forest_ungar_move",
     "av312_permutations",
     "ordered_forests",
     "catalan",
@@ -144,7 +143,12 @@ class OrderedForest:
         return OrderedForest(par, validate=False)
 
     def ungar(self, vertices: Iterable[int]) -> "OrderedForest":
-        """Operate on the given vertices in increasing label order."""
+        """Operate on the given vertices in increasing label order.
+
+        This is the random-move kernel: it equals the forest-lattice meet
+        of the forest with all its one-vertex operations at the given
+        non-leaves; leaves act trivially.
+        """
         f = self
         for v in sorted(set(vertices)):
             f = f.operate(v)
@@ -203,16 +207,6 @@ class OrderedForest:
 
     def __repr__(self) -> str:
         return f"OrderedForest(parent={list(self.parent)})"
-
-
-def forest_ungar_move(forest: OrderedForest, picked: Iterable[int]) -> OrderedForest:
-    """Random-move kernel: operate on picked vertices by increasing label.
-
-    Equals the forest-lattice meet of the forest with all its one-vertex
-    operations at the picked non-leaves; leaves in ``picked`` act
-    trivially.
-    """
-    return forest.ungar(picked)
 
 
 class SimForest:
@@ -302,11 +296,6 @@ class SimForest:
 
     def rightmost_child(self, v: int) -> int:
         return self.last_child[v]
-
-    def root_of(self, v: int) -> int:
-        while self.parent[v]:
-            v = self.parent[v]
-        return v
 
     def _drop_nonleaf(self, v: int) -> None:
         nxt, prv = self._nl_next[v], self._nl_prev[v]

@@ -32,7 +32,6 @@ from ungar_lab import (
     max_chain_weight,
     maximal_ungar_move,
     monte_carlo_expectation,
-    naive_tamari_run,
     ordered_forests,
     phi,
     phi_inverse,
@@ -257,11 +256,10 @@ def test_criterion_10_algorithm1_validity():
         stream_samples[seed] = res.absorption
         ops += res.op_counts
         steps += res.steps
-    rnd = replica_random(1001, 0)
-    naive_samples = np.array(
-        [naive_tamari_run(n, p, rnd)[0] for _ in range(reps)]
-    )
-    _, pvalue = stats.ks_2samp(stream_samples, naive_samples)
+    chain_samples = monte_carlo_expectation(
+        TamariForestLattice(n), p, reps=reps, seed=1001, keep_samples=True
+    ).samples
+    _, pvalue = stats.ks_2samp(stream_samples, chain_samples)
     assert pvalue > 0.001, pvalue
     worst = 0.0
     for v in range(1, n + 1):

@@ -1,11 +1,17 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ungar_lab.cli import main
 from ungar_lab.poset import grid_poset
+from ungar_lab.skyline import algorithm1_run
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +217,92 @@ def test_exit_code_bad_caps_and_reps(capsys):
         capsys, "exact", "--lattice", "sn", "--n", "3", "--cap-states", "0"
     )
     assert code == 2 and "cap-states" in err
+
+
+def test_reps_one_prints_inf_without_warnings(capsys):
+    cases = [
+        (("simulate", "--lattice", "sn", "--n", "3"), "stderr"),
+        (("lpp", "--lattice", "grid", "--rows", "2", "--cols", "2"), "stderr"),
+        (("tasep", "--rows", "2", "--cols", "2"), "stderr"),
+        (("fluctuation", "--rows", "2", "--cols", "2"), "sd_rescaled"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, column in cases:
+            code, out, err = run_cli(capsys, *argv, "--reps", "1", "--seed", "1")
+            assert code == 0, err
+            row = dict(zip(*[line.split(",") for line in out.strip().split("\n")]))
+            assert row[column] == "inf", (argv, row)
+
+
+@pytest.mark.parametrize("rows,cols", [("0", "3"), ("3", "0")])
+@pytest.mark.parametrize(
+    "command", [("lpp", "--lattice", "grid"), ("tasep",), ("fluctuation",)]
+)
+def test_empty_grid_is_config_error(capsys, command, rows, cols):
+    code, out, err = run_cli(
+        capsys, *command, "--rows", rows, "--cols", cols, "--reps", "5"
+    )
+    assert code == 2 and out == ""
+    assert "at least 1" in err
+
+
+def test_skyline_seeds_are_disjoint_and_replay(capsys):
+    def records(seed):
+        code, out, _ = run_cli(
+            capsys, "skyline", "--n", "6", "--p", "0.5", "--reps", "20",
+            "--seed", str(seed),
+        )
+        assert code == 0
+        return [json.loads(line) for line in out.splitlines()]
+
+    first, second = records(0), records(1)
+    assert not {r["seed"] for r in first} & {r["seed"] for r in second}
+    for record in first[:5] + second[:5]:
+        replay = algorithm1_run(6, 0.5, record["seed"]).to_jsonable()
+        assert json.loads(json.dumps(replay)) == record
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from([
+        "exact", "simulate", "lpp", "tasep", "fluctuation", "skyline", "zeta", "bounds",
+    ]))
+    argv = [command]
+    if command == "bounds":
+        argv += ["--what", draw(st.sampled_from(
+            ["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
+             "sn-coefficient", "tamari-coefficient"]
+        ))]
+        for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6"])),
+                             ("--k", st.integers(0, 5)),
+                             ("--t", st.sampled_from(["-1", "0.5", "4"]))):
+            value = draw(st.none() | values)
+            if value is not None:
+                argv += [flag, str(value)]
+    if command == "fluctuation" and draw(st.booleans()):
+        argv += ["--tail", "1.5"]
+    lattice = draw(st.sampled_from(["sn", "tamari", "tamari-av", "grid", "ideal"]))
+    argv += ["--lattice", lattice,
+             "--n", str(draw(st.integers(min_value=-2, max_value=5))),
+             "--rows", str(draw(st.integers(0, 3))),
+             "--cols", str(draw(st.integers(0, 3))),
+             "--p", draw(st.sampled_from(["0.3", "0.5", "1.0"])),
+             "--reps", str(draw(st.integers(1, 20))),
+             "--seed", str(draw(st.integers(0, 1000)))]
+    return argv
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_argv())
+def test_small_flags_exit_codes_and_replay(argv):
+    code, out = _run_quiet(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert _run_quiet(argv) == (code, out), argv

@@ -22,7 +22,6 @@ from ungar_lab import (
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
-    tasep_run,
     tasep_trajectory,
     tracy_widom_tail,
     upsilon,
@@ -160,7 +159,9 @@ def test_tasep_single_cell_is_geometric():
 
 def test_tasep_scalar_matches_vectorized_distribution():
     rnd = replica_random(13, 0)
-    scalar = np.array([tasep_run(2, 3, 0.5, rnd) for _ in range(8_000)])
+    scalar = np.array(
+        [len(tasep_trajectory(2, 3, 0.5, rnd)) - 1 for _ in range(8_000)]
+    )
     vec = tasep_absorption_samples(2, 3, 0.5, 8_000, seed=14)
     _, pvalue = stats.ks_2samp(scalar, vec)
     assert pvalue > 0.001

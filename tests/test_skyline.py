@@ -11,6 +11,7 @@ from scipy import stats
 from ungar_lab import (
     BoundViolation,
     DomainError,
+    TamariForestLattice,
     TwoRowedArray,
     algorithm1_run,
     event_array,
@@ -20,7 +21,7 @@ from ungar_lab import (
     is_childlike,
     is_good,
     lower_bound_f,
-    naive_tamari_run,
+    monte_carlo_expectation,
     skyline,
     summarize,
     summary_columns,
@@ -261,8 +262,9 @@ def test_algorithm1_marginal_law():
 
 def test_algorithm1_matches_naive_distribution_small():
     samples_a = np.array([algorithm1_run(4, 0.5, seed).absorption for seed in range(3_000)])
-    rnd = replica_random(8, 0)
-    samples_n = np.array([naive_tamari_run(4, 0.5, rnd)[0] for _ in range(3_000)])
+    samples_n = monte_carlo_expectation(
+        TamariForestLattice(4), 0.5, reps=3_000, seed=8, keep_samples=True
+    ).samples
     _, pvalue = stats.ks_2samp(samples_a, samples_n)
     assert pvalue > 0.001
 

@@ -14,7 +14,6 @@ from ungar_lab import (
     av312_permutations,
     catalan,
     covers_av312,
-    forest_ungar_move,
     ordered_forests,
     phi,
     phi_inverse,
@@ -98,9 +97,9 @@ def test_operations_preserve_preorder_labels():
 
 def test_forest_ungar_move_examples():
     path3 = OrderedForest.path(3)
-    assert forest_ungar_move(path3, set()) == path3
+    assert path3.ungar(set()) == path3
     # operating on 1 then 2 detaches everything: all singletons
-    assert forest_ungar_move(path3, {1, 2}) == OrderedForest.antichain(3)
+    assert path3.ungar({1, 2}) == OrderedForest.antichain(3)
 
 
 def test_descendant_sum_strictly_decreases():
@@ -213,7 +212,7 @@ def test_forest_moves_match_av_moves(n):
         for r in range(len(des) + 1):
             for sel in itertools.combinations(des, r):
                 picks = {s[i] for i in sel}
-                assert phi(av_ungar_move(s, sel)) == forest_ungar_move(f, picks)
+                assert phi(av_ungar_move(s, sel)) == f.ungar(picks)
 
 
 def test_av_move_is_projected_weak_meet():
