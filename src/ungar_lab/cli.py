@@ -77,20 +77,21 @@ def _grid_shape(args, what: str) -> tuple[int, int]:
     return args.rows, args.cols
 
 
+_SIZED_LATTICES = {
+    "sn": engine.SnLattice,
+    "tamari": engine.TamariForestLattice,
+    "tamari-av": engine.TamariAvLattice,
+}
+
+
 def _lattice(args):
     kind = args.lattice
-    if kind == "sn":
+    if kind in _SIZED_LATTICES:
         if args.n is None:
-            raise ConfigError("--lattice sn requires --n")
-        return engine.SnLattice(args.n)
-    if kind == "tamari":
-        if args.n is None:
-            raise ConfigError("--lattice tamari requires --n")
-        return engine.TamariForestLattice(args.n)
-    if kind == "tamari-av":
-        if args.n is None:
-            raise ConfigError("--lattice tamari-av requires --n")
-        return engine.TamariAvLattice(args.n)
+            raise ConfigError(f"--lattice {kind} requires --n")
+        if args.n < 0:
+            raise ConfigError(f"--lattice {kind} needs --n of at least 0")
+        return _SIZED_LATTICES[kind](args.n)
     if kind == "grid":
         rows, cols = _grid_shape(args, "--lattice grid")
         return engine.IdealLattice(grid_poset(rows, cols), name=f"grid-{rows}x{cols}")

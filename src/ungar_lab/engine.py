@@ -134,8 +134,13 @@ class IdealLattice:
     """J(P) for an explicit poset; states are ideal bitmasks.
 
     The step deletes a randomly selected subset of the maximal elements of
-    the ideal.  Maximal-element tuples are cached per mask (the reachable
-    masks are exactly the ideals, bounded by the enumeration cap).
+    the ideal.  ``pick_sites`` caches the maximal-element tuple of every
+    mask it is asked about; the paths that step through masks use it:
+    ``enumerate_states`` and the exact solver, ``run_chain`` (hence
+    ``simulate --trace``, Monte Carlo from a given ``start`` and
+    ``coupled_ideal_run``).  Monte Carlo from the top uses
+    ``fast_absorption_sample`` instead, which keys nothing by mask, so the
+    cache does not grow with the number of replicas.
     """
 
     def __init__(self, poset: FinitePoset, name: str | None = None):
@@ -143,6 +148,9 @@ class IdealLattice:
         self.n = poset.n
         self.name = name or f"ideal-{poset.n}"
         self._maximal: dict[int, tuple[int, ...]] = {}
+        self._below = tuple(tuple(c) for c in poset.covers)
+        self._parent_counts = [len(s) for s in poset.parents]
+        self._top_sites = list(poset.maximal_elements())
 
     def top(self) -> int:
         return self.poset.full_mask()
@@ -164,6 +172,43 @@ class IdealLattice:
 
     def rank(self, state: int) -> int:
         return state.bit_count()
+
+    def fast_absorption_sample(self, p: float, rnd) -> int:
+        """Steps from the full ideal to the empty one, without masks.
+
+        Kahn counters: ``live[x]`` counts the cover-parents of ``x`` still
+        in the ideal, and the frontier (the maximal elements) is the
+        ascending list of members with ``live[x] == 0``.  Coins are
+        flipped over the frontier in ascending order, as ``run_chain``
+        flips them over ``pick_sites``, so both give the same sample from
+        the same stream.  Removing ``x`` decrements its covers' counters;
+        those that reach 0 join the frontier for the next step, which is
+        then sorted again.  A step costs its coins plus the covers of the
+        removed elements, and memory is O(|P|).
+        """
+        below = self._below
+        live = self._parent_counts[:]
+        frontier = self._top_sites
+        left = self.n
+        t = 0
+        while left:
+            t += 1
+            kept = []
+            exposed = False
+            for x in frontier:
+                if rnd.random() < p:
+                    left -= 1
+                    for c in below[x]:
+                        live[c] -= 1
+                        if not live[c]:
+                            kept.append(c)
+                            exposed = True
+                else:
+                    kept.append(x)
+            if exposed:
+                kept.sort()
+            frontier = kept
+        return t
 
 
 class ChainLattice:
@@ -376,8 +421,11 @@ def monte_carlo_expectation(
 
     Replica ``r`` draws from the stream derived with spawn key
     ``(replica, r)``, so results are reproducible given ``(seed, reps)``
-    and invariant to execution order.  Backends may provide
-    ``fast_absorption_sample`` to shortcut the generic loop from the top.
+    and invariant to execution order.  From the top, a backend's
+    ``fast_absorption_sample`` replaces the generic ``run_chain`` loop:
+    ``TamariForestLattice`` steps a mutable forest, ``IdealLattice`` keeps
+    Kahn counters over the poset.  Either gives the sample ``run_chain``
+    would give from the same stream.
     """
     p = _check_p(p)
     if reps < 1:

@@ -247,6 +247,46 @@ def test_empty_grid_is_config_error(capsys, command, rows, cols):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+@pytest.mark.parametrize("lattice", ["sn", "tamari", "tamari-av"])
+def test_negative_n_is_config_error(capsys, command, lattice):
+    code, out, err = run_cli(
+        capsys, command, "--lattice", lattice, "--n", "-1", "--reps", "2"
+    )
+    assert code == 2 and out == ""
+    assert "at least 0" in err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+@pytest.mark.parametrize("lattice", ["sn", "tamari", "tamari-av"])
+def test_trivial_n_has_one_state_and_zero_steps(capsys, lattice, n):
+    code, out, _ = run_cli(capsys, "exact", "--lattice", lattice, "--n", n)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    assert (row["states"], row["expected_steps"]) == ("1", "0")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--lattice", lattice, "--n", n, "--reps", "3"
+    )
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    assert (row["mean"], row["max"]) == ("0", "0")
+
+
+def test_grid_simulate_mean_matches_trace(tmp_path, capsys):
+    # with one replica the Monte Carlo sample (Kahn-counter sampler) and the
+    # trace (generic run_chain loop) run the same stream
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--lattice", "grid", "--rows", "4", "--cols", "5",
+        "--p", "0.5", "--reps", "1", "--seed", "3", "--trace", str(trace),
+    )
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert steps[-1]["state"] == 0
+    assert float(row["mean"]) == steps[-1]["step"]
+
+
 def test_skyline_seeds_are_disjoint_and_replay(capsys):
     def records(seed):
         code, out, _ = run_cli(
@@ -305,4 +345,9 @@ def _run_quiet(argv):
 def test_small_flags_exit_codes_and_replay(argv):
     code, out = _run_quiet(argv)
     assert code in (0, 2, 3, 4), argv
+    flag = dict(zip(argv[1::2], argv[2::2]))
+    if (argv[0] in ("exact", "simulate")
+            and flag["--lattice"] in ("sn", "tamari", "tamari-av")
+            and int(flag["--n"]) < 0):
+        assert code == 2, argv
     assert _run_quiet(argv) == (code, out), argv

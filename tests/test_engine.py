@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ungar_lab import (
     ChainLattice,
     DomainError,
+    FinitePoset,
     GeometricSampler,
     IdealLattice,
     NotReached,
@@ -184,6 +187,60 @@ def test_monte_carlo_reproducible():
     assert a.mean == b.mean and a.stderr == b.stderr
     c = monte_carlo_expectation(SnLattice(4), 0.5, reps=500, seed=10)
     assert c.mean != a.mean  # different stream
+
+
+@st.composite
+def layered_posets(draw):
+    """Random graded posets whose covers join consecutive layers only, so
+    no cover is implied by the others."""
+    widths = draw(st.lists(st.integers(1, 4), max_size=5))
+    covers, start = [], 0
+    for k, width in enumerate(widths):
+        below = (st.sets(st.sampled_from(range(start - widths[k - 1], start)))
+                 if k else st.just(set()))
+        covers += [draw(below) for _ in range(width)]
+        start += width
+    return FinitePoset(covers)
+
+
+IDEAL_EDGE_CASES = [
+    FinitePoset([]),
+    FinitePoset([set()]),
+    FinitePoset([set(), set(), set(), set()]),
+    FinitePoset([set(), {0}, {1}, {2}]),
+    grid_poset(1, 1),
+]
+
+
+def _assert_fast_ideal_matches_run_chain(poset, p, seed):
+    lattice = IdealLattice(poset)
+    for r in range(3):
+        fast = lattice.fast_absorption_sample(p, replica_random(seed, r))
+        generic = run_chain(lattice, p, replica_random(seed, r)).absorption
+        assert fast == generic, (poset.cover_pairs(), p, seed, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_posets(), st.sampled_from([0.3, 0.5, 1.0]), st.integers(0, 10**6))
+def test_ideal_fast_sample_matches_run_chain(poset, p, seed):
+    _assert_fast_ideal_matches_run_chain(poset, p, seed)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("poset", IDEAL_EDGE_CASES, ids=repr)
+def test_ideal_fast_sample_matches_run_chain_edge_cases(poset, p):
+    _assert_fast_ideal_matches_run_chain(poset, p, seed=11)
+
+
+def test_ideal_monte_carlo_does_not_scan_masks(monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("maximal_of_mask called")
+
+    monkeypatch.setattr(FinitePoset, "maximal_of_mask", refuse)
+    lattice = IdealLattice(grid_poset(6, 6))
+    res = monte_carlo_expectation(lattice, 0.5, reps=200, seed=13)
+    assert res.reps == 200 and res.minimum >= 11
+    assert lattice._maximal == {}
 
 
 def test_vectorized_sn_matches_exact_and_bound():
