@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags and seed (flag
 ``--seed``, falling back to the ``UNGAR_LAB_SEED`` environment variable,
 then 0).  Output is CSV or JSON with floats at 12 significant digits and
 '.' decimals.  Exit codes: 0 success, 2 configuration error, 3 cap
-exceeded, 4 internal invariant violation.
+exceeded, 4 internal invariant violation.  A subcommand takes only the
+flags its handler reads (``_COMMANDS``); any other flag exits with 2.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def _seed(args) -> int:
 
 
 def _validate_common(args) -> None:
+    """Range checks on ``--reps`` and ``--cap-states``, where the subcommand has them."""
     if getattr(args, "reps", 1) < 1:
         raise ConfigError("--reps must be at least 1")
     if getattr(args, "cap_states", 1) < 1:
@@ -75,6 +77,14 @@ def _grid_shape(args, what: str) -> tuple[int, int]:
     if args.rows < 1 or args.cols < 1:
         raise ConfigError(f"{what} needs --rows and --cols of at least 1")
     return args.rows, args.cols
+
+
+def _poset(args, missing: str) -> FinitePoset:
+    """The poset in the ``--poset`` JSON file; without one, ConfigError ``missing``."""
+    if not args.poset:
+        raise ConfigError(missing)
+    with open(args.poset) as fh:
+        return FinitePoset.from_json(fh.read())
 
 
 _SIZED_LATTICES = {
@@ -96,28 +106,9 @@ def _lattice(args):
         rows, cols = _grid_shape(args, "--lattice grid")
         return engine.IdealLattice(grid_poset(rows, cols), name=f"grid-{rows}x{cols}")
     if kind == "ideal":
-        if not args.poset:
-            raise ConfigError("--lattice ideal requires --poset FILE")
-        with open(args.poset) as fh:
-            poset = FinitePoset.from_json(fh.read())
+        poset = _poset(args, "--lattice ideal requires --poset FILE")
         return engine.IdealLattice(poset, name=f"ideal-file-{poset.n}")
     raise ConfigError(f"unknown lattice {kind!r}")
-
-
-def _add_common(sub):
-    sub.add_argument("--lattice", default="sn",
-                     choices=["sn", "tamari", "tamari-av", "grid", "ideal"])
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--rows", type=int)
-    sub.add_argument("--cols", type=int)
-    sub.add_argument("--poset", help="JSON poset file for --lattice ideal")
-    sub.add_argument("--p", type=float, default=0.5)
-    sub.add_argument("--reps", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--cap-states", type=int, default=10**6)
-    sub.add_argument("--c1", type=float, default=10.0)
 
 
 def _stats(res: engine.McResult) -> dict:
@@ -203,10 +194,7 @@ def cmd_lpp(args) -> None:
         samples = percolation.lpp_grid_samples(rows, cols, args.p, args.reps, seed)
         name = f"grid-{rows}x{cols}"
     else:
-        if not args.poset:
-            raise ConfigError("lpp needs --lattice grid or --poset FILE")
-        with open(args.poset) as fh:
-            poset = FinitePoset.from_json(fh.read())
+        poset = _poset(args, "lpp needs --lattice grid or --poset FILE")
         rnd = engine.replica_generator(seed, 0)
         samples = np.array(
             [percolation.lpp_sample(poset, args.p, rnd).total for _ in range(args.reps)]
@@ -321,6 +309,61 @@ def cmd_bounds(args) -> None:
     _emit([row], args)
 
 
+# Every flag a subcommand may take, with its argparse settings.
+_FLAGS = {
+    "--lattice": dict(default="sn", choices=["sn", "tamari", "tamari-av", "grid", "ideal"]),
+    "--n": dict(type=int),
+    "--rows": dict(type=int),
+    "--cols": dict(type=int),
+    "--poset": dict(help="JSON poset file for --lattice ideal"),
+    "--p": dict(type=float, default=0.5),
+    "--reps": dict(type=int, default=1000),
+    "--seed": dict(type=int),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--out": dict(),
+    "--cap-states": dict(type=int, default=10**6),
+    "--c1": dict(type=float, default=10.0),
+    "--per-element": dict(action="store_true"),
+    "--survival": dict(help="write the empirical survival CSV here"),
+    "--trace": dict(help="write a one-replica JSONL trace here"),
+    "--tail": dict(type=float),
+    "--what": dict(required=True,
+                   choices=["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
+                            "sn-coefficient", "tamari-coefficient"]),
+    "--x": dict(type=float),
+    "--k": dict(type=int),
+    "--t": dict(type=float),
+}
+
+_LATTICE_FLAGS = ("--lattice", "--n", "--rows", "--cols", "--poset")
+
+# subcommand -> (handler, help, the flags its handler reads); argparse
+# rejects any other flag with exit code 2
+_COMMANDS = {
+    "exact": (cmd_exact, "expected absorption time by linear solve",
+              (*_LATTICE_FLAGS, "--p", "--format", "--out", "--cap-states",
+               "--per-element")),
+    "simulate": (cmd_simulate, "Monte Carlo absorption statistics",
+                 (*_LATTICE_FLAGS, "--p", "--reps", "--seed", "--format", "--out",
+                  "--survival", "--trace")),
+    "lpp": (cmd_lpp, "last-passage percolation samples",
+            ("--lattice", "--rows", "--cols", "--poset", "--p", "--reps", "--seed",
+             "--format", "--out")),
+    "tasep": (cmd_tasep, "corner-growth window fill times",
+              ("--rows", "--cols", "--p", "--reps", "--seed", "--format", "--out")),
+    "fluctuation": (cmd_fluctuation, "rescaled passage-time statistics",
+                    ("--rows", "--cols", "--p", "--reps", "--seed", "--format", "--out",
+                     "--tail")),
+    "skyline": (cmd_skyline, "multi-stream runs with diagnostics",
+                ("--n", "--p", "--reps", "--seed", "--out")),
+    "zeta": (cmd_zeta, "uniqueness probability vs its series limit",
+             ("--n", "--p", "--reps", "--seed", "--format", "--out")),
+    "bounds": (cmd_bounds, "evaluate bound formulas",
+               ("--rows", "--cols", "--p", "--format", "--out", "--c1", "--what", "--x",
+                "--k", "--t")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ungar-lab",
@@ -328,49 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
         "percolation couplings, and skyline diagnostics.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("exact", help="expected absorption time by linear solve")
-    _add_common(sp)
-    sp.add_argument("--per-element", action="store_true")
-    sp.set_defaults(func=cmd_exact)
-
-    sp = subs.add_parser("simulate", help="Monte Carlo absorption statistics")
-    _add_common(sp)
-    sp.add_argument("--survival", help="write the empirical survival CSV here")
-    sp.add_argument("--trace", help="write a one-replica JSONL trace here")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = subs.add_parser("lpp", help="last-passage percolation samples")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lpp)
-
-    sp = subs.add_parser("tasep", help="corner-growth window fill times")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_tasep)
-
-    sp = subs.add_parser("fluctuation", help="rescaled passage-time statistics")
-    _add_common(sp)
-    sp.add_argument("--tail", type=float, default=None)
-    sp.set_defaults(func=cmd_fluctuation)
-
-    sp = subs.add_parser("skyline", help="multi-stream runs with diagnostics")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_skyline)
-
-    sp = subs.add_parser("zeta", help="uniqueness probability vs its series limit")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_zeta)
-
-    sp = subs.add_parser("bounds", help="evaluate bound formulas")
-    _add_common(sp)
-    sp.add_argument("--what", required=True,
-                    choices=["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
-                             "sn-coefficient", "tamari-coefficient"])
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--t", type=float)
-    sp.set_defaults(func=cmd_bounds)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 

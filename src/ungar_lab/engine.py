@@ -137,8 +137,7 @@ class IdealLattice:
     the ideal.  ``pick_sites`` caches the maximal-element tuple of every
     mask it is asked about; the paths that step through masks use it:
     ``enumerate_states`` and the exact solver, ``run_chain`` (hence
-    ``simulate --trace``, Monte Carlo from a given ``start`` and
-    ``coupled_ideal_run``).  Monte Carlo from the top uses
+    ``simulate --trace`` and ``coupled_ideal_run``).  Monte Carlo uses
     ``fast_absorption_sample`` instead, which keys nothing by mask, so the
     cache does not grow with the number of replicas.
     """
@@ -414,14 +413,13 @@ def monte_carlo_expectation(
     *,
     reps: int,
     seed: int,
-    start=None,
     keep_samples: bool = False,
 ) -> McResult:
-    """Absorption-time mean over independent seeded replicas.
+    """Absorption-time mean over independent seeded replicas, each from the top.
 
     Replica ``r`` draws from the stream derived with spawn key
     ``(replica, r)``, so results are reproducible given ``(seed, reps)``
-    and invariant to execution order.  From the top, a backend's
+    and invariant to execution order.  A backend's
     ``fast_absorption_sample`` replaces the generic ``run_chain`` loop:
     ``TamariForestLattice`` steps a mutable forest, ``IdealLattice`` keeps
     Kahn counters over the poset.  Either gives the sample ``run_chain``
@@ -431,14 +429,13 @@ def monte_carlo_expectation(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     fast = getattr(lattice, "fast_absorption_sample", None)
-    use_fast = fast is not None and start is None
     samples = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         rnd = replica_random(seed, r)
-        if use_fast:
+        if fast is not None:
             samples[r] = fast(p, rnd)
         else:
-            samples[r] = run_chain(lattice, p, rnd, start=start).absorption
+            samples[r] = run_chain(lattice, p, rnd).absorption
     return McResult.from_samples(samples, keep_samples=keep_samples)
 
 

@@ -27,6 +27,7 @@ the full limiting CDF is out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -291,14 +292,15 @@ def tracy_widom_tail(t: float) -> float:
 # -- uniqueness of the geometric maximum ------------------------------------------------
 
 
-def upsilon(p: float, x: float, *, tol: float = 1e-12) -> float:
+def upsilon(p: float, x: float) -> float:
     """Bilateral series ``p x sum_k (1-p)^k exp(-(1-p)^k x)`` (0 at p=1).
 
-    Truncation is certified: the ``k -> +inf`` tail is geometric and the
-    ``k -> -inf`` tail is dominated by a geometric series once
-    ``y = (1-p)^k x >= 4`` (using ``y e^{-y} <= e^{-y/2}`` there), each
-    bounded below ``tol/2``.
+    Truncation is certified to within ``tol = 1e-12``: the ``k -> +inf``
+    tail is geometric and the ``k -> -inf`` tail is dominated by a
+    geometric series once ``y = (1-p)^k x >= 4`` (using
+    ``y e^{-y} <= e^{-y/2}`` there), each bounded below ``tol/2``.
     """
+    tol = 1e-12
     p = float(p)
     if not 0 < p <= 1:
         raise DomainError(f"p={p} outside (0, 1]")
@@ -335,21 +337,19 @@ def upsilon(p: float, x: float, *, tol: float = 1e-12) -> float:
     return total
 
 
-def zeta_estimate(
-    p: float, n: int, trials: int, seed: int, *, batch_rows: int | None = None
-) -> tuple[float, float]:
+def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo probability that the max of ``n`` geometrics is unique.
 
     Plain estimator: each trial draws the ``n`` variables outright and
-    checks the multiplicity of the maximum.  Returns ``(estimate,
-    standard error)``.
+    checks the multiplicity of the maximum.  Trials run in batches of
+    ``max(1, 2_000_000 // n)`` rows, about 2e6 draws each, to bound
+    memory.  Returns ``(estimate, standard error)``.
     """
     p = _check_p(p)
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
     rng = replica_generator(seed, 0)
-    if batch_rows is None:
-        batch_rows = max(1, 2_000_000 // n)
+    batch_rows = max(1, 2_000_000 // n)
     hits = 0
     left = trials
     while left > 0:
@@ -371,18 +371,21 @@ def zeta_liminf_lower_bound(p: float) -> float:
     return p * (1 - p) * math.exp(p - 1)
 
 
-def zeta_limsup_estimate(p: float, *, grid: int = 4096) -> float:
+@functools.lru_cache
+def zeta_limsup_estimate(p: float) -> float:
     """Max of the bilateral series over one multiplicative period.
 
     The series is invariant under ``x -> (1-p) x``, so the limsup of the
     uniqueness probability is its maximum over ``x in ((1-p), 1]``,
-    located here by a dense geometric grid.
+    located here by a geometric grid of 4096 points.  That takes 4096
+    ``upsilon`` evaluations (tens of milliseconds), so results are
+    memoized per ``p``.
     """
     p = float(p)
     if not 0 < p < 1:
         raise DomainError(f"p={p} outside (0, 1)")
     q = 1.0 - p
-    xs = np.exp(np.linspace(math.log(q), 0.0, grid))
+    xs = np.exp(np.linspace(math.log(q), 0.0, 4096))
     return max(upsilon(p, float(x)) for x in xs)
 
 

@@ -52,15 +52,6 @@ class Permutation(tuple):
             i + 1 for i in range(len(self) - 1) if self[i] > self[i + 1]
         )
 
-    def inversion_pairs(self) -> frozenset[tuple[int, int]]:
-        """Value pairs ``(a, b)`` with ``a < b`` and ``b`` preceding ``a``."""
-        out = set()
-        for i in range(len(self)):
-            for j in range(i + 1, len(self)):
-                if self[i] > self[j]:
-                    out.add((self[j], self[i]))
-        return frozenset(out)
-
     def inversions(self) -> int:
         return sum(
             1

@@ -349,7 +349,6 @@ def algorithm1_run(
     landmark_constant: float = 201.0,
     force_g: Mapping[int, int] | None = None,
     audit: bool = False,
-    max_steps: int = 10**9,
 ) -> Algorithm1Result:
     """Simulate the forest chain from the path using named streams.
 
@@ -369,7 +368,8 @@ def algorithm1_run(
     force_g[i]`` (the standard conditional replay of the extremal event);
     ``landmark_constant`` rescales the written constant 201 so the deep
     branches can be reached at test sizes.  Both default to the verbatim
-    behavior.
+    behavior.  A run still unabsorbed after 10^9 steps raises
+    :class:`NotReached`.
     """
     p = _check_p(p)
     if n < 2:
@@ -465,8 +465,8 @@ def algorithm1_run(
     # -- main loop --------------------------------------------------------------
     while not sim.absorbed():
         t += 1
-        if t > max_steps:
-            raise NotReached(f"no absorption within {max_steps} steps")
+        if t > 10**9:
+            raise NotReached("no absorption within 10**9 steps")
         consults: list[tuple[str, int]] = []
         selected: list[int] = []
         if unfired > 0:
@@ -556,8 +556,8 @@ def algorithm1_run(
                 )
         for v in selected:
             op_counts[v] += 1
-            if v == 1 and sim.has_children(1):
-                c = sim.rightmost_child(1)
+            if v == 1 and sim.first_child[1]:
+                c = sim.last_child[1]
                 hi = c + sim.size[c] - 1
                 sim.operate(1)
                 if phase2 is not None:

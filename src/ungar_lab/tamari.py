@@ -84,9 +84,6 @@ class OrderedForest:
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[v]
 
-    def is_leaf(self, v: int) -> bool:
-        return not self._children[v]
-
     def non_leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if self._children[v])
 
@@ -290,12 +287,6 @@ class SimForest:
             out.append(v)
             v = self._nl_next[v]
         return out
-
-    def has_children(self, v: int) -> bool:
-        return self.first_child[v] != 0
-
-    def rightmost_child(self, v: int) -> int:
-        return self.last_child[v]
 
     def _drop_nonleaf(self, v: int) -> None:
         nxt, prv = self._nl_next[v], self._nl_prev[v]

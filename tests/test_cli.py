@@ -2,14 +2,16 @@
 
 import io
 import json
+import shlex
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab.cli import main
+from ungar_lab.cli import build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
 
@@ -219,6 +221,54 @@ def test_exit_code_bad_caps_and_reps(capsys):
     assert code == 2 and "cap-states" in err
 
 
+# a command line that exits 0, and the flags its subcommand does not read
+_UNREAD = {
+    "exact": (("--lattice", "sn", "--n", "3"), ("--reps", "--seed", "--c1")),
+    "simulate": (("--lattice", "sn", "--n", "3", "--reps", "5"), ("--cap-states", "--c1")),
+    "lpp": (("--lattice", "grid", "--rows", "2", "--cols", "2", "--reps", "5"),
+            ("--n", "--cap-states", "--c1")),
+    "tasep": (("--rows", "2", "--cols", "2", "--reps", "5"),
+              ("--lattice", "--n", "--poset", "--cap-states", "--c1")),
+    "fluctuation": (("--rows", "2", "--cols", "2", "--reps", "5"),
+                    ("--lattice", "--n", "--poset", "--cap-states", "--c1")),
+    "skyline": (("--n", "4", "--reps", "1"),
+                ("--lattice", "--rows", "--cols", "--poset", "--format", "--cap-states",
+                 "--c1")),
+    "zeta": (("--n", "10", "--reps", "10"),
+             ("--lattice", "--rows", "--cols", "--poset", "--cap-states", "--c1")),
+    "bounds": (("--what", "tw-tail", "--t", "4"),
+               ("--lattice", "--n", "--poset", "--reps", "--seed", "--cap-states")),
+}
+_FLAG_VALUE = {"--lattice": "grid", "--n": "3", "--rows": "2", "--cols": "2",
+               "--poset": "poset.json", "--reps": "2", "--seed": "1", "--format": "json",
+               "--cap-states": "10", "--c1": "10"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, unread) in _UNREAD.items() for flag in unread
+])
+def test_unread_flag_is_config_error(capsys, command, flag):
+    base = _UNREAD[command][0]
+    code, _, err = run_cli(capsys, command, *base)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, command, *base, flag, _FLAG_VALUE[flag])
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split("#", 1)[0] for line in section.splitlines()
+             if line.startswith("ungar-lab ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+
+
 def test_reps_one_prints_inf_without_warnings(capsys):
     cases = [
         (("simulate", "--lattice", "sn", "--n", "3"), "stderr"),
@@ -250,9 +300,8 @@ def test_empty_grid_is_config_error(capsys, command, rows, cols):
 @pytest.mark.parametrize("command", ["exact", "simulate"])
 @pytest.mark.parametrize("lattice", ["sn", "tamari", "tamari-av"])
 def test_negative_n_is_config_error(capsys, command, lattice):
-    code, out, err = run_cli(
-        capsys, command, "--lattice", lattice, "--n", "-1", "--reps", "2"
-    )
+    reps = ("--reps", "2") if command == "simulate" else ()
+    code, out, err = run_cli(capsys, command, "--lattice", lattice, "--n", "-1", *reps)
     assert code == 2 and out == ""
     assert "at least 0" in err
 
@@ -303,11 +352,34 @@ def test_skyline_seeds_are_disjoint_and_replay(capsys):
         assert json.loads(json.dumps(replay)) == record
 
 
+# the flags each subcommand reads, and a strategy for each flag's value
+_READS = {
+    "exact": ("--lattice", "--n", "--rows", "--cols", "--p", "--format", "--cap-states"),
+    "simulate": ("--lattice", "--n", "--rows", "--cols", "--p", "--reps", "--seed",
+                 "--format"),
+    "lpp": ("--lattice", "--rows", "--cols", "--p", "--reps", "--seed", "--format"),
+    "tasep": ("--rows", "--cols", "--p", "--reps", "--seed", "--format"),
+    "fluctuation": ("--rows", "--cols", "--p", "--reps", "--seed", "--format"),
+    "skyline": ("--n", "--p", "--reps", "--seed"),
+    "zeta": ("--n", "--p", "--reps", "--seed", "--format"),
+    "bounds": ("--rows", "--cols", "--p", "--format"),
+}
+_VALUES = {
+    "--lattice": st.sampled_from(["sn", "tamari", "tamari-av", "grid", "ideal"]),
+    "--n": st.integers(min_value=-2, max_value=5),
+    "--rows": st.integers(0, 3),
+    "--cols": st.integers(0, 3),
+    "--p": st.sampled_from(["0.3", "0.5", "1.0"]),
+    "--reps": st.integers(1, 20),
+    "--seed": st.integers(0, 1000),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--cap-states": st.sampled_from([5, 10**6]),
+}
+
+
 @st.composite
 def small_argv(draw):
-    command = draw(st.sampled_from([
-        "exact", "simulate", "lpp", "tasep", "fluctuation", "skyline", "zeta", "bounds",
-    ]))
+    command = draw(st.sampled_from(sorted(_READS)))
     argv = [command]
     if command == "bounds":
         argv += ["--what", draw(st.sampled_from(
@@ -316,20 +388,19 @@ def small_argv(draw):
         ))]
         for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6"])),
                              ("--k", st.integers(0, 5)),
-                             ("--t", st.sampled_from(["-1", "0.5", "4"]))):
+                             ("--t", st.sampled_from(["-1", "0.5", "4"])),
+                             ("--c1", st.sampled_from(["1", "10"]))):
             value = draw(st.none() | values)
             if value is not None:
                 argv += [flag, str(value)]
     if command == "fluctuation" and draw(st.booleans()):
         argv += ["--tail", "1.5"]
-    lattice = draw(st.sampled_from(["sn", "tamari", "tamari-av", "grid", "ideal"]))
-    argv += ["--lattice", lattice,
-             "--n", str(draw(st.integers(min_value=-2, max_value=5))),
-             "--rows", str(draw(st.integers(0, 3))),
-             "--cols", str(draw(st.integers(0, 3))),
-             "--p", draw(st.sampled_from(["0.3", "0.5", "1.0"])),
-             "--reps", str(draw(st.integers(1, 20))),
-             "--seed", str(draw(st.integers(0, 1000)))]
+    for flag in _READS[command]:
+        values = _VALUES[flag]
+        if (command, flag) == ("lpp", "--lattice"):
+            # lpp tells only grid (read the shape) from the rest (read --poset)
+            values = st.sampled_from(["grid", "ideal"])
+        argv += [flag, str(draw(values))]
     return argv
 
 
