@@ -337,6 +337,12 @@ _FLAGS = {
 
 _LATTICE_FLAGS = ("--lattice", "--n", "--rows", "--cols", "--poset")
 
+# (subcommand, flag) -> settings that replace the flag's _FLAGS entry there:
+# lpp runs on a grid or on a poset file, so it offers only those lattices
+_FLAG_OVERRIDES = {
+    ("lpp", "--lattice"): dict(default="ideal", choices=["grid", "ideal"]),
+}
+
 # subcommand -> (handler, help, the flags its handler reads); argparse
 # rejects any other flag with exit code 2
 _COMMANDS = {
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, flags) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
         for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+            sp.add_argument(flag, **_FLAG_OVERRIDES.get((name, flag), _FLAGS[flag]))
         sp.set_defaults(func=func)
     return parser
 

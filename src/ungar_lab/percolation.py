@@ -27,7 +27,6 @@ the full limiting CDF is out of scope.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -371,15 +370,12 @@ def zeta_liminf_lower_bound(p: float) -> float:
     return p * (1 - p) * math.exp(p - 1)
 
 
-@functools.lru_cache
 def zeta_limsup_estimate(p: float) -> float:
     """Max of the bilateral series over one multiplicative period.
 
     The series is invariant under ``x -> (1-p) x``, so the limsup of the
     uniqueness probability is its maximum over ``x in ((1-p), 1]``,
-    located here by a geometric grid of 4096 points.  That takes 4096
-    ``upsilon`` evaluations (tens of milliseconds), so results are
-    memoized per ``p``.
+    located here by a geometric grid of 4096 points.
     """
     p = float(p)
     if not 0 < p < 1:

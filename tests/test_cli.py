@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab.cli import build_parser, main
+from ungar_lab.cli import _COMMANDS, build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
 
@@ -256,10 +256,23 @@ def test_unread_flag_is_config_error(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in err
 
 
-def test_readme_command_lines_parse():
+@pytest.mark.parametrize("lattice", ["sn", "tamari", "tamari-av"])
+def test_lpp_lattice_is_grid_or_ideal(capsys, tmp_path, lattice):
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(grid_poset(2, 2).to_json())
+    code, out, err = run_cli(capsys, "lpp", "--lattice", lattice, "--poset",
+                             str(poset_file), "--reps", "3")
+    assert code == 2 and out == ""
+    assert f"invalid choice: '{lattice}'" in err
+
+
+def _readme_command_line_section() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    lines = [line.split("#", 1)[0] for line in section.splitlines()
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    lines = [line.split("#", 1)[0] for line in _readme_command_line_section().splitlines()
              if line.startswith("ungar-lab ")]
     assert len(lines) >= 8
     parser = build_parser()
@@ -267,6 +280,15 @@ def test_readme_command_lines_parse():
         argv = shlex.split(line)[1:]
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_flag_table_matches_parser():
+    table = {}
+    for line in _readme_command_line_section().splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0]] = set(cells[1].split())
+    assert table == {name: set(flags) for name, (_, _, flags) in _COMMANDS.items()}
 
 
 def test_reps_one_prints_inf_without_warnings(capsys):
