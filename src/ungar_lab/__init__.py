@@ -24,7 +24,6 @@ from .engine import (
     monte_carlo_expectation,
     run_chain,
     sn_absorption_samples,
-    step,
     walk_hitting_time,
 )
 from .errors import (

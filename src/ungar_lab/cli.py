@@ -94,7 +94,28 @@ _SIZED_LATTICES = {
 }
 
 
+# --lattice choice -> the size flags it reads; the others are a configuration
+# error, since the per-subcommand flag table cannot tell which one is read
+_SIZE_FLAGS = {
+    "sn": ("--n",),
+    "tamari": ("--n",),
+    "tamari-av": ("--n",),
+    "grid": ("--rows", "--cols"),
+    "ideal": ("--poset",),
+}
+
+
+def _reject_unread_size_flags(args) -> None:
+    """ConfigError if ``--n``, ``--rows``, ``--cols`` or ``--poset`` is set but
+    the chosen ``--lattice`` does not read it."""
+    reads = _SIZE_FLAGS[args.lattice]
+    for flag in ("--n", "--rows", "--cols", "--poset"):
+        if getattr(args, flag[2:], None) is not None and flag not in reads:
+            raise ConfigError(f"--lattice {args.lattice} does not read {flag}")
+
+
 def _lattice(args):
+    _reject_unread_size_flags(args)
     kind = args.lattice
     if kind in _SIZED_LATTICES:
         if args.n is None:
@@ -188,6 +209,7 @@ def _stateify(state):
 
 
 def cmd_lpp(args) -> None:
+    _reject_unread_size_flags(args)
     seed = _seed(args)
     if args.lattice == "grid":
         rows, cols = _grid_shape(args, "lpp on a grid")

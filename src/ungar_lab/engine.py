@@ -286,13 +286,6 @@ def run_chain(
     )
 
 
-def step(lattice, state, p: float, rnd):
-    """One random move: select each site independently, then transition."""
-    p = _check_p(p)
-    sites = lattice.pick_sites(state)
-    return lattice.apply(state, [s for s in sites if rnd.random() < p])
-
-
 # -- exact expectations ---------------------------------------------------------
 
 
@@ -315,12 +308,37 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
     return sorted(seen, key=lattice.rank)
 
 
+# Backends whose ``apply`` acts one site at a time, in the order
+# ``pick_sites`` lists them, so that ``apply(x, T)`` is one single-site
+# ``apply`` of T's last site on ``apply(x, T minus that site)``.  SnLattice
+# and TamariAvLattice are left out: they reverse each run of adjacent
+# selected descents as one block, which single-descent moves do not
+# reproduce (321 with {1, 2} gives 123 at once but 213 one site at a time).
+_SEQUENTIAL_BACKENDS = (TamariForestLattice, IdealLattice, ChainLattice)
+
+
 def _transitions(lattice, x, sites, p: float, q: float):
-    """``(weight, successor)`` for every nonempty selection of ``sites``."""
+    """``(weight, successor)`` for every nonempty selection of ``sites``.
+
+    Selections come in increasing bitmask order (bit ``i`` selects
+    ``sites[i]``).  On a sequential backend the successor of ``bitsel`` is
+    one single-site ``apply`` on the successor of ``bitsel`` without its
+    highest bit, so a state costs one ``apply`` per selection instead of
+    one per selected site; other backends get one ``apply`` per selection.
+    """
     s = len(sites)
-    for bitsel in range(1, 1 << s):
-        selected = [sites[i] for i in range(s) if bitsel >> i & 1]
-        yield p ** len(selected) * q ** (s - len(selected)), lattice.apply(x, selected)
+    weight = [p ** k * q ** (s - k) for k in range(s + 1)]
+    if not isinstance(lattice, _SEQUENTIAL_BACKENDS):
+        for bitsel in range(1, 1 << s):
+            selected = [sites[i] for i in range(s) if bitsel >> i & 1]
+            yield weight[len(selected)], lattice.apply(x, selected)
+        return
+    succ = [x]
+    for site in sites:
+        for rest in range(len(succ)):
+            y = lattice.apply(succ[rest], [site])
+            succ.append(y)
+            yield weight[rest.bit_count() + 1], y
 
 
 def exact_expected_absorption(

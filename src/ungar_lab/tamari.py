@@ -19,6 +19,7 @@ that from scratch.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -127,7 +128,8 @@ class OrderedForest:
         reattached to the parent of ``v`` immediately to the right of
         ``v`` (or becomes a new root tree immediately right of ``v``'s
         tree); with canonical labels that slot is the sorted position, so
-        only one parent pointer changes.
+        only one parent pointer changes.  The result shares every child
+        list except those of ``v`` and of its parent.
         """
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range")
@@ -135,9 +137,18 @@ class OrderedForest:
         if not kids:
             return self
         c = kids[-1]
-        par = list(self.parent)
-        par[c - 1] = self.parent[v - 1]
-        return OrderedForest(par, validate=False)
+        w = self.parent[v - 1]
+        children = list(self._children)
+        children[v] = kids[:-1]
+        siblings = children[w]
+        i = bisect(siblings, c)
+        children[w] = siblings[:i] + (c,) + siblings[i:]
+        forest = OrderedForest.__new__(OrderedForest)
+        forest.n = self.n
+        forest.parent = self.parent[: c - 1] + (w,) + self.parent[c:]
+        forest._children = tuple(children)
+        forest._roots = forest._children[0]
+        return forest
 
     def ungar(self, vertices: Iterable[int]) -> "OrderedForest":
         """Operate on the given vertices in increasing label order.

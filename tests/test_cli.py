@@ -256,6 +256,43 @@ def test_unread_flag_is_config_error(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in err
 
 
+# a --lattice choice with the size flags it reads, and one it does not read
+_SIZE_CASES = [
+    ("sn", ("--n", "3"), ("--rows", "9")),
+    ("sn", ("--n", "3"), ("--cols", "9")),
+    ("sn", ("--n", "3"), ("--poset", "nofile.json")),
+    ("tamari", ("--n", "3"), ("--rows", "2")),
+    ("tamari-av", ("--n", "3"), ("--poset", "POSET")),
+    ("grid", ("--rows", "2", "--cols", "2"), ("--n", "50")),
+    ("grid", ("--rows", "2", "--cols", "2"), ("--poset", "POSET")),
+    ("ideal", ("--poset", "POSET"), ("--n", "3")),
+    ("ideal", ("--poset", "POSET"), ("--cols", "2")),
+]
+
+
+@pytest.mark.parametrize("command,lattice,reads,unread", [
+    *((command, *case) for command in ("exact", "simulate") for case in _SIZE_CASES),
+    ("lpp", "grid", ("--rows", "2", "--cols", "2"), ("--poset", "POSET")),
+    ("lpp", "ideal", ("--poset", "POSET"), ("--rows", "2")),
+])
+def test_size_flag_unread_by_lattice_is_config_error(
+    capsys, tmp_path, command, lattice, reads, unread
+):
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(grid_poset(2, 2).to_json())
+
+    def fill(flags):
+        return [str(poset_file) if a == "POSET" else a for a in flags]
+
+    reps = () if command == "exact" else ("--reps", "2")
+    base = [command, "--lattice", lattice, *fill(reads), *reps]
+    code, _, err = run_cli(capsys, *base)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, *base, *fill(unread))
+    assert code == 2 and out == ""
+    assert f"--lattice {lattice} does not read {unread[0]}" in err
+
+
 @pytest.mark.parametrize("lattice", ["sn", "tamari", "tamari-av"])
 def test_lpp_lattice_is_grid_or_ideal(capsys, tmp_path, lattice):
     poset_file = tmp_path / "poset.json"
@@ -374,12 +411,12 @@ def test_skyline_seeds_are_disjoint_and_replay(capsys):
         assert json.loads(json.dumps(replay)) == record
 
 
-# the flags each subcommand reads, and a strategy for each flag's value
+# the flags each subcommand reads, and a strategy for each flag's value;
+# after --lattice come the size flags that lattice reads (_SIZE_READS)
 _READS = {
-    "exact": ("--lattice", "--n", "--rows", "--cols", "--p", "--format", "--cap-states"),
-    "simulate": ("--lattice", "--n", "--rows", "--cols", "--p", "--reps", "--seed",
-                 "--format"),
-    "lpp": ("--lattice", "--rows", "--cols", "--p", "--reps", "--seed", "--format"),
+    "exact": ("--lattice", "--p", "--format", "--cap-states"),
+    "simulate": ("--lattice", "--p", "--reps", "--seed", "--format"),
+    "lpp": ("--lattice", "--p", "--reps", "--seed", "--format"),
     "tasep": ("--rows", "--cols", "--p", "--reps", "--seed", "--format"),
     "fluctuation": ("--rows", "--cols", "--p", "--reps", "--seed", "--format"),
     "skyline": ("--n", "--p", "--reps", "--seed"),
@@ -397,6 +434,8 @@ _VALUES = {
     "--format": st.sampled_from(["csv", "json"]),
     "--cap-states": st.sampled_from([5, 10**6]),
 }
+_SIZE_READS = {"sn": ("--n",), "tamari": ("--n",), "tamari-av": ("--n",),
+               "grid": ("--rows", "--cols"), "ideal": ()}
 
 
 @st.composite
@@ -423,6 +462,9 @@ def small_argv(draw):
             # lpp tells only grid (read the shape) from the rest (read --poset)
             values = st.sampled_from(["grid", "ideal"])
         argv += [flag, str(draw(values))]
+        if flag == "--lattice":
+            for size_flag in _SIZE_READS[argv[-1]]:
+                argv += [size_flag, str(draw(_VALUES[size_flag]))]
     return argv
 
 

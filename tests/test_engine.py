@@ -29,11 +29,25 @@ from ungar_lab import (
     phi,
     run_chain,
     sn_absorption_samples,
-    step,
     walk_hitting_time,
 )
+from ungar_lab import engine
 from ungar_lab.rng import replica_generator, replica_random
 from ungar_lab.tamari import av_ungar_move
+
+
+def step(lattice, state, p, rnd):
+    """One random move: select each site independently, then transition."""
+    sites = lattice.pick_sites(state)
+    return lattice.apply(state, [s for s in sites if rnd.random() < p])
+
+
+def per_subset_transitions(lattice, x, sites, p, q):
+    """Oracle for ``engine._transitions``: one ``apply`` per selection."""
+    s = len(sites)
+    for bitsel in range(1, 1 << s):
+        selected = [sites[i] for i in range(s) if bitsel >> i & 1]
+        yield p ** len(selected) * q ** (s - len(selected)), lattice.apply(x, selected)
 
 
 def exact_sn3_by_hand(p):
@@ -230,6 +244,49 @@ def test_ideal_fast_sample_matches_run_chain(poset, p, seed):
 @pytest.mark.parametrize("poset", IDEAL_EDGE_CASES, ids=repr)
 def test_ideal_fast_sample_matches_run_chain_edge_cases(poset, p):
     _assert_fast_ideal_matches_run_chain(poset, p, seed=11)
+
+
+def _assert_subset_dp_matches_oracle(lattice, p):
+    assert isinstance(lattice, engine._SEQUENTIAL_BACKENDS)
+    q = 1.0 - p
+    for x in engine.enumerate_states(lattice):
+        sites = lattice.pick_sites(x)
+        assert list(engine._transitions(lattice, x, sites, p, q)) == list(
+            per_subset_transitions(lattice, x, sites, p, q)
+        ), (lattice.name, x)
+    dp = exact_expected_absorption(lattice, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_transitions", per_subset_transitions)
+        assert exact_expected_absorption(lattice, p) == dp
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize(
+    "lattice",
+    [TamariForestLattice(n) for n in range(8)]
+    + [IdealLattice(grid_poset(3, 4)), ChainLattice(4)],
+    ids=lambda lattice: lattice.name,
+)
+def test_subset_dp_matches_per_subset_rows(lattice, p):
+    _assert_subset_dp_matches_oracle(lattice, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_posets(), st.sampled_from([0.3, 0.5, 1.0]))
+def test_subset_dp_matches_per_subset_rows_on_posets(poset, p):
+    _assert_subset_dp_matches_oracle(IdealLattice(poset), p)
+
+
+@pytest.mark.parametrize("lattice", [SnLattice(3), TamariAvLattice(3)],
+                         ids=lambda lattice: lattice.name)
+def test_block_reversal_moves_do_not_compose_site_by_site(lattice):
+    # why the subset DP leaves these backends out: a run of selected
+    # descents is reversed as one block
+    x = Permutation((3, 2, 1))
+    assert lattice.pick_sites(x) == (1, 2)
+    assert lattice.apply(x, [1, 2]) == (1, 2, 3)
+    assert lattice.apply(lattice.apply(x, [1]), [2]) == (2, 1, 3)
+    assert not isinstance(lattice, engine._SEQUENTIAL_BACKENDS)
 
 
 def test_ideal_monte_carlo_does_not_scan_masks(monkeypatch):

@@ -95,6 +95,20 @@ def test_operations_preserve_preorder_labels():
             forest.operate(v).validate()
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_operate_result_equals_forest_rebuilt_from_parents(n):
+    # operate splices its child lists; a validated rebuild from the parent
+    # array is the oracle for every field a caller can see
+    for forest in ordered_forests(n):
+        for v in range(1, n + 1):
+            after = forest.operate(v)
+            rebuilt = OrderedForest(after.parent)
+            assert after.parent == rebuilt.parent
+            assert all(after.children(u) == rebuilt.children(u) for u in range(n + 1))
+            assert after.roots == rebuilt.roots
+            assert after == rebuilt and hash(after) == hash(rebuilt)
+
+
 def test_forest_ungar_move_examples():
     path3 = OrderedForest.path(3)
     assert path3.ungar(set()) == path3
