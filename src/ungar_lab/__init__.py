@@ -50,7 +50,6 @@ from .percolation import (
     CoupledIdealRun,
     LppSample,
     coupled_ideal_run,
-    ideal_complement_rows,
     lpp_grid_samples,
     lpp_sample,
     max_chain_weight,
@@ -67,25 +66,16 @@ from .percolation import (
 )
 from .perms import (
     Permutation,
-    all_permutations,
-    descents,
-    maximal_ungar_move,
     project_pi_k,
     sorted_prefix_time,
     ungar_move,
-    weak_leq,
-    weak_meet,
 )
 from .poset import (
     FinitePoset,
     GridPoset,
-    IdealLatticePoset,
     OrderIdeal,
     build_poset,
     grid_poset,
-    maximal_chains,
-    meet,
-    order_ideals,
 )
 from .rng import StreamBank, replica_generator, replica_random
 from .skyline import (
@@ -114,7 +104,6 @@ from .tamari import (
     phi,
     phi_inverse,
     project_down,
-    restrict,
 )
 
 __version__ = "0.1.0"

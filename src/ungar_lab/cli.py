@@ -11,7 +11,10 @@ flags its handler reads (``_COMMANDS``); any other flag exits with 2.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import sys
 
@@ -37,14 +40,17 @@ def _fmt(x) -> str:
 
 
 def _emit(rows: list[dict], args) -> None:
+    """Write ``rows`` as JSON or as CSV; a CSV field holding a comma or a
+    quote is quoted, so a state's ``repr`` stays one field."""
     text_rows = [{k: _fmt(v) for k, v in row.items()} for row in rows]
     if args.format == "json":
         out = json.dumps(text_rows, indent=2, sort_keys=False) + "\n"
     else:
-        header = list(rows[0].keys()) if rows else []
-        lines = [",".join(header)]
-        lines += [",".join(r[k] for k in header) for r in text_rows]
-        out = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(text_rows)
+        out = buf.getvalue()
     _write(out, args)
 
 
@@ -54,6 +60,14 @@ def _write(text: str, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and +-inf exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _seed(args) -> int:
@@ -338,23 +352,23 @@ _FLAGS = {
     "--rows": dict(type=int),
     "--cols": dict(type=int),
     "--poset": dict(help="JSON poset file for --lattice ideal"),
-    "--p": dict(type=float, default=0.5),
+    "--p": dict(type=_finite_float, default=0.5),
     "--reps": dict(type=int, default=1000),
     "--seed": dict(type=int),
     "--format": dict(choices=["csv", "json"], default="csv"),
     "--out": dict(),
     "--cap-states": dict(type=int, default=10**6),
-    "--c1": dict(type=float, default=10.0),
+    "--c1": dict(type=_finite_float, default=10.0),
     "--per-element": dict(action="store_true"),
     "--survival": dict(help="write the empirical survival CSV here"),
     "--trace": dict(help="write a one-replica JSONL trace here"),
-    "--tail": dict(type=float),
+    "--tail": dict(type=_finite_float),
     "--what": dict(required=True,
                    choices=["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
                             "sn-coefficient", "tamari-coefficient"]),
-    "--x": dict(type=float),
+    "--x": dict(type=_finite_float),
     "--k": dict(type=int),
-    "--t": dict(type=float),
+    "--t": dict(type=_finite_float),
 }
 
 _LATTICE_FLAGS = ("--lattice", "--n", "--rows", "--cols", "--poset")

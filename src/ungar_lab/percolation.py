@@ -35,7 +35,7 @@ import numpy as np
 
 from .engine import GeometricSampler, IdealLattice, _check_p, run_chain
 from .errors import CouplingViolation, DomainError, SeriesTruncationError
-from .poset import FinitePoset, GridPoset
+from .poset import FinitePoset
 from .rng import replica_generator
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "CoupledIdealRun",
     "tasep_absorption_samples",
     "tasep_trajectory",
-    "ideal_complement_rows",
     "lpp_grid_samples",
     "rescaling_constants",
     "tracy_widom_tail",
@@ -141,25 +140,6 @@ def coupled_ideal_run(
         weights=tuple(counts),
         masks=run.states if record_states else None,
     )
-
-
-def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:
-    """Complement of a grid ideal as top-down row lengths.
-
-    Row ``i`` of the grid contributes ``#{j : (i,j) not in the ideal}``;
-    reading rows from the top (largest ``i``) down gives a weakly
-    decreasing sequence, i.e. a Young diagram.  Raises ``ValueError`` if
-    the monotonicity fails (the mask was not an ideal).
-    """
-    rows = []
-    for i in range(grid.rows):
-        rows.append(
-            sum(1 for j in range(grid.cols) if not mask >> grid.index(i, j) & 1)
-        )
-    shape = tuple(reversed(rows))
-    if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
-        raise ValueError(f"complement rows {shape} are not weakly decreasing")
-    return shape
 
 
 # -- multicorner growth ------------------------------------------------------------

@@ -7,21 +7,18 @@ and reversing them, with consecutive selected descents reversed as one
 block, is the block-reversal move; lattice-theoretically it sends
 ``sigma`` to the meet of ``{sigma}`` with the corresponding covered
 elements, and any nontrivial move strictly decreases the inversion count.
+The test suite checks the move against the weak-order meet computed on
+inversion sets.
 
-Comparison uses inversion sets (pairs of values out of order), which gives
-the right weak order in O(n^2) per comparison instead of a cover-path
-search; meets and joins are computed on inversion sets, with the join
-realized as the transitive closure of a union and the meet obtained from
-the join by the reverse-complement duality.  Both are validated against
-brute-force oracles in the test suite at small n.
+The prefix projection ``project_pi_k`` maps a permutation to a lattice
+path and an order ideal of the grid ``R_{k,n-k}``.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .errors import InvalidSelection, NotReached, SizeMismatch
+from .errors import InvalidSelection, NotReached
 from .poset import OrderIdeal, grid_poset
 
 
@@ -84,10 +81,6 @@ class Permutation(tuple):
         return f"Permutation({''.join(map(str, self)) if self.n <= 9 else list(self)})"
 
 
-def descents(sigma: Permutation) -> frozenset[int]:
-    return Permutation(sigma).descents()
-
-
 def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
     """Reverse the selected descents, consecutive ones as blocks.
 
@@ -113,117 +106,6 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
         w[start - 1 : end + 1] = reversed(w[start - 1 : end + 1])
         k += 1
     return Permutation(w)
-
-
-def maximal_ungar_move(sigma: Permutation) -> Permutation:
-    return ungar_move(sigma, Permutation(sigma).descents())
-
-
-# -- weak order via inversion sets -----------------------------------------
-#
-# Inversion sets are encoded as bitmasks over the pairs (a, b), a < b,
-# listed lexicographically.  A bitmask is the inversion set of a
-# permutation iff it is closed ((a,b),(b,c) set => (a,c) set) and
-# co-closed ((a,c) set => (a,b) or (b,c) set).
-
-
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    bits = {}
-    k = 0
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            bits[(a, b)] = k
-            k += 1
-    return bits
-
-
-def _inv_mask(sigma: Sequence[int], bits: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                mask |= 1 << bits[(sigma[j], sigma[i])]
-    return mask
-
-
-def _triples(n: int, bits: dict[tuple[int, int], int]) -> list[tuple[int, int, int]]:
-    out = []
-    for a, b, c in itertools.combinations(range(1, n + 1), 3):
-        out.append((bits[(a, b)], bits[(b, c)], bits[(a, c)]))
-    return out
-
-
-def _transitive_closure(mask: int, triples: list[tuple[int, int, int]]) -> int:
-    changed = True
-    while changed:
-        changed = False
-        for ab, bc, ac in triples:
-            if mask >> ab & 1 and mask >> bc & 1 and not mask >> ac & 1:
-                mask |= 1 << ac
-                changed = True
-    return mask
-
-
-def _reverse_complement(mask: int, n: int, bits: dict[tuple[int, int], int]) -> int:
-    """Inversion set of w0*sigma: pair (a,b) set iff (n+1-b, n+1-a) unset."""
-    out = 0
-    for (a, b), k in bits.items():
-        if not mask >> bits[(n + 1 - b, n + 1 - a)] & 1:
-            out |= 1 << k
-    return out
-
-
-def _mask_to_perm(mask: int, n: int, bits: dict[tuple[int, int], int]) -> Permutation:
-    # value a precedes b (a < b) iff the pair (a, b) is not inverted
-    pos = [0] * (n + 1)
-    for (a, b), k in bits.items():
-        if mask >> k & 1:
-            pos[a] += 1  # b precedes a
-        else:
-            pos[b] += 1  # a precedes b
-    word = [0] * n
-    for v in range(1, n + 1):
-        word[pos[v]] = v
-    return Permutation(word)
-
-
-def weak_leq(sigma: Permutation, tau: Permutation) -> bool:
-    """Right weak order: ``Inv(sigma)`` contained in ``Inv(tau)``."""
-    sigma, tau = Permutation(sigma), Permutation(tau)
-    if sigma.n != tau.n:
-        raise SizeMismatch(f"sizes differ: {sigma.n} vs {tau.n}")
-    bits = _pair_bits(sigma.n)
-    a, b = _inv_mask(sigma, bits), _inv_mask(tau, bits)
-    return a & ~b == 0
-
-
-def weak_meet(perms: Iterable[Permutation]) -> Permutation:
-    """Greatest lower bound in the right weak order.
-
-    Computed by duality: conjugate every inversion set by reverse
-    complement, close the union transitively (the join), and conjugate
-    back.  Agrees with the block-reversal move on ``{sigma} U T`` for
-    ``T`` a set of covered elements.
-    """
-    ps = [Permutation(p) for p in perms]
-    if not ps:
-        raise ValueError("weak_meet of an empty collection")
-    n = ps[0].n
-    if any(p.n != n for p in ps):
-        raise SizeMismatch("permutations of mixed sizes")
-    bits = _pair_bits(n)
-    triples = _triples(n, bits)
-    joined = 0
-    for p in ps:
-        joined |= _reverse_complement(_inv_mask(p, bits), n, bits)
-    joined = _transitive_closure(joined, triples)
-    return _mask_to_perm(_reverse_complement(joined, n, bits), n, bits)
-
-
-def all_permutations(n: int):
-    """Iterate S_n in lexicographic order."""
-    for w in itertools.permutations(range(1, n + 1)):
-        yield Permutation(w)
 
 
 # -- the prefix projection to grid order ideals ------------------------------

@@ -8,13 +8,11 @@ per element) for posets with at most ``LEQ_CACHE_CAP`` elements and
 recomputed on demand above that.
 
 The module also provides order ideals (downward-closed subsets, stored as
-bitmasks), the distributive lattice ``J(P)`` of all order ideals of ``P``,
-maximal-chain enumeration, meets in small lattices, and the grid poset
-``R_{n,m}`` (the product of a chain of length ``n-1`` and one of length
-``m-1``).
-
-Exact enumerations are guarded by explicit caps because both ``|J(P)|``
-and the number of maximal chains grow exponentially.
+bitmasks), the maximal elements of an ideal (the sites of the ideal-chain
+move), and the grid poset ``R_{n,m}`` (the product of a chain of length
+``n-1`` and one of length ``m-1``).  The lattice ``J(P)`` itself is
+enumerated by ``engine.enumerate_states`` on an ``engine.IdealLattice``,
+under the state cap ``DEFAULT_STATE_CAP``.
 """
 
 from __future__ import annotations
@@ -23,16 +21,9 @@ import heapq
 import json
 from collections.abc import Iterable, Sequence
 
-from .errors import (
-    ChainExplosion,
-    CycleDetected,
-    NotALattice,
-    RedundantCover,
-    StateExplosion,
-)
+from .errors import CycleDetected, RedundantCover
 
 DEFAULT_STATE_CAP = 10**6
-DEFAULT_CHAIN_CAP = 10**6
 LEQ_CACHE_CAP = 4096
 
 
@@ -171,10 +162,25 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
+        """Parse ``{"n": N, "covers": [[child, parent], ...]}``.
+
+        Raises ``ValueError`` unless the document is an object whose ``n``
+        is a non-negative integer and whose ``covers`` is a list of integer
+        pairs; the ``type(v) is int`` tests reject JSON ``true`` and ``2.0``.
+        """
         data = json.loads(text)
-        return build_poset(
-            [(int(c), int(p)) for c, p in data["covers"]], n=int(data["n"])
-        )
+        if not isinstance(data, dict) or "n" not in data or "covers" not in data:
+            raise ValueError('poset JSON must be an object with "n" and "covers"')
+        n, covers = data["n"], data["covers"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f'poset "n" must be a non-negative integer, not {n!r}')
+        if not isinstance(covers, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(v) is int for v in pair)
+            for pair in covers
+        ):
+            raise ValueError('poset "covers" must be a list of [child, parent] integer pairs')
+        return build_poset(covers, n=n)
 
     def to_dot(self, labels: Sequence[str] | None = None) -> str:
         """Hasse diagram in DOT form, parents drawn above children."""
@@ -322,113 +328,3 @@ class OrderIdeal:
 
     def __repr__(self) -> str:
         return f"OrderIdeal({sorted(self.members())})"
-
-
-class IdealLatticePoset(FinitePoset):
-    """``J(P)`` as an explicit poset; element ``k`` is ``ideal_masks[k]``."""
-
-    __slots__ = ("base", "ideal_masks")
-
-    def __init__(self, base: FinitePoset, ideal_masks: tuple[int, ...],
-                 covers: Sequence[Iterable[int]]):
-        self.base = base
-        self.ideal_masks = ideal_masks
-        super().__init__(covers, validate=False)
-
-
-def enumerate_ideal_masks(
-    poset: FinitePoset, *, cap: int = DEFAULT_STATE_CAP
-) -> list[int]:
-    """All downward-closed bitmasks of ``poset``, smallest-first.
-
-    Found by deleting maximal elements starting from the full ideal; the
-    result is sorted by ``(popcount, mask)`` for determinism.  Raises
-    :class:`StateExplosion` past ``cap`` states.
-    """
-    full = poset.full_mask()
-    seen = {full}
-    stack = [full]
-    while stack:
-        mask = stack.pop()
-        for x in poset.maximal_of_mask(mask):
-            sub = mask & ~(1 << x)
-            if sub not in seen:
-                if len(seen) >= cap:
-                    raise StateExplosion(
-                        f"|J(P)| exceeds cap {cap} for poset with n={poset.n}"
-                    )
-                seen.add(sub)
-                stack.append(sub)
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
-
-
-def order_ideals(
-    poset: FinitePoset, *, cap: int = DEFAULT_STATE_CAP
-) -> IdealLatticePoset:
-    """The distributive lattice ``J(P)`` of order ideals of ``poset``.
-
-    Ideal ``J`` covers ``I`` exactly when ``I`` is obtained from ``J`` by
-    removing a maximal element of ``J``.
-    """
-    masks = enumerate_ideal_masks(poset, cap=cap)
-    index = {m: k for k, m in enumerate(masks)}
-    covers = []
-    for mask in masks:
-        covers.append([index[mask & ~(1 << x)] for x in poset.maximal_of_mask(mask)])
-    return IdealLatticePoset(poset, tuple(masks), covers)
-
-
-def maximal_chains(
-    poset: FinitePoset, *, cap: int = DEFAULT_CHAIN_CAP
-) -> list[tuple[int, ...]]:
-    """All maximal chains of ``poset``, each bottom-to-top.
-
-    A maximal chain runs from a minimal element to a maximal element along
-    cover edges, so it cannot be extended at either end or refined in the
-    middle.  Raises :class:`ChainExplosion` past ``cap`` chains.
-    """
-    out: list[tuple[int, ...]] = []
-    parents = poset.parents
-
-    def extend(chain: list[int]) -> None:
-        ups = sorted(parents[chain[-1]])
-        if not ups:
-            if len(out) >= cap:
-                raise ChainExplosion(f"maximal-chain count exceeds cap {cap}")
-            out.append(tuple(chain))
-            return
-        for y in ups:
-            chain.append(y)
-            extend(chain)
-            chain.pop()
-
-    for x in sorted(poset.minimal_elements()):
-        extend([x])
-    return out
-
-
-def meet(poset: FinitePoset, x: int, y: int) -> int:
-    """Greatest lower bound of ``x`` and ``y``.
-
-    Raises :class:`NotALattice` when the set of common lower bounds has no
-    unique maximum (detected lazily, per element pair).
-    """
-    common = poset.down_mask(x) & poset.down_mask(y)
-    if common == 0:
-        raise NotALattice(f"elements {x}, {y} have no common lower bound")
-    candidates = []
-    m = common
-    while m:
-        z = (m & -m).bit_length() - 1
-        candidates.append(z)
-        m &= m - 1
-    maxima = [
-        z
-        for z in candidates
-        if all(w == z or not poset.leq(z, w) for w in candidates)
-    ]
-    if len(maxima) != 1:
-        raise NotALattice(
-            f"elements {x}, {y} have {len(maxima)} maximal common lower bounds"
-        )
-    return maxima[0]

@@ -33,7 +33,6 @@ __all__ = [
     "covers_av312",
     "phi",
     "phi_inverse",
-    "restrict",
     "av312_permutations",
     "ordered_forests",
     "catalan",
@@ -449,22 +448,6 @@ def phi_inverse(forest: OrderedForest) -> Permutation:
     for v in range(1, n + 1):
         word[n - r[v - 1]] = v
     return Permutation(word)
-
-
-def restrict(forest: OrderedForest, m: int) -> OrderedForest:
-    """Induced forest on labels ``[m, n]``, relabeled to ``1..n-m+1``.
-
-    Vertices whose parents fall below ``m`` become roots; the canonical
-    labeling of the restriction is the order-preserving relabeling.
-    """
-    n = forest.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range 1..{n}")
-    parent = []
-    for v in range(m, n + 1):
-        p = forest.parent[v - 1]
-        parent.append(p - m + 1 if p >= m else 0)
-    return OrderedForest(parent)
 
 
 # -- enumeration --------------------------------------------------------------

@@ -1,0 +1,255 @@
+"""Reference implementations that only the tests use.
+
+The right weak order on S_n by inversion sets, ``J(P)`` as an explicit
+poset (enumerated by ``engine.enumerate_states``, as the exact solver
+does) with its maximal chains and meets, the restriction of a forest to a
+window of labels, and the Young diagram of a grid ideal's complement.
+They raise the library's errors.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable, Sequence
+
+from ungar_lab.engine import IdealLattice, enumerate_states
+from ungar_lab.errors import ChainExplosion, NotALattice, SizeMismatch
+from ungar_lab.perms import Permutation
+from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset, GridPoset
+from ungar_lab.tamari import OrderedForest
+
+DEFAULT_CHAIN_CAP = 10**6
+
+
+# -- weak order via inversion sets -----------------------------------------
+#
+# Inversion sets are encoded as bitmasks over the pairs (a, b), a < b,
+# listed lexicographically.  A bitmask is the inversion set of a
+# permutation iff it is closed ((a,b),(b,c) set => (a,c) set) and
+# co-closed ((a,c) set => (a,b) or (b,c) set).
+
+
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    bits = {}
+    k = 0
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            bits[(a, b)] = k
+            k += 1
+    return bits
+
+
+def _inv_mask(sigma: Sequence[int], bits: dict[tuple[int, int], int]) -> int:
+    mask = 0
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                mask |= 1 << bits[(sigma[j], sigma[i])]
+    return mask
+
+
+def _triples(n: int, bits: dict[tuple[int, int], int]) -> list[tuple[int, int, int]]:
+    out = []
+    for a, b, c in itertools.combinations(range(1, n + 1), 3):
+        out.append((bits[(a, b)], bits[(b, c)], bits[(a, c)]))
+    return out
+
+
+def _transitive_closure(mask: int, triples: list[tuple[int, int, int]]) -> int:
+    changed = True
+    while changed:
+        changed = False
+        for ab, bc, ac in triples:
+            if mask >> ab & 1 and mask >> bc & 1 and not mask >> ac & 1:
+                mask |= 1 << ac
+                changed = True
+    return mask
+
+
+def _reverse_complement(mask: int, n: int, bits: dict[tuple[int, int], int]) -> int:
+    """Inversion set of w0*sigma: pair (a,b) set iff (n+1-b, n+1-a) unset."""
+    out = 0
+    for (a, b), k in bits.items():
+        if not mask >> bits[(n + 1 - b, n + 1 - a)] & 1:
+            out |= 1 << k
+    return out
+
+
+def _mask_to_perm(mask: int, n: int, bits: dict[tuple[int, int], int]) -> Permutation:
+    # value a precedes b (a < b) iff the pair (a, b) is not inverted
+    pos = [0] * (n + 1)
+    for (a, b), k in bits.items():
+        if mask >> k & 1:
+            pos[a] += 1  # b precedes a
+        else:
+            pos[b] += 1  # a precedes b
+    word = [0] * n
+    for v in range(1, n + 1):
+        word[pos[v]] = v
+    return Permutation(word)
+
+
+def weak_leq(sigma: Permutation, tau: Permutation) -> bool:
+    """Right weak order: ``Inv(sigma)`` contained in ``Inv(tau)``."""
+    sigma, tau = Permutation(sigma), Permutation(tau)
+    if sigma.n != tau.n:
+        raise SizeMismatch(f"sizes differ: {sigma.n} vs {tau.n}")
+    bits = _pair_bits(sigma.n)
+    a, b = _inv_mask(sigma, bits), _inv_mask(tau, bits)
+    return a & ~b == 0
+
+
+def weak_meet(perms: Iterable[Permutation]) -> Permutation:
+    """Greatest lower bound in the right weak order.
+
+    Computed by duality: conjugate every inversion set by reverse
+    complement, close the union transitively (the join), and conjugate
+    back.  Agrees with the block-reversal move on ``{sigma} U T`` for
+    ``T`` a set of covered elements.
+    """
+    ps = [Permutation(p) for p in perms]
+    if not ps:
+        raise ValueError("weak_meet of an empty collection")
+    n = ps[0].n
+    if any(p.n != n for p in ps):
+        raise SizeMismatch("permutations of mixed sizes")
+    bits = _pair_bits(n)
+    triples = _triples(n, bits)
+    joined = 0
+    for p in ps:
+        joined |= _reverse_complement(_inv_mask(p, bits), n, bits)
+    joined = _transitive_closure(joined, triples)
+    return _mask_to_perm(_reverse_complement(joined, n, bits), n, bits)
+
+
+def all_permutations(n: int):
+    """Iterate S_n in lexicographic order."""
+    for w in itertools.permutations(range(1, n + 1)):
+        yield Permutation(w)
+
+
+# -- J(P), maximal chains and meets ------------------------------------------
+
+
+class IdealLatticePoset(FinitePoset):
+    """``J(P)`` as an explicit poset; element ``k`` is ``ideal_masks[k]``."""
+
+    __slots__ = ("base", "ideal_masks")
+
+    def __init__(self, base: FinitePoset, ideal_masks: tuple[int, ...],
+                 covers: Sequence[Iterable[int]]):
+        self.base = base
+        self.ideal_masks = ideal_masks
+        super().__init__(covers, validate=False)
+
+
+def order_ideals(
+    poset: FinitePoset, *, cap: int = DEFAULT_STATE_CAP
+) -> IdealLatticePoset:
+    """The distributive lattice ``J(P)`` of order ideals of ``poset``.
+
+    Ideal ``J`` covers ``I`` exactly when ``I`` is obtained from ``J`` by
+    removing a maximal element of ``J``.  Ideals are sorted by
+    ``(popcount, mask)``; past ``cap`` of them, ``StateExplosion``.
+    """
+    masks = sorted(enumerate_states(IdealLattice(poset), cap=cap),
+                   key=lambda m: (m.bit_count(), m))
+    index = {m: k for k, m in enumerate(masks)}
+    covers = []
+    for mask in masks:
+        covers.append([index[mask & ~(1 << x)] for x in poset.maximal_of_mask(mask)])
+    return IdealLatticePoset(poset, tuple(masks), covers)
+
+
+def maximal_chains(
+    poset: FinitePoset, *, cap: int = DEFAULT_CHAIN_CAP
+) -> list[tuple[int, ...]]:
+    """All maximal chains of ``poset``, each bottom-to-top.
+
+    A maximal chain runs from a minimal element to a maximal element along
+    cover edges, so it cannot be extended at either end or refined in the
+    middle.  Raises :class:`ChainExplosion` past ``cap`` chains.
+    """
+    out: list[tuple[int, ...]] = []
+    parents = poset.parents
+
+    def extend(chain: list[int]) -> None:
+        ups = sorted(parents[chain[-1]])
+        if not ups:
+            if len(out) >= cap:
+                raise ChainExplosion(f"maximal-chain count exceeds cap {cap}")
+            out.append(tuple(chain))
+            return
+        for y in ups:
+            chain.append(y)
+            extend(chain)
+            chain.pop()
+
+    for x in sorted(poset.minimal_elements()):
+        extend([x])
+    return out
+
+
+def meet(poset: FinitePoset, x: int, y: int) -> int:
+    """Greatest lower bound of ``x`` and ``y``.
+
+    Raises :class:`NotALattice` when the set of common lower bounds has no
+    unique maximum (detected lazily, per element pair).
+    """
+    common = poset.down_mask(x) & poset.down_mask(y)
+    if common == 0:
+        raise NotALattice(f"elements {x}, {y} have no common lower bound")
+    candidates = []
+    m = common
+    while m:
+        z = (m & -m).bit_length() - 1
+        candidates.append(z)
+        m &= m - 1
+    maxima = [
+        z
+        for z in candidates
+        if all(w == z or not poset.leq(z, w) for w in candidates)
+    ]
+    if len(maxima) != 1:
+        raise NotALattice(
+            f"elements {x}, {y} have {len(maxima)} maximal common lower bounds"
+        )
+    return maxima[0]
+
+
+# -- forest windows and grid complements -------------------------------------
+
+
+def restrict(forest: OrderedForest, m: int) -> OrderedForest:
+    """Induced forest on labels ``[m, n]``, relabeled to ``1..n-m+1``.
+
+    Vertices whose parents fall below ``m`` become roots; the canonical
+    labeling of the restriction is the order-preserving relabeling.
+    """
+    n = forest.n
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} out of range 1..{n}")
+    parent = []
+    for v in range(m, n + 1):
+        p = forest.parent[v - 1]
+        parent.append(p - m + 1 if p >= m else 0)
+    return OrderedForest(parent)
+
+
+def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:
+    """Complement of a grid ideal as top-down row lengths.
+
+    Row ``i`` of the grid contributes ``#{j : (i,j) not in the ideal}``;
+    reading rows from the top (largest ``i``) down gives a weakly
+    decreasing sequence, i.e. a Young diagram.  Raises ``ValueError`` if
+    the monotonicity fails (the mask was not an ideal).
+    """
+    rows = []
+    for i in range(grid.rows):
+        rows.append(
+            sum(1 for j in range(grid.cols) if not mask >> grid.index(i, j) & 1)
+        )
+    shape = tuple(reversed(rows))
+    if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
+        raise ValueError(f"complement rows {shape} are not weakly decreasing")
+    return shape

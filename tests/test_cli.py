@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import csv
 import io
 import json
 import shlex
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ungar_lab import engine
 from ungar_lab.cli import _COMMANDS, build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
@@ -190,6 +192,82 @@ def test_ideal_lattice_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert out.split("\n")[1].split(",")[2] == "6"  # |J(R_{2,2})|
+
+
+@pytest.mark.parametrize("lattice,size,backend", [
+    ("tamari", ("--n", "3"), engine.TamariForestLattice(3)),
+    ("tamari-av", ("--n", "3"), engine.TamariAvLattice(3)),
+    ("sn", ("--n", "3"), engine.SnLattice(3)),
+    ("grid", ("--rows", "2", "--cols", "2"), engine.IdealLattice(grid_poset(2, 2))),
+])
+def test_per_element_csv_has_one_field_per_column(capsys, lattice, size, backend):
+    code, out, _ = run_cli(capsys, "exact", "--lattice", lattice, *size, "--per-element")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert all(len(row) == 4 and None not in row for row in rows)
+    states = engine.enumerate_states(backend)
+    assert sorted(row["element"] for row in rows) == sorted(map(repr, states))
+
+
+# a valid poset file, the empty poset, and documents FinitePoset.from_json rejects
+_POSET_DOCS = {
+    "grid-2x2": grid_poset(2, 2).to_json(),
+    "empty": '{"n": 0, "covers": []}',
+    "no-covers": '{"n": 2}',
+    "no-n": '{"covers": [[0, 1]]}',
+    "flat-covers": '{"n": 2, "covers": [1, 2]}',
+    "array": "[[0, 1]]",
+    "negative-n": '{"n": -1, "covers": []}',
+    "float-n": '{"n": 2.5, "covers": []}',
+    "short-cover": '{"n": 2, "covers": [[0]]}',
+    "string-cover": '{"n": 2, "covers": [[0, "1"]]}',
+}
+_VALID_POSETS = ("grid-2x2", "empty")
+_MALFORMED_POSETS = tuple(name for name in _POSET_DOCS if name not in _VALID_POSETS)
+
+
+@pytest.fixture(scope="module")
+def poset_files(tmp_path_factory):
+    """``poset:<name>`` -> the path of a file holding ``_POSET_DOCS[name]``."""
+    root = tmp_path_factory.mktemp("posets")
+    files = {}
+    for name, text in _POSET_DOCS.items():
+        (root / f"{name}.json").write_text(text)
+        files[f"poset:{name}"] = str(root / f"{name}.json")
+    return files
+
+
+@pytest.mark.parametrize("name", _MALFORMED_POSETS)
+@pytest.mark.parametrize("command", [
+    ("exact", "--lattice", "ideal"),
+    ("simulate", "--lattice", "ideal", "--reps", "3"),
+    ("lpp", "--lattice", "ideal", "--reps", "3"),
+])
+def test_malformed_poset_file_is_config_error(capsys, poset_files, command, name):
+    code, out, err = run_cli(capsys, *command, "--poset", poset_files[f"poset:{name}"])
+    assert code == 2 and out == ""
+    assert "poset" in err and "Traceback" not in err
+
+
+# float flag -> a command line that reads it, and a finite value it accepts
+_FLOAT_CASES = {
+    "--p": (("bounds", "--what", "sn-coefficient"), "0.5"),
+    "--c1": (("bounds", "--what", "f", "--x", "20"), "10"),
+    "--tail": (("fluctuation", "--rows", "2", "--cols", "2", "--reps", "5"), "1.5"),
+    "--x": (("bounds", "--what", "f"), "20"),
+    "--t": (("bounds", "--what", "tw-tail"), "4"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(_FLOAT_CASES))
+def test_non_finite_float_flag_is_config_error(capsys, flag, value):
+    base, finite = _FLOAT_CASES[flag]
+    code, _, err = run_cli(capsys, *base, flag, finite)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, *base, flag, value)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: not a finite number" in err
 
 
 def test_exit_code_config_error(capsys):
@@ -412,7 +490,8 @@ def test_skyline_seeds_are_disjoint_and_replay(capsys):
 
 
 # the flags each subcommand reads, and a strategy for each flag's value;
-# after --lattice come the size flags that lattice reads (_SIZE_READS)
+# after --lattice come the size flags that lattice reads (_SIZE_READS);
+# float flags also draw non-finite values, and --poset a _POSET_DOCS file
 _READS = {
     "exact": ("--lattice", "--p", "--format", "--cap-states"),
     "simulate": ("--lattice", "--p", "--reps", "--seed", "--format"),
@@ -428,14 +507,17 @@ _VALUES = {
     "--n": st.integers(min_value=-2, max_value=5),
     "--rows": st.integers(0, 3),
     "--cols": st.integers(0, 3),
-    "--p": st.sampled_from(["0.3", "0.5", "1.0"]),
+    "--p": st.sampled_from(["0.3", "0.5", "1.0", "nan", "inf"]),
     "--reps": st.integers(1, 20),
     "--seed": st.integers(0, 1000),
     "--format": st.sampled_from(["csv", "json"]),
     "--cap-states": st.sampled_from([5, 10**6]),
+    "--poset": st.sampled_from([f"poset:{name}" for name in _VALID_POSETS])
+    | st.sampled_from([f"poset:{name}" for name in _MALFORMED_POSETS]),
 }
 _SIZE_READS = {"sn": ("--n",), "tamari": ("--n",), "tamari-av": ("--n",),
-               "grid": ("--rows", "--cols"), "ideal": ()}
+               "grid": ("--rows", "--cols"), "ideal": ("--poset",)}
+_NON_FINITE = ("nan", "inf")
 
 
 @st.composite
@@ -447,15 +529,15 @@ def small_argv(draw):
             ["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
              "sn-coefficient", "tamari-coefficient"]
         ))]
-        for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6"])),
+        for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6", *_NON_FINITE])),
                              ("--k", st.integers(0, 5)),
-                             ("--t", st.sampled_from(["-1", "0.5", "4"])),
-                             ("--c1", st.sampled_from(["1", "10"]))):
+                             ("--t", st.sampled_from(["-1", "0.5", "4", *_NON_FINITE])),
+                             ("--c1", st.sampled_from(["1", "10", *_NON_FINITE]))):
             value = draw(st.none() | values)
             if value is not None:
                 argv += [flag, str(value)]
     if command == "fluctuation" and draw(st.booleans()):
-        argv += ["--tail", "1.5"]
+        argv += ["--tail", draw(st.sampled_from(["1.5", *_NON_FINITE]))]
     for flag in _READS[command]:
         values = _VALUES[flag]
         if (command, flag) == ("lpp", "--lattice"):
@@ -477,12 +559,16 @@ def _run_quiet(argv):
 
 @settings(max_examples=400, deadline=None)
 @given(small_argv())
-def test_small_flags_exit_codes_and_replay(argv):
+def test_small_flags_exit_codes_and_replay(poset_files, argv):
+    flag = dict(zip(argv[1::2], argv[2::2]))
+    argv = [poset_files.get(a, a) for a in argv]
     code, out = _run_quiet(argv)
     assert code in (0, 2, 3, 4), argv
-    flag = dict(zip(argv[1::2], argv[2::2]))
     if (argv[0] in ("exact", "simulate")
             and flag["--lattice"] in ("sn", "tamari", "tamari-av")
             and int(flag["--n"]) < 0):
         assert code == 2, argv
+    if (any(flag.get(f) in _NON_FINITE for f in _FLOAT_CASES)
+            or flag.get("--poset") in [f"poset:{name}" for name in _MALFORMED_POSETS]):
+        assert code == 2 and out == "", argv
     assert _run_quiet(argv) == (code, out), argv

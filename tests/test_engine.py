@@ -492,3 +492,19 @@ def test_enumerate_states_counts():
     assert len(enumerate_states(TamariAvLattice(6))) == 132  # Catalan C_6
     assert len(enumerate_states(TamariForestLattice(6))) == 132
     assert len(enumerate_states(IdealLattice(grid_poset(3, 3)))) == 20
+
+
+def test_test_only_oracles_are_not_in_the_library():
+    import importlib
+    import pkgutil
+
+    import ungar_lab
+
+    moved = {"all_permutations", "descents", "maximal_ungar_move", "weak_leq",
+             "weak_meet", "IdealLatticePoset", "order_ideals", "maximal_chains",
+             "meet", "restrict", "ideal_complement_rows", "enumerate_ideal_masks"}
+    modules = [ungar_lab] + [importlib.import_module(f"ungar_lab.{info.name}")
+                             for info in pkgutil.iter_modules(ungar_lab.__path__)]
+    assert len(modules) >= 10
+    for module in modules:
+        assert not moved & set(vars(module)), module.__name__

@@ -13,11 +13,9 @@ from ungar_lab import (
     build_poset,
     coupled_ideal_run,
     grid_poset,
-    ideal_complement_rows,
     lpp_grid_samples,
     lpp_sample,
     max_chain_weight,
-    maximal_chains,
     rescaling_constants,
     sn_linear_coefficient,
     tamari_linear_coefficient,
@@ -30,6 +28,8 @@ from ungar_lab import (
     zeta_limsup_estimate,
 )
 from ungar_lab.rng import replica_generator, replica_random
+
+from oracles import ideal_complement_rows, maximal_chains
 
 
 def two_dim_random_poset(n, seed):
@@ -277,7 +277,7 @@ def test_survival_dominance_for_sub_ideals():
     # started from any smaller ideal, the chain absorbs stochastically
     # no later than from the full ideal
     from ungar_lab import run_chain
-    from ungar_lab.poset import order_ideals
+    from oracles import order_ideals
 
     grid = grid_poset(2, 3)
     lattice = IdealLattice(grid)

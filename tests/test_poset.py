@@ -16,10 +16,9 @@ from ungar_lab import (
     StateExplosion,
     build_poset,
     grid_poset,
-    maximal_chains,
-    meet,
-    order_ideals,
 )
+
+from oracles import maximal_chains, meet, order_ideals
 
 
 def brute_ideals(poset):

@@ -10,7 +10,6 @@ from ungar_lab import (
     OrderedForest,
     Permutation,
     SimForest,
-    all_permutations,
     av312_permutations,
     catalan,
     covers_av312,
@@ -18,12 +17,12 @@ from ungar_lab import (
     phi,
     phi_inverse,
     project_down,
-    restrict,
     ungar_move,
-    weak_meet,
 )
 from ungar_lab.rng import replica_random
 from ungar_lab.tamari import av_ungar_move
+
+from oracles import all_permutations, restrict, weak_meet
 
 
 def random_order_project(sigma, rnd):
