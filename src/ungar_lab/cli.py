@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -68,6 +69,11 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+# argparse reads only -<digits>[.<digits>] as a negative number, so a value
+# such as "-1e1" after a float flag would pass for an unknown flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _seed(args) -> int:
@@ -415,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in flags:
             sp.add_argument(flag, **_FLAG_OVERRIDES.get((name, flag), _FLAGS[flag]))
         sp.set_defaults(func=func)

@@ -232,6 +232,13 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
 # -- fluctuation constants -----------------------------------------------------------
 
 
+def _check_open_p(p: float) -> float:
+    p = float(p)
+    if not 0 < p < 1:
+        raise DomainError(f"p={p} outside (0, 1)")
+    return p
+
+
 def rescaling_constants(p: float, x: float, y: float) -> tuple[float, float]:
     """Centering and scale for the rescaled grid passage time.
 
@@ -239,9 +246,7 @@ def rescaling_constants(p: float, x: float, y: float) -> tuple[float, float]:
     ``eta_p(x,y) = ((1-p)^(1/6) / p) (xy)^(-1/6)
     (sqrt(x) + sqrt((1-p) y))^(2/3) (sqrt(y) + sqrt((1-p) x))^(2/3)``.
     """
-    p = float(p)
-    if not 0 < p < 1:
-        raise DomainError(f"p={p} outside (0, 1)")
+    p = _check_open_p(p)
     if x <= 0 or y <= 0:
         raise DomainError("x and y must be positive")
     qroot = math.sqrt(1 - p)
@@ -344,9 +349,7 @@ def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, floa
 
 def zeta_liminf_lower_bound(p: float) -> float:
     """Closed-form lower bound ``p (1-p) e^{p-1}`` for the liminf."""
-    p = float(p)
-    if not 0 < p < 1:
-        raise DomainError(f"p={p} outside (0, 1)")
+    p = _check_open_p(p)
     return p * (1 - p) * math.exp(p - 1)
 
 
@@ -357,9 +360,7 @@ def zeta_limsup_estimate(p: float) -> float:
     uniqueness probability is its maximum over ``x in ((1-p), 1]``,
     located here by a geometric grid of 4096 points.
     """
-    p = float(p)
-    if not 0 < p < 1:
-        raise DomainError(f"p={p} outside (0, 1)")
+    p = _check_open_p(p)
     q = 1.0 - p
     xs = np.exp(np.linspace(math.log(q), 0.0, 4096))
     return max(upsilon(p, float(x)) for x in xs)
@@ -370,9 +371,7 @@ def zeta_limsup_estimate(p: float) -> float:
 
 def sn_linear_coefficient(p: float) -> float:
     """Slope ``(1 + sqrt(1-p)) / p`` of the weak-order absorption bound."""
-    p = float(p)
-    if not 0 < p < 1:
-        raise DomainError(f"p={p} outside (0, 1)")
+    p = _check_open_p(p)
     return (1 + math.sqrt(1 - p)) / p
 
 

@@ -18,7 +18,10 @@ using seven named Bernoulli(p) streams.  Every vertex consults exactly
 one fresh ``(stream, label, step)`` triple per step, so each vertex is
 operated on with independent probability ``p`` and the run is a faithful
 simulation of the chain; the stream *names* encode which geometry the
-proof wants to read off.  The landmark indices ``2*ceil(201 loglog n)``
+proof wants to read off.  On a childlike run the diagnostic ``t``
+(``Algorithm1Result.t_disconnect``) lists, for each skyline label
+``a_2, ..., a_l``, the step at which that label left vertex 1's tree,
+minus ``g_1 - 1``.  The landmark indices ``2*ceil(201 loglog n)``
 and ``2*ceil(201 (loglog n)^3)`` as written only exist for astronomically
 large ``n``; when the summary is too short the run falls back to the
 plain S-stream rule and is flagged ``degenerate``.  The landmark constant
@@ -124,8 +127,6 @@ def is_childlike(arr: TwoRowedArray, n: int) -> bool:
     if any(not 1 <= v <= n for v in top) or any(not 1 <= v <= n for v in bot):
         return False
     if any(top[i] <= top[i + 1] for i in range(1, len(top) - 1)):
-        return False
-    if top[1] > n:
         return False
     if not bot[0] > bot[1]:
         return False
@@ -308,7 +309,11 @@ def good_frequency(
 
 @dataclass
 class Algorithm1Result:
-    """Diagnostics of one multi-stream run."""
+    """Diagnostics of one multi-stream run.
+
+    A failed audit raises :class:`InvariantViolation`, so ``audit_ok`` is
+    ``True`` for an audited run and ``None`` otherwise.
+    """
 
     n: int
     p: float
@@ -341,6 +346,68 @@ class Algorithm1Result:
         }
 
 
+class _Phase2:
+    """The skyline of ``g`` and, in full mode, the routing tables.
+
+    Built once, when every vertex has fired (or at absorption).  ``pairs``
+    gives the ``(stream, key)`` pair each vertex consults at a full-mode
+    step; ``left1[v]`` is the step at which label ``v`` left vertex 1's
+    tree, 0 while it is still there.
+    """
+
+    def __init__(self, g: list[int], n: int, landmark_constant: float):
+        self.skyline = skl = skyline(g[1:])
+        self.childlike = is_childlike(skl, n)
+        self.summary = summarize(skl, n) if self.childlike else None
+        self.good = self.childlike and is_good(skl, n)
+        loglog = math.log(math.log(n)) if n > 2 else float("-inf")
+        K1 = 2 * math.ceil(landmark_constant * loglog) if loglog > 0 else 0
+        K2 = 2 * math.ceil(landmark_constant * loglog**3) if loglog > 0 else 0
+        sumsel = summary_columns(skl, n) if self.childlike else ()
+        full = self.good and K1 >= 2 and K2 >= K1 + 2 and len(sumsel) >= K2
+        self.degenerate = bool(self.good and not full)
+        self.mode = "full" if full else "plain"
+        if not full:
+            return
+        a = skl.top
+        iK1, iK2 = sumsel[K1 - 1], sumsel[K2 - 1]
+        evens = range(K1 + 2, K2 + 1, 2)
+
+        def first_pair(i: int) -> tuple[str, int]:
+            if i <= iK1:
+                return "D", i
+            if i <= iK2:
+                # the even landmark window [i_{j-2} + 1, i_j] holding i
+                return "Dp", next(j for j in evens if i <= sumsel[j - 1])
+            return "Ddag", 1
+
+        # vertex 1's pair, indexed by its smallest skyline column still in
+        # its tree minus 2 (the last entry: no column is)
+        self.first = [first_pair(i) for i in range(2, len(a) + 2)]
+        # landmark windows [a_{i_j}, a_{i_{j-2}} - 1] of the summary, even j
+        self.windows = [(j, a[sumsel[j - 1] - 1], a[sumsel[j - 3] - 1] - 1) for j in evens]
+        # skyline label a_j, 3 <= j <= i_{K1}, reads B' once a_{j-1} leaves
+        self.b_prime_after = [0] * (n + 1)
+        for j in range(3, iK1 + 1):
+            self.b_prime_after[a[j - 1]] = a[j - 2]
+
+    def pairs(self, sim: SimForest, left1: list[int]) -> list[tuple[str, int]]:
+        labels = self.skyline.top[1:]
+        k = next((k for k, v in enumerate(labels) if not left1[v]), len(labels))
+        # each landmark window routes its largest rooted non-leaf to C
+        c_key = {}
+        for j, lo, hi in self.windows:
+            for v in range(hi - 1, lo - 1, -1):
+                if sim.first_child[v] and sim.parent[v] < lo:
+                    c_key[v] = j
+                    break
+        bp = self.b_prime_after
+        return [self.first[k]] + [
+            ("C", c_key[v]) if v in c_key else ("Bp", v) if left1[bp[v]] else ("B", v)
+            for v in range(2, sim.n + 1)
+        ]
+
+
 def algorithm1_run(
     n: int,
     p: float,
@@ -364,6 +431,10 @@ def algorithm1_run(
     and each skyline label ``a_j`` switches from B to B' once vertex 1
     loses ``a_{j-1}``; all remaining labels stay on B.
 
+    Each step lists the ``(stream, key)`` pair of every vertex, audits
+    the list when ``audit`` is set, then draws each bit at the step and
+    operates on the vertices it selects, in label order.
+
     ``force_g`` pins ``S_{i,t}`` to ``t == force_g[i]`` for ``t <=
     force_g[i]`` (the standard conditional replay of the extremal event);
     ``landmark_constant`` rescales the written constant 201 so the deep
@@ -375,220 +446,70 @@ def algorithm1_run(
     if n < 2:
         raise DomainError("need n >= 2")
     bank = StreamBank(seed, p)
-    forced = dict(force_g) if force_g else {}
+    draw = bank.bernoulli
+    if force_g:
+        forced = dict(force_g)
 
-    def s_bit(i: int, t: int) -> bool:
-        gi = forced.get(i)
-        if gi is not None and t <= gi:
-            return t == gi
-        return bank.bernoulli("S", i, t)
+        def draw(stream: str, key: int, t: int) -> bool:
+            if stream == "S" and t <= forced.get(key, 0):
+                return t == forced[key]
+            return bank.bernoulli(stream, key, t)
 
     sim = SimForest.path(n)
     g = [0] * (n + 1)
     unfired = n
+    left1 = [0] * (n + 1)
     op_counts = np.zeros(n + 1, dtype=np.int64)
-    detach_events: list[tuple[int, int, int]] = []  # (step, lo_label, hi_label)
-    t = 0
+    s_pairs = [("S", v) for v in range(1, n + 1)]
+    b_pairs = [("B", v) for v in range(1, n + 1)]
     phase2 = None
-    audit_ok = True if audit else None
-
-    # -- phase-2 branch tables, built once all g are known --------------------
-    def setup_phase2() -> dict:
-        skl = skyline(g[1:])
-        childlike = is_childlike(skl, n)
-        summ = summarize(skl, n) if childlike else None
-        good = childlike and is_good(skl, n)
-        loglog = math.log(math.log(n)) if n > 2 else float("-inf")
-        K1 = 2 * math.ceil(landmark_constant * loglog) if loglog > 0 else 0
-        K2 = 2 * math.ceil(landmark_constant * loglog**3) if loglog > 0 else 0
-        sumsel = summary_columns(skl, n) if childlike else ()
-        lprime = len(sumsel)
-        full_ok = good and K1 >= 2 and K2 >= K1 + 2 and lprime >= K2
-        info = {
-            "skl": skl,
-            "childlike": childlike,
-            "summary": summ,
-            "good": good,
-            "degenerate": bool(good and not full_ok),
-            "mode": "full" if full_ok else "plain",
-            "l": len(skl),
-            # per-skyline-column connectivity of vertex 1 (cols 2..l)
-            "connected": [True] * (len(skl) + 1),
-            "disc_step": [0] * (len(skl) + 1),
-            "ptr": 2,
-            "peak_labels": skl.top[1:],
-        }
-        if info["mode"] == "full":
-            a = skl.top
-            iK1, iK2 = sumsel[K1 - 1], sumsel[K2 - 1]
-            lbl_K1, lbl_K2 = a[iK1 - 1], a[iK2 - 1]
-            # landmark windows [a_{i_j}, a_{i_{j-2}} - 1] for even j
-            wmap_sum = {}
-            sum_windows = []
-            for j in range(K1 + 2, K2 + 1, 2):
-                lo = a[sumsel[j - 1] - 1]
-                hi = a[sumsel[j - 3] - 1] - 1
-                sum_windows.append((j, lo, hi))
-                for v in range(lo, hi + 1):
-                    wmap_sum[v] = j
-            # skyline windows [a_j, a_{j-1} - 1], j in [2, iK1]; j=2 gets [a_2, n]
-            wmap_sky = {}
-            for j in range(2, iK1 + 1):
-                lo = a[j - 1]
-                hi = n if j == 2 else a[j - 2] - 1
-                for v in range(lo, hi + 1):
-                    wmap_sky[v] = j
-            info.update(
-                iK1=iK1,
-                iK2=iK2,
-                lbl_K1=lbl_K1,
-                lbl_K2=lbl_K2,
-                sumsel=sumsel,
-                dp_windows=tuple(range(K1 + 2, K2 + 1, 2)),
-                wmap_sum=wmap_sum,
-                sum_windows=sum_windows,
-                wmap_sky=wmap_sky,
-            )
-        # replay detachments that happened before the skyline existed
-        for step, lo, hi in detach_events:
-            _mark_disconnect(info, step, lo, hi)
-        return info
-
-    def _mark_disconnect(info: dict, step: int, lo: int, hi: int) -> None:
-        labels = info["peak_labels"]
-        for col in range(2, info["l"] + 1):
-            v = labels[col - 2]
-            if lo <= v <= hi and info["connected"][col]:
-                info["connected"][col] = False
-                info["disc_step"][col] = step
-
-    # -- main loop --------------------------------------------------------------
+    t = 0
     while not sim.absorbed():
         t += 1
         if t > 10**9:
             raise NotReached("no absorption within 10**9 steps")
-        consults: list[tuple[str, int]] = []
-        selected: list[int] = []
-        if unfired > 0:
-            for i in range(1, n + 1):
-                if g[i] == 0:
-                    bit = s_bit(i, t)
-                    if audit:
-                        consults.append(("S", i))
-                    if bit:
-                        g[i] = t
-                        unfired -= 1
-                else:
-                    bit = bank.bernoulli("B", i, t)
-                    if audit:
-                        consults.append(("B", i))
-                if bit:
-                    selected.append(i)
+        if phase2 is None and not unfired:
+            phase2 = _Phase2(g, n, landmark_constant)
+        if phase2 is None:
+            pairs = [b_pairs[v - 1] if g[v] else s_pairs[v - 1] for v in range(1, n + 1)]
+        elif phase2.mode == "plain":
+            pairs = s_pairs
         else:
-            if phase2 is None:
-                phase2 = setup_phase2()
-            if phase2["mode"] == "plain":
-                for i in range(1, n + 1):
-                    bit = s_bit(i, t)
-                    if audit:
-                        consults.append(("S", i))
-                    if bit:
-                        selected.append(i)
-            else:
-                info = phase2
-                # vertex 1: keyed by the smallest connected skyline index
-                while info["ptr"] <= info["l"] and not info["connected"][info["ptr"]]:
-                    info["ptr"] += 1
-                i = info["ptr"] if info["ptr"] <= info["l"] else None
-                if i is not None and i <= info["iK1"]:
-                    stream, key = "D", i
-                elif i is not None and i <= info["iK2"]:
-                    # smallest even landmark window [i_{j-2}+1, i_j] holding i
-                    stream, key = "Dp", None
-                    for j in info["dp_windows"]:
-                        if i <= info["sumsel"][j - 1]:
-                            key = j
-                            break
-                    if key is None:
-                        raise InvariantViolation("landmark windows failed to cover")
-                else:
-                    stream, key = "Ddag", 1
-                bit = bank.bernoulli(stream, key, t)
-                if audit:
-                    consults.append((stream, key))
-                if bit:
-                    selected.append(1)
-                # per-window C vertices, recomputed each step
-                c_vertex = {}
-                for j, lo, hi in info["sum_windows"]:
-                    for v in range(hi - 1, lo - 1, -1):
-                        if sim.first_child[v] and sim.parent[v] < lo:
-                            c_vertex[j] = v
-                            break
-                for v in range(2, n + 1):
-                    if v < info["lbl_K2"]:
-                        stream, key = "B", v
-                    elif v < info["lbl_K1"]:
-                        j = info["wmap_sum"][v]
-                        if c_vertex.get(j) == v:
-                            stream, key = "C", j
-                        else:
-                            stream, key = "B", v
-                    else:
-                        j = info["wmap_sky"][v]
-                        if v != info["skl"].top[j - 1]:
-                            stream, key = "B", v
-                        elif j == 2 or info["connected"][j - 1]:
-                            stream, key = "B", v
-                        else:
-                            stream, key = "Bp", v
-                    bit = bank.bernoulli(stream, key, t)
-                    if audit:
-                        consults.append((stream, key))
-                    if bit:
-                        selected.append(v)
-        if audit:
-            if len(consults) != n or len(set(consults)) != n:
-                audit_ok = False
-                raise InvariantViolation(
-                    f"step {t} consulted {len(set(consults))} distinct triples "
-                    f"for {n} vertices"
-                )
-        for v in selected:
-            op_counts[v] += 1
-            if v == 1 and sim.first_child[1]:
-                c = sim.last_child[1]
-                hi = c + sim.size[c] - 1
-                sim.operate(1)
-                if phase2 is not None:
-                    _mark_disconnect(phase2, t, c, hi)
-                else:
-                    detach_events.append((t, c, hi))
-            else:
-                sim.operate(v)
+            pairs = phase2.pairs(sim, left1)
+        if audit and len(set(pairs)) != n:
+            raise InvariantViolation(
+                f"step {t} consulted {len(set(pairs))} distinct triples for {n} vertices"
+            )
+        for v, (stream, key) in enumerate(pairs, 1):
+            if draw(stream, key, t):
+                if not g[v]:
+                    g[v] = t
+                    unfired -= 1
+                op_counts[v] += 1
+                c = sim.operate(v)
+                if v == 1 and c:
+                    # trees only split: labels [c, c + size) leave for good
+                    left1[c : c + sim.size[c]] = [t] * sim.size[c]
 
     if phase2 is None:
-        phase2 = setup_phase2()
+        phase2 = _Phase2(g, n, landmark_constant)
     t_disc = None
-    if phase2["childlike"]:
-        g1 = g[1]
-        t_disc = tuple(
-            phase2["disc_step"][col] - (g1 - 1) for col in range(2, phase2["l"] + 1)
-        )
+    if phase2.childlike:
+        t_disc = tuple(left1[v] - (g[1] - 1) for v in phase2.skyline.top[1:])
     return Algorithm1Result(
         n=n,
         p=p,
         seed=seed,
         g=tuple(g[1:]),
-        skyline=phase2["skl"],
-        childlike=phase2["childlike"],
-        summary=phase2["summary"],
-        good=phase2["good"],
-        degenerate=phase2["degenerate"],
-        mode=phase2["mode"],
+        skyline=phase2.skyline,
+        childlike=phase2.childlike,
+        summary=phase2.summary,
+        good=phase2.good,
+        degenerate=phase2.degenerate,
+        mode=phase2.mode,
         t_disconnect=t_disc,
         absorption=t,
         op_counts=op_counts,
         steps=t,
-        audit_ok=audit_ok,
+        audit_ok=True if audit else None,
     )

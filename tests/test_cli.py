@@ -270,6 +270,22 @@ def test_non_finite_float_flag_is_config_error(capsys, flag, value):
     assert f"argument {flag}: not a finite number" in err
 
 
+@pytest.mark.parametrize("flag, code, message", [
+    ("--p", 2, "outside (0, 1)"),
+    ("--c1", 0, ""),
+    ("--tail", 2, "tail asymptotic needs t > 0"),
+    ("--x", 2, "f needs x >= 1"),
+    ("--t", 2, "tail asymptotic needs t > 0"),
+])
+def test_negative_exponent_float_flag_reads_as_a_value(capsys, flag, code, message):
+    # argparse alone takes "-1e1" after a flag for an unknown option; the
+    # value must reach the handler and act as -10 does there
+    base, _ = _FLOAT_CASES[flag]
+    result = run_cli(capsys, *base, flag, "-1e1")
+    assert result == run_cli(capsys, *base, flag, "-10")
+    assert result[0] == code and message in result[2]
+
+
 def test_exit_code_config_error(capsys):
     code, _, err = run_cli(capsys, "exact", "--lattice", "sn", "--p", "0.5")
     assert code == 2 and "requires --n" in err

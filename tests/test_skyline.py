@@ -1,5 +1,7 @@
 """Skyline arrays, summaries, the damped bound, and the stream simulator."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ from ungar_lab import (
     summary_columns,
     summary_length_bounds,
 )
+from ungar_lab.cli import main
 from ungar_lab.rng import StreamBank, replica_generator, replica_random
 from ungar_lab.skyline import (
     event_interval_probability,
@@ -299,6 +302,31 @@ def _forced_full_mode_run(seed, audit=False):
     return algorithm1_run(
         n, 0.5, seed, landmark_constant=0.5, force_g=force, audit=audit
     )
+
+
+# sha256 of the records below, recorded at commit fe7f056; any change to the
+# stream triple a vertex reads, or to the forest it operates on, changes it
+ALGORITHM1_GOLDEN = "51a015905b8565b1755947ddd8df4169ce25892702438510c2b8b53539305635"
+
+
+def test_algorithm1_golden_digest(capsys):
+    runs = [
+        algorithm1_run(n, p, seed)
+        for n in (2, 3, 4, 7, 12, 40)
+        for p in (0.3, 0.5)
+        for seed in range(10)
+    ]
+    assert any(res.degenerate for res in runs)
+    assert any(res.childlike and not res.degenerate for res in runs)
+    runs += [_forced_full_mode_run(seed, audit=True) for seed in range(60)]
+    digest = hashlib.sha256()
+    for res in runs:
+        record = res.to_jsonable()
+        record.update(mode=res.mode, steps=res.steps, op_counts=res.op_counts.tolist())
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert main(["skyline", "--n", "100", "--p", "0.5", "--reps", "20", "--seed", "1"]) == 0
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ALGORITHM1_GOLDEN
 
 
 def test_algorithm1_full_mode_reachable_with_hooks():
