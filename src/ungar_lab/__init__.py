@@ -61,6 +61,7 @@ from .percolation import (
     tracy_widom_tail,
     upsilon,
     zeta_estimate,
+    zeta_exact,
     zeta_liminf_lower_bound,
     zeta_limsup_estimate,
 )

@@ -258,6 +258,8 @@ def cmd_fluctuation(args) -> None:
     rows, cols = _grid_shape(args, "fluctuation")
     if not 0 < args.p < 1:
         raise ConfigError("fluctuation requires p in (0, 1)")
+    # the tail asymptotic rejects t <= 0, before any sample is drawn
+    tail = None if args.tail is None else percolation.tracy_widom_tail(args.tail)
     seed = _seed(args)
     samples = percolation.lpp_grid_samples(rows, cols, args.p, args.reps, seed)
     samples = samples.astype(float)
@@ -277,7 +279,7 @@ def cmd_fluctuation(args) -> None:
     if args.tail is not None:
         row["tail_t"] = args.tail
         row["tail_empirical"] = float((rescaled > args.tail).mean())
-        row["tail_asymptotic"] = percolation.tracy_widom_tail(args.tail)
+        row["tail_asymptotic"] = tail
     _emit([row], args)
 
 
@@ -310,6 +312,7 @@ def cmd_zeta(args) -> None:
                 "trials": args.reps,
                 "seed": seed,
                 "zeta_hat": est,
+                "zeta_exact": percolation.zeta_exact(args.p, args.n),
                 "stderr": err,
                 "upsilon": ups,
                 "abs_diff": abs(est - ups),

@@ -38,6 +38,9 @@ from .errors import CouplingViolation, DomainError, SeriesTruncationError
 from .poset import FinitePoset
 from .rng import replica_generator
 
+# the most weights or uniforms one vectorized draw materializes
+_DRAW_BLOCK = 2_000_000
+
 __all__ = [
     "LppSample",
     "lpp_sample",
@@ -51,6 +54,7 @@ __all__ = [
     "tracy_widom_tail",
     "upsilon",
     "zeta_estimate",
+    "zeta_exact",
     "zeta_liminf_lower_bound",
     "zeta_limsup_estimate",
     "sn_linear_coefficient",
@@ -215,11 +219,24 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     DP recurrence ``L[i,j] = G[i,j] + max(L[i-1,j], L[i,j-1])`` swept cell
     by cell with all replicas in lockstep; equals the ideal-chain
     absorption time on ``R_{n,m}`` in distribution (and per run under the
-    coupling, which :func:`coupled_ideal_run` asserts).
+    coupling, which :func:`coupled_ideal_run` asserts).  Weights are drawn
+    a block of replicas at a time, at most ``_DRAW_BLOCK`` weights (one
+    replica if its grid is larger), so memory does not grow with ``reps``;
+    the draws are those of one ``geometric(size=(reps, n, m))`` call.
     """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
-    weights = rng.geometric(p, size=(reps, n, m)).astype(np.int64)
+    block = max(1, _DRAW_BLOCK // (n * m))
+    out = np.empty(reps, dtype=np.int64)
+    for start in range(0, reps, block):
+        b = min(block, reps - start)
+        out[start : start + b] = _grid_passage(rng.geometric(p, size=(b, n, m)))
+    return out
+
+
+def _grid_passage(weights: np.ndarray) -> np.ndarray:
+    """Passage time of each replica's ``(n, m)`` weight grid."""
+    reps, n, m = weights.shape
     row = np.zeros((reps, m), dtype=np.int64)
     for i in range(n):
         running = np.zeros(reps, dtype=np.int64)
@@ -321,30 +338,92 @@ def upsilon(p: float, x: float) -> float:
     return total
 
 
+def zeta_exact(p: float, n: int) -> float:
+    """Probability that the max of ``n`` i.i.d. geometric(p) variables is unique.
+
+    ``zeta_n = sum_{k>=1} n p q^{k-1} (1 - q^{k-1})^{n-1}`` with ``q = 1-p``:
+    term ``k`` is the chance that one variable equals ``k`` and the other
+    ``n-1`` lie below it; for ``n >= 2`` term 1 is 0.  Each term is at
+    most ``n p q^{k-1}``, so the tail after term ``K`` is at most
+    ``n q^K``; the sum stops at the first ``K`` where that is below
+    ``tol = 1e-15``.
+    """
+    tol = 1e-15
+    p = _check_p(p)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n == 1:
+        return 1.0
+    if p == 1.0:
+        return 0.0  # every variable equals 1
+    q = 1.0 - p
+    terms = math.ceil(math.log(tol / n) / math.log(q))
+    if terms > 10**6:
+        raise SeriesTruncationError(f"zeta_n needs {terms} terms at p={p}")
+    qk = q ** np.arange(1, terms, dtype=float)  # q^{k-1}, k = 2..K
+    return float(np.sum(n * p * qk * np.exp((n - 1) * np.log1p(-qk))))
+
+
 def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo probability that the max of ``n`` geometrics is unique.
 
-    Plain estimator: each trial draws the ``n`` variables outright and
-    checks the multiplicity of the maximum.  Trials run in batches of
-    ``max(1, 2_000_000 // n)`` rows, about 2e6 draws each, to bound
-    memory.  Returns ``(estimate, standard error)``.
+    Each trial costs two uniforms, whatever ``n`` is.  The first gives the
+    maximum ``M`` by inverse CDF, ``P(M <= k) = (1 - q^k)^n``; the second
+    is a Bernoulli with the probability that exactly one variable sits at
+    ``M`` given the maximum is ``M``,
+    ``n p q^{M-1} (1-q^{M-1})^{n-1} / ((1-q^M)^n - (1-q^{M-1})^n)``.
+    Both come from replica stream ``(1, 0)``, a block of at most
+    ``_DRAW_BLOCK`` uniforms at a time (the ``M`` uniforms of the block,
+    then its Bernoulli uniforms).  ``n = 1`` draws nothing and returns 1.
+    Returns ``(estimate, standard error)``.
     """
     p = _check_p(p)
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
-    rng = replica_generator(seed, 0)
-    batch_rows = max(1, 2_000_000 // n)
-    hits = 0
-    left = trials
-    while left > 0:
-        b = min(batch_rows, left)
-        left -= b
-        draws = rng.geometric(p, size=(b, n))
-        mx = draws.max(axis=1)
-        hits += int(((draws == mx[:, None]).sum(axis=1) == 1).sum())
+    if n == 1:
+        hits = trials  # a single variable is its own unique maximum
+    else:
+        rng = replica_generator(seed, 0)
+        hits = 0
+        block = _DRAW_BLOCK // 2  # trials, two uniforms each
+        for start in range(0, trials, block):
+            u, v = rng.random((2, min(block, trials - start)))
+            m = _max_of_geometrics(p, n, u)
+            hits += int((v < _unique_given_max(p, n, m)).sum())
     est = hits / trials
     stderr = math.sqrt(max(est * (1 - est), 1e-300) / trials)
     return est, stderr
+
+
+def _max_of_geometrics(p: float, n: int, u: np.ndarray) -> np.ndarray:
+    """The maximum of ``n`` geometrics from a uniform ``u`` by inverse CDF.
+
+    ``M`` is the least ``k >= 1`` with ``(1-q^k)^n >= u``, that is
+    ``q^k <= 1 - u^{1/n}``; ``-expm1(log(u)/n)`` keeps ``1 - u^{1/n}``
+    accurate where ``u^{1/n}`` is close to 1 (large ``n``).  At ``p = 1``,
+    ``log q = -inf`` and ``M = 1``.
+    """
+    with np.errstate(divide="ignore"):
+        k = np.ceil(np.log(-np.expm1(np.log(u) / n)) / np.log1p(-p))
+    return np.maximum(k, 1.0)
+
+
+def _unique_given_max(p: float, n: int, m: np.ndarray) -> np.ndarray:
+    """``P(exactly one of n geometrics equals m | their max is m)``, ``n >= 2``.
+
+    In logs: ``a = n log(1-q^m)`` and ``b = n log(1-q^{m-1})``, so the
+    denominator ``e^a - e^b = -e^a expm1(b - a)`` keeps its digits when
+    ``n q^{m-1}`` is small.  At ``m = 1``, ``b = -inf`` and the
+    probability is 0.
+    """
+    q = 1.0 - p
+    q_prev = q ** (m - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_below = np.log1p(-q_prev)
+        log_at = np.log1p(-q_prev * q)
+        log_num = math.log(n * p) + np.log(q_prev) + (n - 1) * log_below
+        log_den = n * log_at + np.log(-np.expm1(n * (log_below - log_at)))
+    return np.exp(log_num - log_den)
 
 
 def zeta_liminf_lower_bound(p: float) -> float:
@@ -358,12 +437,45 @@ def zeta_limsup_estimate(p: float) -> float:
 
     The series is invariant under ``x -> (1-p) x``, so the limsup of the
     uniqueness probability is its maximum over ``x in ((1-p), 1]``,
-    located here by a geometric grid of 4096 points.
+    located here by a geometric grid of 4096 points, all summed at once.
     """
     p = _check_open_p(p)
     q = 1.0 - p
     xs = np.exp(np.linspace(math.log(q), 0.0, 4096))
-    return max(upsilon(p, float(x)) for x in xs)
+    return float(_upsilon_on_grid(p, xs).max())
+
+
+def _upsilon_on_grid(p: float, xs: np.ndarray) -> np.ndarray:
+    """:func:`upsilon` at every point of ``xs``, one numpy step per ``k``.
+
+    Each point gets the terms, the order of summation and the certified
+    truncation of the scalar series: a point stops adding terms on the
+    ``k`` where :func:`upsilon` at that point breaks off.
+    """
+    tol = 1e-12
+    q = 1.0 - p
+    total = np.zeros_like(xs)
+    live = np.ones(xs.shape, dtype=bool)
+    k = 0
+    while live.any():
+        y = q**k * xs
+        total += np.where(live, p * y * np.exp(-y), 0.0)
+        live &= xs * q ** (k + 1) > tol / 2
+        k += 1
+        if k > 10**6:
+            raise SeriesTruncationError("upward tail would not close")
+    live[:] = True
+    k = -1
+    while live.any():
+        y = q**k * xs
+        term = p * y * np.exp(-y)
+        total += np.where(live, term, 0.0)
+        rho = np.exp(-y * (1 / q - 1)) / q
+        live &= ~((y >= 4) & (rho < 0.5) & (term * rho / (1 - rho) <= tol / 2))
+        k -= 1
+        if k < -(10**6):
+            raise SeriesTruncationError("downward tail would not close")
+    return total
 
 
 # -- linear-growth coefficients ---------------------------------------------------------

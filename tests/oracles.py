@@ -3,19 +3,26 @@
 The right weak order on S_n by inversion sets, ``J(P)`` as an explicit
 poset (enumerated by ``engine.enumerate_states``, as the exact solver
 does) with its maximal chains and meets, the restriction of a forest to a
-window of labels, and the Young diagram of a grid ideal's complement.
-They raise the library's errors.
+window of labels, the Young diagram of a grid ideal's complement, and
+the plain Monte Carlo samplers that draw every variable at once (the
+uniqueness of a geometric maximum, grid passage times).  They raise the
+library's errors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 
-from ungar_lab.engine import IdealLattice, enumerate_states
-from ungar_lab.errors import ChainExplosion, NotALattice, SizeMismatch
+import numpy as np
+
+from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
+from ungar_lab.errors import ChainExplosion, DomainError, NotALattice, SizeMismatch
+from ungar_lab.percolation import _grid_passage
 from ungar_lab.perms import Permutation
 from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset, GridPoset
+from ungar_lab.rng import replica_generator
 from ungar_lab.tamari import OrderedForest
 
 DEFAULT_CHAIN_CAP = 10**6
@@ -253,3 +260,42 @@ def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:
     if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
         raise ValueError(f"complement rows {shape} are not weakly decreasing")
     return shape
+
+
+# -- plain samplers: every variable drawn ------------------------------------
+
+
+def plain_zeta_estimate(
+    p: float, n: int, trials: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo probability that the max of ``n`` geometrics is unique.
+
+    Plain estimator: each trial draws the ``n`` variables outright and
+    checks the multiplicity of the maximum.  Trials run in batches of
+    ``max(1, 2_000_000 // n)`` rows, about 2e6 draws each, to bound
+    memory.  Returns ``(estimate, standard error)``.
+    """
+    p = _check_p(p)
+    if n < 1 or trials < 1:
+        raise DomainError("n and trials must be >= 1")
+    rng = replica_generator(seed, 0)
+    batch_rows = max(1, 2_000_000 // n)
+    hits = 0
+    left = trials
+    while left > 0:
+        b = min(batch_rows, left)
+        left -= b
+        draws = rng.geometric(p, size=(b, n))
+        mx = draws.max(axis=1)
+        hits += int(((draws == mx[:, None]).sum(axis=1) == 1).sum())
+    est = hits / trials
+    stderr = math.sqrt(max(est * (1 - est), 1e-300) / trials)
+    return est, stderr
+
+
+def one_shot_lpp_grid_samples(
+    n: int, m: int, p: float, reps: int, seed: int
+) -> np.ndarray:
+    """Grid passage times from one ``(reps, n, m)`` draw of every weight."""
+    weights = replica_generator(seed, 0).geometric(_check_p(p), size=(reps, n, m))
+    return _grid_passage(weights)

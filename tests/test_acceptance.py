@@ -41,6 +41,7 @@ from ungar_lab import (
     ungar_move,
     upsilon,
     zeta_estimate,
+    zeta_exact,
     zeta_liminf_lower_bound,
 )
 from ungar_lab.rng import replica_random
@@ -234,15 +235,21 @@ def test_criterion_08_fluctuation_sanity():
 
 
 def test_criterion_09_zeta_upsilon_agreement():
+    # three-way: the sampler, the exact series zeta_n and the limit Upsilon
     start = time.time()
     est, err = zeta_estimate(0.5, 10_000, 100_000, seed=91)
+    exact = zeta_exact(0.5, 10_000)
     target = upsilon(0.5, 10_000)
     assert abs(est - target) <= 0.01 + 3 * err, (est, target, err)
+    assert abs(est - exact) <= 0.01 + 3 * err, (est, exact, err)
+    assert abs(exact - target) <= 0.01, (exact, target)
     assert est >= zeta_liminf_lower_bound(0.5) - 3 * err
     elapsed = time.time() - start
-    report(9, f"|zeta_hat - Upsilon| = {abs(est - target):.5f} <= "
-              f"{0.01 + 3 * err:.5f}; zeta_hat {est:.5f} above the "
-              f"liminf bound {zeta_liminf_lower_bound(0.5):.4f} ({elapsed:.1f}s)")
+    report(9, f"|zeta_hat - Upsilon| = {abs(est - target):.5f} and "
+              f"|zeta_hat - zeta_n| = {abs(est - exact):.5f} <= "
+              f"{0.01 + 3 * err:.5f}; |zeta_n - Upsilon| = {abs(exact - target):.1e}; "
+              f"zeta_hat {est:.5f} above the liminf bound "
+              f"{zeta_liminf_lower_bound(0.5):.4f} ({elapsed:.1f}s)")
 
 
 def test_criterion_10_algorithm1_validity():

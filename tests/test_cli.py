@@ -1,6 +1,7 @@
 """Command-line surface: determinism, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab import engine
+from ungar_lab import engine, percolation
 from ungar_lab.cli import _COMMANDS, build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
@@ -164,8 +165,29 @@ def test_zeta_row(capsys):
         "--seed", "6",
     )
     assert code == 0
-    row = dict(zip(*[line.split(",") for line in out.strip().split("\n")]))
+    header, values = out.strip().split("\n")
+    columns = header.split(",")
+    assert columns.index("zeta_exact") == columns.index("zeta_hat") + 1
+    row = dict(zip(columns, values.split(",")))
     assert abs(float(row["zeta_hat"]) - float(row["upsilon"])) < 0.05
+    est, exact, err = (float(row[k]) for k in ("zeta_hat", "zeta_exact", "stderr"))
+    assert abs(est - exact) <= 3 * err
+
+
+# sha256 of the zeta stdout below, recorded when the sampler became two
+# uniforms per trial; a change to the stream a trial reads changes it
+ZETA_GOLDEN = "6d4a1be5133015f78604fb1aca4a3fd1b66f738510fdb1897e20709bc05c3e7c"
+
+
+def test_zeta_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for n, p, seed, fmt in [(10_000, 0.5, 1, "csv"), (2, 0.3, 7, "csv"),
+                            (1, 0.9, 3, "json"), (10**6, 0.1, 42, "json")]:
+        code, out, _ = run_cli(capsys, "zeta", "--n", str(n), "--p", str(p),
+                               "--reps", "50000", "--seed", str(seed), "--format", fmt)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == ZETA_GOLDEN
 
 
 def test_bounds_values(capsys):
@@ -284,6 +306,18 @@ def test_negative_exponent_float_flag_reads_as_a_value(capsys, flag, code, messa
     result = run_cli(capsys, *base, flag, "-1e1")
     assert result == run_cli(capsys, *base, flag, "-10")
     assert result[0] == code and message in result[2]
+
+
+def test_fluctuation_rejects_tail_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking --tail")
+
+    monkeypatch.setattr(percolation, "lpp_grid_samples", no_sampling)
+    for tail in ("0", "-1"):
+        code, out, err = run_cli(capsys, "fluctuation", "--rows", "60", "--cols", "60",
+                                 "--reps", "3000", "--tail", tail)
+        assert (code, out) == (2, "")
+        assert "tail asymptotic needs t > 0" in err
 
 
 def test_exit_code_config_error(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,19 @@ from ungar_lab import (
     tracy_widom_tail,
     upsilon,
     zeta_estimate,
+    zeta_exact,
     zeta_liminf_lower_bound,
     zeta_limsup_estimate,
 )
+from ungar_lab import percolation
 from ungar_lab.rng import replica_generator, replica_random
 
-from oracles import ideal_complement_rows, maximal_chains
+from oracles import (
+    ideal_complement_rows,
+    maximal_chains,
+    one_shot_lpp_grid_samples,
+    plain_zeta_estimate,
+)
 
 
 def two_dim_random_poset(n, seed):
@@ -99,6 +107,31 @@ def test_lpp_r22_mean_matches_truncated_enumeration():
     samples = lpp_grid_samples(2, 2, 0.5, 40_000, seed=5)
     stderr = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - expected) <= 3 * stderr + err
+
+
+def test_lpp_grid_samples_memory_is_flat_in_reps():
+    tracemalloc.start()
+    try:
+        lpp_grid_samples(20, 20, 0.5, 50_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block is 2e6 int64 weights (16 MB); all 2e7 at once took 320 MB
+    assert peak < 40e6, peak
+
+
+@pytest.mark.parametrize("n, m, p, reps, block", [
+    (20, 20, 0.5, 12_000, None),  # blocks of 5000, 5000 and 2000
+    (3, 7, 0.1, 200_000, None),  # p < 1/3: numpy draws by inversion
+    (6, 5, 0.9, 40, 100),  # three replicas a block, the last one alone
+    (4, 4, 0.3, 5, 7),  # a grid larger than the block: one replica each
+])
+def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
+    if block is not None:
+        monkeypatch.setattr(percolation, "_DRAW_BLOCK", block)
+    assert reps > max(1, percolation._DRAW_BLOCK // (n * m))  # several blocks
+    got = lpp_grid_samples(n, m, p, reps, seed=11)
+    assert np.array_equal(got, one_shot_lpp_grid_samples(n, m, p, reps, seed=11))
 
 
 def test_coupling_identity_on_grids_and_random_posets():
@@ -260,6 +293,59 @@ def test_zeta_approaches_upsilon():
     est, err = zeta_estimate(0.5, 1_000, 40_000, seed=22)
     assert abs(est - upsilon(0.5, 1_000)) <= 0.01 + 3 * err
     assert est >= zeta_liminf_lower_bound(0.5) - 3 * err
+
+
+def test_zeta_exact_closed_forms():
+    for p in (0.1, 0.4, 0.5, 0.9, 1.0):
+        assert zeta_exact(p, 1) == 1.0
+        # n = 2: P(X != Y) = 1 - p/(2-p)
+        assert abs(zeta_exact(p, 2) - (1 - p / (2 - p))) <= 1e-12
+    assert abs(zeta_exact(0.5, 3) - 5 / 7) <= 1e-12
+    assert zeta_exact(1.0, 5) == 0.0  # every variable equals 1
+    assert abs(zeta_exact(0.5, 10_000) - upsilon(0.5, 10_000)) <= 1e-7
+    with pytest.raises(DomainError):
+        zeta_exact(0.5, 0)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_zeta_sampler_matches_exact(p):
+    for seed, n in enumerate((1, 2, 3, 10, 200, 10_000, 10**6)):
+        est, err = zeta_estimate(p, n, 200_000, seed=300 + seed)
+        if n == 1:
+            assert est == 1.0
+        else:
+            assert abs(est - zeta_exact(p, n)) <= 3 * err, (p, n, est, err)
+
+
+def test_zeta_sampler_counts_every_block(monkeypatch):
+    monkeypatch.setattr(percolation, "_DRAW_BLOCK", 1000)  # 500 trials a block
+    est, err = zeta_estimate(0.5, 50, 20_400, seed=8)
+    assert abs(est - zeta_exact(0.5, 50)) <= 3 * err
+
+
+def test_zeta_sampler_at_p_one():
+    assert zeta_estimate(1.0, 1, 500, seed=1)[0] == 1.0
+    assert zeta_estimate(1.0, 4, 500, seed=1)[0] == 0.0
+
+
+@pytest.mark.parametrize("p, n", [(0.3, 2), (0.3, 5), (0.7, 3), (0.7, 40), (0.5, 200)])
+def test_zeta_sampler_matches_plain_oracle(p, n):
+    est, err = zeta_estimate(p, n, 100_000, seed=17)
+    plain, plain_err = plain_zeta_estimate(p, n, 100_000, seed=17)
+    assert abs(est - plain) <= 3 * math.hypot(err, plain_err), (est, plain)
+    assert abs(plain - zeta_exact(p, n)) <= 3 * plain_err
+
+
+# at p = 0.93 the printed digits change if each point's truncation is not
+# the scalar series' own
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9, 0.93])
+def test_zeta_limsup_is_the_scalar_grid_max(p):
+    xs = np.exp(np.linspace(math.log(1 - p), 0.0, 4096))
+    scalar = max(upsilon(p, float(x)) for x in xs)
+    assert abs(zeta_limsup_estimate(p) - scalar) <= 1e-12
+    # the CLI prints the coefficient at 12 digits: the same digits as before
+    coeff = 2 / p * (math.sqrt(scalar * (1 + scalar)) - scalar)
+    assert format(tamari_linear_coefficient(p), ".12g") == format(coeff, ".12g")
 
 
 def test_zeta_limsup_and_coefficients():
