@@ -119,7 +119,12 @@ class TamariForestLattice:
         return sum(state.descendant_count(v) for v in range(1, self.n + 1))
 
     def fast_absorption_sample(self, p: float, rnd) -> int:
-        """Scalar-loop sampler on the mutable forest; O(1) per operation."""
+        """Scalar-loop sampler on the mutable forest.
+
+        Each operation is O(1) pointer work, plus a bisect and a list
+        deletion the at most ``n`` times a vertex becomes a leaf; each step
+        also copies the non-leaf list.
+        """
         sim = SimForest.path(self.n)
         t = 0
         while not sim.absorbed():

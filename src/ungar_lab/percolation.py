@@ -391,7 +391,7 @@ def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, floa
             m = _max_of_geometrics(p, n, u)
             hits += int((v < _unique_given_max(p, n, m)).sum())
     est = hits / trials
-    stderr = math.sqrt(max(est * (1 - est), 1e-300) / trials)
+    stderr = math.sqrt(est * (1 - est) / trials)
     return est, stderr
 
 

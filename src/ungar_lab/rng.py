@@ -58,36 +58,26 @@ class StreamBank:
             raise ValueError(f"p={p} outside (0, 1]")
         self.seed = int(seed)
         self.p = float(p)
-        self._bits: dict[tuple[str, int], np.ndarray] = {}
-        self._gens: dict[tuple[str, int], np.random.Generator] = {}
-
-    def _ensure(self, stream: str, label: int, t: int) -> np.ndarray:
-        key = (stream, label)
-        bits = self._bits.get(key)
-        if bits is None:
-            seq = np.random.SeedSequence(
-                self.seed, spawn_key=(_STREAM_TAG, _STREAM_INDEX[stream], label)
-            )
-            self._gens[key] = np.random.default_rng(seq)
-            bits = np.zeros(0, dtype=bool)
-        while len(bits) < t:
-            grow = max(_BLOCK, t - len(bits))
-            fresh = self._gens[key].random(grow) < self.p
-            bits = np.concatenate([bits, fresh])
-        self._bits[key] = bits
-        return bits
+        # (stream, label) -> its generator and the bits drawn so far, one byte each
+        self._streams: dict[tuple[str, int], tuple[np.random.Generator, bytearray]] = {}
 
     def bernoulli(self, stream: str, label: int, t: int) -> bool:
         if t < 1:
             raise ValueError("stream time index starts at 1")
-        return bool(self._ensure(stream, label, t)[t - 1])
+        entry = self._streams.get((stream, label))
+        if entry is None:
+            seq = np.random.SeedSequence(
+                self.seed, spawn_key=(_STREAM_TAG, _STREAM_INDEX[stream], label)
+            )
+            entry = self._streams[stream, label] = (np.random.default_rng(seq), bytearray())
+        gen, bits = entry
+        if len(bits) < t:
+            bits += (gen.random(max(_BLOCK, t - len(bits))) < self.p).tobytes()
+        return bits[t - 1] == 1
 
     def first_success(self, stream: str, label: int) -> int:
         """Smallest ``t`` with a 1 bit; geometric(p) by construction."""
         t = 1
-        while True:
-            bits = self._ensure(stream, label, t + _BLOCK - 1)
-            hits = np.flatnonzero(bits[t - 1 :])
-            if hits.size:
-                return t + int(hits[0])
-            t = len(bits) + 1
+        while not self.bernoulli(stream, label, t):
+            t += 1
+        return t

@@ -301,7 +301,7 @@ def good_frequency(
         if is_good(skyline(g), n):
             hits += 1
     freq = hits / reps
-    return freq, math.sqrt(max(freq * (1 - freq), 1e-300) / reps)
+    return freq, math.sqrt(freq * (1 - freq) / reps)
 
 
 # -- the multi-stream simulator ---------------------------------------------------
@@ -398,7 +398,7 @@ class _Phase2:
         c_key = {}
         for j, lo, hi in self.windows:
             for v in range(hi - 1, lo - 1, -1):
-                if sim.first_child[v] and sim.parent[v] < lo:
+                if sim.last_child[v] and sim.parent[v] < lo:
                     c_key[v] = j
                     break
         bp = self.b_prime_after

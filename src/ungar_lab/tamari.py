@@ -3,8 +3,8 @@
 Both incarnations are kept because they complement each other: the
 312-avoiding permutations inherit the weak order (with the downward
 projection collapsing arbitrary permutations onto them), while ordered
-forests admit O(1) vertex operations and are the representation of choice
-for simulation.
+forests change one parent pointer per vertex operation and are the
+representation of choice for simulation.
 
 Ordered forests are canonically labeled: vertex names 1..n are fixed to
 the left-to-right preorder traversal.  Under that labeling the ordering of
@@ -19,7 +19,7 @@ that from scratch.
 from __future__ import annotations
 
 import json
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -217,125 +217,74 @@ class OrderedForest:
 
 
 class SimForest:
-    """Mutable ordered forest for simulation, all operations O(1).
+    """Mutable ordered forest for simulation.
 
-    Sibling lists are doubly linked and a sentinel vertex 0 holds the
-    roots, so reattaching to a parent and splitting off a new root tree
-    are the same pointer surgery.  Subtree sizes are maintained
-    incrementally (descendant labels stay contiguous, so the detached
-    interval at an operation on a root is ``[c, c + size(c) - 1]``).
-    Non-leaves can only become leaves, never the reverse, and are kept in
-    an ascending linked list for fast per-step iteration.
+    Labels stay canonical, so the subtree of ``v`` is the label interval
+    ``[v, v + size[v])`` and every sibling order is the label order.  A
+    sentinel vertex 0 holds the roots, so reattaching to a parent and
+    splitting off a new root tree are the same pointer surgery.  Each
+    vertex keeps its parent, subtree size, last child and previous
+    sibling; the next sibling of ``v`` is the label just past its
+    subtree when that label shares ``v``'s parent.  Non-leaves can only
+    become leaves, never the reverse, and are kept in one ascending list.
     """
 
-    __slots__ = (
-        "n",
-        "parent",
-        "first_child",
-        "last_child",
-        "next_sib",
-        "prev_sib",
-        "size",
-        "nonleaf_count",
-        "_nl_next",
-        "_nl_prev",
-        "_nl_head",
-    )
+    __slots__ = ("n", "parent", "size", "last_child", "prev_sib", "_non_leaves")
 
     def __init__(self, forest: OrderedForest):
         n = forest.n
         self.n = n
-        self.parent = [0] * (n + 1)
-        self.first_child = [0] * (n + 1)
-        self.last_child = [0] * (n + 1)
-        self.next_sib = [0] * (n + 1)
-        self.prev_sib = [0] * (n + 1)
+        self.parent = [0, *forest.parent]
         self.size = [1] * (n + 1)
-        for v in range(1, n + 1):
-            self.parent[v] = forest.parent[v - 1]
-        for holder in range(n + 1):
-            kids = forest.children(holder) if holder else forest.roots
-            prev = 0
-            for c in kids:
-                if prev == 0:
-                    self.first_child[holder] = c
-                else:
-                    self.next_sib[prev] = c
-                self.prev_sib[c] = prev
-                prev = c
-            self.last_child[holder] = prev
+        self.last_child = [0] * (n + 1)
+        self.prev_sib = [0] * (n + 1)
         for v in range(n, 0, -1):
+            self.size[self.parent[v]] += self.size[v]
+        for v in range(1, n + 1):  # children arrive in planar order
             p = self.parent[v]
-            if p:
-                self.size[p] += self.size[v]
-        # ascending linked list of non-leaves
-        self._nl_next = [0] * (n + 2)
-        self._nl_prev = [0] * (n + 2)
-        self._nl_head = 0
-        nonleaves = [v for v in range(1, n + 1) if self.first_child[v]]
-        self.nonleaf_count = len(nonleaves)
-        prev = 0
-        for v in nonleaves:
-            if prev == 0:
-                self._nl_head = v
-            else:
-                self._nl_next[prev] = v
-            self._nl_prev[v] = prev
-            prev = v
+            self.prev_sib[v] = self.last_child[p]
+            self.last_child[p] = v
+        self._non_leaves = [v for v in range(1, n + 1) if self.last_child[v]]
 
     @classmethod
     def path(cls, n: int) -> "SimForest":
         return cls(OrderedForest.path(n))
 
     def absorbed(self) -> bool:
-        return self.nonleaf_count == 0
+        return not self._non_leaves
 
     def non_leaves(self) -> list[int]:
-        out = []
-        v = self._nl_head
-        while v:
-            out.append(v)
-            v = self._nl_next[v]
-        return out
-
-    def _drop_nonleaf(self, v: int) -> None:
-        nxt, prv = self._nl_next[v], self._nl_prev[v]
-        if prv:
-            self._nl_next[prv] = nxt
-        else:
-            self._nl_head = nxt
-        if nxt:
-            self._nl_prev[nxt] = prv
-        self.nonleaf_count -= 1
+        """The non-leaves in ascending label order (a copy)."""
+        return self._non_leaves[:]
 
     def operate(self, v: int) -> int:
         """Operate on ``v``; returns the detached child or 0 for a leaf.
 
         The reattachment target may be the sentinel 0, in which case the
         detached subtree becomes a new root tree immediately right of
-        ``v``'s tree.
+        ``v``'s tree.  Pointer updates are O(1); a vertex that becomes a
+        leaf is bisected out of the non-leaf list.
         """
         c = self.last_child[v]
         if c == 0:
             return 0
+        parent, size = self.parent, self.size
         pc = self.prev_sib[c]
         self.last_child[v] = pc
-        if pc:
-            self.next_sib[pc] = 0
-        else:
-            self.first_child[v] = 0
-            self._drop_nonleaf(v)
-        self.size[v] -= self.size[c]
-        w = self.parent[v]
-        nv = self.next_sib[v]
-        self.next_sib[v] = c
+        if not pc:
+            nl = self._non_leaves
+            del nl[bisect_left(nl, v)]
+        size[v] -= size[c]
+        w = parent[v]
+        parent[c] = w
         self.prev_sib[c] = v
-        self.next_sib[c] = nv
-        if nv:
-            self.prev_sib[nv] = c
+        # the label past v's old subtree (which ended with c's) is v's old
+        # next sibling if it shares v's parent
+        nxt = c + size[c]
+        if nxt <= self.n and parent[nxt] == w:
+            self.prev_sib[nxt] = c
         else:
             self.last_child[w] = c
-        self.parent[c] = w
         return c
 
     def snapshot(self) -> OrderedForest:

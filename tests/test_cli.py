@@ -175,8 +175,10 @@ def test_zeta_row(capsys):
 
 
 # sha256 of the zeta stdout below, recorded when the sampler became two
-# uniforms per trial; a change to the stream a trial reads changes it
-ZETA_GOLDEN = "6d4a1be5133015f78604fb1aca4a3fd1b66f738510fdb1897e20709bc05c3e7c"
+# uniforms per trial and re-recorded when the degenerate n = 1 row's
+# stderr became 0 (no other byte moved); a change to the stream a trial
+# reads changes it
+ZETA_GOLDEN = "b5e42e62d29b8f5753c1f1efbe33c89cf57a4c5870904fb877853001e373906b"
 
 
 def test_zeta_golden_digest(capsys):
@@ -188,6 +190,23 @@ def test_zeta_golden_digest(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == ZETA_GOLDEN
+
+
+# sha256 of the forest-sampler stdout below, recorded before SimForest moved
+# to label intervals; a change to the forest chain or to its replica
+# streams changes it
+FOREST_SIMULATE_GOLDEN = "3480682442f42c3fd1113eea9ee437777f0f6f8c784cb6d1592109419358b238"
+
+
+def test_forest_simulate_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for n, p, seed, reps in [(7, 0.3, 5, 2000), (7, 0.8, 11, 500), (200, 0.5, 2, 40),
+                             (1000, 0.3, 3, 4), (1000, 0.7, 9, 4)]:
+        code, out, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", str(n),
+                               "--p", str(p), "--reps", str(reps), "--seed", str(seed))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == FOREST_SIMULATE_GOLDEN
 
 
 def test_bounds_values(capsys):

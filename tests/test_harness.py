@@ -1,0 +1,53 @@
+"""The benchmark's tracer can wrap the names it counts, and puts them back.
+
+``perfbench/tracer.py`` counts layers by replacing functions and methods
+of ``ungar_lab`` by name.  A refactor that drops or renames one of those
+names would otherwise fail only inside the benchmark; this test fails
+here instead.  The tracer is loaded from its file and not modified.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from ungar_lab import cli
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every attribute of every ungar_lab module and of the classes they define."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "ungar_lab" or name.startswith("ungar_lab.")):
+            continue
+        for attr, value in vars(module).items():
+            out[name, attr] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for method, fn in vars(value).items():
+                    out[name, attr, method] = fn
+    return out
+
+
+def test_tracer_counts_forest_and_bank_layers_and_restores(capsys):
+    tracer = _load_tracer().Tracer()
+    before = _bindings()
+    with tracer.installed():
+        assert cli.main(["simulate", "--lattice", "tamari", "--n", "30",
+                         "--reps", "3", "--seed", "1"]) == 0
+        assert cli.main(["skyline", "--n", "20", "--reps", "1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert tracer.calls["tamari.simforest.operate"] > 0
+    assert tracer.calls["tamari.simforest.non_leaves"] > 0
+    assert tracer.calls["rng.bank.bernoulli"] > 0
+    assert tracer.counts["skyline.algorithm1_run.steps"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -280,8 +280,8 @@ def test_upsilon_properties():
 
 
 def test_zeta_trivial_and_small_n_exact():
-    est, _ = zeta_estimate(0.5, 1, 2_000, seed=20)
-    assert est == 1.0  # a single maximum is trivially unique
+    # a single maximum is trivially unique, and a sure estimate has no error
+    assert zeta_estimate(0.5, 1, 2_000, seed=20) == (1.0, 0.0)
     # n = 2: P(X != Y) = 1 - p/(1+q) in closed form
     p = 0.4
     exact = 1 - p / (2 - p)

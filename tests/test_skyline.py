@@ -373,6 +373,8 @@ def test_good_frequency_conditional():
     assert 0.0 <= freq <= 1.0
     bound = 1 - 2 / math.log(math.log(1_000))
     assert freq >= bound - 3 * err  # bound is vacuous at this n, by design
+    # every conditioned skyline is good here, and a sure frequency has no error
+    assert good_frequency(50, 0.5, 3, 200, 1) == (1.0, 0.0)
 
 
 def conditioned_naive_run(n, p, g, rnd):

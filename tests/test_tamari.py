@@ -290,7 +290,24 @@ def test_sim_forest_matches_immutable_forest():
             forest = forest.operate(v)
             sim.operate(v)
             assert sim.snapshot() == forest
-            assert sorted(sim.non_leaves()) == sorted(forest.non_leaves())
+            assert sim.non_leaves() == list(forest.non_leaves())
+
+
+def _sim_fields(sim):
+    return sim.parent, sim.size[1:], sim.last_child, sim.prev_sib, sim.non_leaves()
+
+
+def test_sim_forest_operate_matches_fresh_build_field_by_field():
+    # non_leaves() is compared in order: the coins are flipped in that order
+    for n in range(1, 7):
+        for forest in ordered_forests(n):
+            for v in range(1, n + 1):
+                sim = SimForest(forest)
+                kids = forest.children(v)
+                assert sim.operate(v) == (kids[-1] if kids else 0)
+                after = forest.operate(v)
+                assert _sim_fields(sim) == _sim_fields(SimForest(after))
+                assert sim.non_leaves() == list(after.non_leaves())
 
 
 def test_forest_json_roundtrip_and_dot():
