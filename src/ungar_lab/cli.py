@@ -174,8 +174,9 @@ def cmd_exact(args) -> None:
         rows = [
             {"backend": lattice.name, "p": args.p, "element": repr(s),
              "expected_steps": float(v)}
-            for s, v in sorted(expect.items(), key=lambda kv: kv[1])
+            for s, v in expect.items()
         ]
+        rows.sort(key=lambda row: (row["expected_steps"], row["element"]))
     _emit(rows, args)
 
 

@@ -8,10 +8,12 @@ covers).  Each step selects every site independently with probability
 ``p``; the probability of staying put is ``(1-p)^{#sites}`` because every
 non-empty selection moves strictly down.
 
-The exact solver uses exactly that structure: states are processed along
-any rank function that strictly decreases under transitions, so the
-linear system ``E(x) = 1 + sum_y P(x->y) E(y)`` is triangular and solves
-by back-substitution; no general solver is needed.
+The exact solver uses that surface and nothing else.  A depth-first
+post-order over single-site moves lists every state after each state it
+can move to, so the linear system ``E(x) = 1 + sum_y P(x->y) E(y)`` is
+triangular and solves by back-substitution; no general solver is needed.
+Each row takes one ``apply`` per selection, on a smaller selection's
+successor.
 
 Also here: the per-parameter geometric sampler, the two-sided tail bound
 for sums of geometrics, and simple/lazy random-walk hitting-time
@@ -44,6 +46,8 @@ def _check_p(p: float) -> float:
     p = float(p)
     if not 0 < p <= 1:
         raise DomainError(f"p={p} outside (0, 1]; p=0 gives a non-absorbing chain")
+    if p <= 2.0**-53:  # uniform draws are multiples of 2**-53: only 0.0 is below p
+        raise DomainError(f"p={p} is at most 2**-53, which sampling cannot tell from 0")
     return p
 
 
@@ -69,9 +73,6 @@ class SnLattice:
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return ungar_move(state, selected)
 
-    def rank(self, state: Permutation) -> int:
-        return state.inversions()
-
 
 class TamariAvLattice:
     """Tamari lattice as 312-avoiding permutations under the weak order."""
@@ -92,9 +93,6 @@ class TamariAvLattice:
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return av_ungar_move(state, selected)
 
-    def rank(self, state: Permutation) -> int:
-        return state.inversions()
-
 
 class TamariForestLattice:
     """Tamari lattice as ordered forests; sites are non-leaf vertices."""
@@ -114,9 +112,6 @@ class TamariForestLattice:
 
     def apply(self, state: OrderedForest, selected: Sequence[int]) -> OrderedForest:
         return state.ungar(selected)
-
-    def rank(self, state: OrderedForest) -> int:
-        return sum(state.descendant_count(v) for v in range(1, self.n + 1))
 
     def fast_absorption_sample(self, p: float, rnd) -> int:
         """Scalar-loop sampler on the mutable forest.
@@ -174,9 +169,6 @@ class IdealLattice:
             state &= ~(1 << x)
         return state
 
-    def rank(self, state: int) -> int:
-        return state.bit_count()
-
     def fast_absorption_sample(self, p: float, rnd) -> int:
         """Steps from the full ideal to the empty one, without masks.
 
@@ -233,9 +225,6 @@ class ChainLattice:
 
     def apply(self, state: int, selected: Sequence[int]) -> int:
         return state - 1 if selected else state
-
-    def rank(self, state: int) -> int:
-        return state
 
 
 # -- trajectories --------------------------------------------------------------
@@ -295,13 +284,21 @@ def run_chain(
 
 
 def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
-    """All states reachable downward from the top (the whole lattice)."""
+    """All states reachable downward from the top, each after its targets.
+
+    Iterative depth-first post-order over single-site moves: a state is
+    listed once every state one move below it is.  A move of any size
+    ends below its state, and a chain of single-site moves reaches every
+    state below, so every state comes after each state it can move to,
+    and the top comes last.
+    """
     top = lattice.top()
     seen = {top}
-    stack = [top]
+    order = []
+    stack = [(top, iter(lattice.pick_sites(top)))]
     while stack:
-        x = stack.pop()
-        for s in lattice.pick_sites(x):
+        x, sites = stack[-1]
+        for s in sites:
             y = lattice.apply(x, [s])
             if y not in seen:
                 if len(seen) >= cap:
@@ -309,41 +306,35 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
                         f"state count of {lattice.name} exceeds cap {cap}"
                     )
                 seen.add(y)
-                stack.append(y)
-    return sorted(seen, key=lattice.rank)
-
-
-# Backends whose ``apply`` acts one site at a time, in the order
-# ``pick_sites`` lists them, so that ``apply(x, T)`` is one single-site
-# ``apply`` of T's last site on ``apply(x, T minus that site)``.  SnLattice
-# and TamariAvLattice are left out: they reverse each run of adjacent
-# selected descents as one block, which single-descent moves do not
-# reproduce (321 with {1, 2} gives 123 at once but 213 one site at a time).
-_SEQUENTIAL_BACKENDS = (TamariForestLattice, IdealLattice, ChainLattice)
+                stack.append((y, iter(lattice.pick_sites(y))))
+                break
+        else:
+            stack.pop()
+            order.append(x)
+    return order
 
 
 def _transitions(lattice, x, sites, p: float, q: float):
     """``(weight, successor)`` for every nonempty selection of ``sites``.
 
     Selections come in increasing bitmask order (bit ``i`` selects
-    ``sites[i]``).  On a sequential backend the successor of ``bitsel`` is
-    one single-site ``apply`` on the successor of ``bitsel`` without its
-    highest bit, so a state costs one ``apply`` per selection instead of
-    one per selected site; other backends get one ``apply`` per selection.
+    ``sites[i]``).  The successor of ``bitsel`` is one ``apply`` of its
+    highest run of adjacent sites (``sites[k] == sites[k-1] + 1``) on the
+    successor of the rest, whose bitmask is smaller.  A block reversal
+    touches only its run's positions, so the lower runs' entries and the
+    run's descents survive; the other backends act one site at a time in
+    increasing order.  So a state costs one ``apply`` per selection.
     """
     s = len(sites)
     weight = [p ** k * q ** (s - k) for k in range(s + 1)]
-    if not isinstance(lattice, _SEQUENTIAL_BACKENDS):
-        for bitsel in range(1, 1 << s):
-            selected = [sites[i] for i in range(s) if bitsel >> i & 1]
-            yield weight[len(selected)], lattice.apply(x, selected)
-        return
     succ = [x]
-    for site in sites:
-        for rest in range(len(succ)):
-            y = lattice.apply(succ[rest], [site])
-            succ.append(y)
-            yield weight[rest.bit_count() + 1], y
+    for bitsel in range(1, 1 << s):
+        hi = lo = bitsel.bit_length() - 1
+        while lo and bitsel >> (lo - 1) & 1 and sites[lo] == sites[lo - 1] + 1:
+            lo -= 1
+        y = lattice.apply(succ[bitsel & ((1 << lo) - 1)], sites[lo : hi + 1])
+        succ.append(y)
+        yield weight[bitsel.bit_count()], y
 
 
 def exact_expected_absorption(
@@ -352,9 +343,9 @@ def exact_expected_absorption(
     """Expected steps to the bottom, for every state, by back-substitution.
 
     ``E(x) (1 - (1-p)^s) = 1 + sum over nonempty selections T of
-    p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in increasing rank so
-    every right-hand side is already known.  A residual check at 1e-10
-    guards the triangularity assumption.
+    p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in the order of
+    :func:`enumerate_states`, so every right-hand side is already known.
+    A residual check at 1e-10 guards the triangularity assumption.
     """
     p = _check_p(p)
     q = 1.0 - p

@@ -253,7 +253,7 @@ def _check_open_p(p: float) -> float:
     p = float(p)
     if not 0 < p < 1:
         raise DomainError(f"p={p} outside (0, 1)")
-    return p
+    return _check_p(p)
 
 
 def rescaling_constants(p: float, x: float, y: float) -> tuple[float, float]:

@@ -121,45 +121,41 @@ class OrderedForest:
             raise ValueError("forest is disconnected from its label range")
 
     def operate(self, v: int) -> "OrderedForest":
-        """Apply the vertex operation at ``v``.
-
-        Leaves act trivially.  Otherwise the rightmost child of ``v`` is
-        reattached to the parent of ``v`` immediately to the right of
-        ``v`` (or becomes a new root tree immediately right of ``v``'s
-        tree); with canonical labels that slot is the sorted position, so
-        only one parent pointer changes.  The result shares every child
-        list except those of ``v`` and of its parent.
-        """
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range")
-        kids = self._children[v]
-        if not kids:
-            return self
-        c = kids[-1]
-        w = self.parent[v - 1]
-        children = list(self._children)
-        children[v] = kids[:-1]
-        siblings = children[w]
-        i = bisect(siblings, c)
-        children[w] = siblings[:i] + (c,) + siblings[i:]
-        forest = OrderedForest.__new__(OrderedForest)
-        forest.n = self.n
-        forest.parent = self.parent[: c - 1] + (w,) + self.parent[c:]
-        forest._children = tuple(children)
-        forest._roots = forest._children[0]
-        return forest
+        """Apply the vertex operation at ``v``; see :meth:`ungar`."""
+        return self.ungar((v,))
 
     def ungar(self, vertices: Iterable[int]) -> "OrderedForest":
         """Operate on the given vertices in increasing label order.
 
         This is the random-move kernel: it equals the forest-lattice meet
         of the forest with all its one-vertex operations at the given
-        non-leaves; leaves act trivially.
+        non-leaves.  Leaves act trivially.  Otherwise the rightmost child
+        of ``v`` is reattached to the parent of ``v`` immediately to the
+        right of ``v`` (or becomes a new root tree immediately right of
+        ``v``'s tree); with canonical labels that slot is the sorted
+        position, so only one parent pointer changes.  The parent and
+        child tuples are copied once and every operation edits the copies.
         """
-        f = self
+        parent = list(self.parent)
+        children = list(self._children)
         for v in sorted(set(vertices)):
-            f = f.operate(v)
-        return f
+            if not 1 <= v <= self.n:
+                raise ValueError(f"vertex {v} out of range")
+            kids = children[v]
+            if kids:
+                c = kids[-1]
+                w = parent[v - 1]
+                children[v] = kids[:-1]
+                siblings = children[w]
+                i = bisect(siblings, c)
+                children[w] = siblings[:i] + (c,) + siblings[i:]
+                parent[c - 1] = w
+        forest = OrderedForest.__new__(OrderedForest)
+        forest.n = self.n
+        forest.parent = tuple(parent)
+        forest._children = tuple(children)
+        forest._roots = forest._children[0]
+        return forest
 
     def right_to_left_preorder(self) -> tuple[int, ...]:
         """Label ``r(v)`` of each vertex under the mirrored traversal.

@@ -250,6 +250,48 @@ def test_per_element_csv_has_one_field_per_column(capsys, lattice, size, backend
     assert sorted(row["element"] for row in rows) == sorted(map(repr, states))
 
 
+# sha256 of the ``exact --per-element`` stdout below, recorded when rows
+# with equal expected_steps came to be sorted by element, and of its
+# lines sorted, recorded before that change: the rows are the same
+PER_ELEMENT_GOLDEN = "a43c3e4570384233703c43ac4e072e0e250171321bf0a03c7c0df1d78c933a39"
+PER_ELEMENT_ROWS_GOLDEN = "aab3e68634ce1debe75ba709a65cc78c7fc90aa521f779896eb532e0f167f35b"
+
+
+def test_per_element_golden_digest(capsys):
+    ordered, rows = hashlib.sha256(), hashlib.sha256()
+    for lattice, *size in [("sn", "--n", "4"), ("tamari", "--n", "5"),
+                           ("tamari-av", "--n", "5"), ("grid", "--rows", "3", "--cols", "3")]:
+        code, out, _ = run_cli(capsys, "exact", "--lattice", lattice, *size, "--per-element")
+        assert code == 0
+        ordered.update(out.encode())
+        rows.update("\n".join(sorted(out.splitlines())).encode())
+    assert rows.hexdigest() == PER_ELEMENT_ROWS_GOLDEN
+    assert ordered.hexdigest() == PER_ELEMENT_GOLDEN
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--lattice", "sn", "--n", "3", "--reps", "2"),
+    ("tasep", "--rows", "2", "--cols", "2"),
+    ("skyline", "--n", "3"),
+    ("bounds", "--what", "tamari-coefficient"),
+    ("exact", "--lattice", "sn", "--n", "3"),
+    ("lpp", "--lattice", "grid", "--rows", "2", "--cols", "2"),
+    ("bounds", "--what", "f", "--x", "1e6"),
+], ids=" ".join)
+def test_p_sampling_cannot_tell_from_zero_is_domain_error(capsys, command):
+    # uniform draws are multiples of 2**-53, so at p <= 2**-53 only 0.0
+    # selects a site: these never returned, ran for seconds, or died
+    for p in ("1e-300", repr(2.0**-53)):
+        code, out, err = run_cli(capsys, *command, "--p", p)
+        assert (code, out) == (2, ""), err
+        assert "2**-53" in err
+
+
+def test_p_just_above_2_to_the_minus_53_still_solves(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--lattice", "sn", "--n", "3", "--p", "2.3e-16")
+    assert code == 0 and out.startswith("backend,p,states,expected_steps\nsn-3,2.3e-16,6,")
+
+
 # a valid poset file, the empty poset, and documents FinitePoset.from_json rejects
 _POSET_DOCS = {
     "grid-2x2": grid_poset(2, 2).to_json(),

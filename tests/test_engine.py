@@ -247,7 +247,6 @@ def test_ideal_fast_sample_matches_run_chain_edge_cases(poset, p):
 
 
 def _assert_subset_dp_matches_oracle(lattice, p):
-    assert isinstance(lattice, engine._SEQUENTIAL_BACKENDS)
     q = 1.0 - p
     for x in engine.enumerate_states(lattice):
         sites = lattice.pick_sites(x)
@@ -264,7 +263,9 @@ def _assert_subset_dp_matches_oracle(lattice, p):
 @pytest.mark.parametrize(
     "lattice",
     [TamariForestLattice(n) for n in range(8)]
-    + [IdealLattice(grid_poset(3, 4)), ChainLattice(4)],
+    + [IdealLattice(grid_poset(3, 4)), ChainLattice(4)]
+    + [SnLattice(n) for n in range(7)]
+    + [TamariAvLattice(n) for n in range(8)],
     ids=lambda lattice: lattice.name,
 )
 def test_subset_dp_matches_per_subset_rows(lattice, p):
@@ -277,16 +278,50 @@ def test_subset_dp_matches_per_subset_rows_on_posets(poset, p):
     _assert_subset_dp_matches_oracle(IdealLattice(poset), p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(1, 9)), st.sampled_from([0.3, 0.5]))
+def test_run_dp_matches_per_subset_rows_on_s8(word, p):
+    lattice, x = SnLattice(8), Permutation(word)
+    sites = lattice.pick_sites(x)
+    assert list(engine._transitions(lattice, x, sites, p, 1.0 - p)) == list(
+        per_subset_transitions(lattice, x, sites, p, 1.0 - p)
+    )
+
+
 @pytest.mark.parametrize("lattice", [SnLattice(3), TamariAvLattice(3)],
                          ids=lambda lattice: lattice.name)
 def test_block_reversal_moves_do_not_compose_site_by_site(lattice):
-    # why the subset DP leaves these backends out: a run of selected
-    # descents is reversed as one block
+    # why the DP applies each run of adjacent selected descents whole: the
+    # run is reversed as one block; runs that are not adjacent compose
     x = Permutation((3, 2, 1))
     assert lattice.pick_sites(x) == (1, 2)
     assert lattice.apply(x, [1, 2]) == (1, 2, 3)
     assert lattice.apply(lattice.apply(x, [1]), [2]) == (2, 1, 3)
-    assert not isinstance(lattice, engine._SEQUENTIAL_BACKENDS)
+    x = Permutation((4, 3, 2, 1))
+    assert lattice.apply(x, [1, 3]) == lattice.apply(lattice.apply(x, [1]), [3])
+
+
+def _assert_targets_come_first(lattice, p=0.5):
+    states = engine.enumerate_states(lattice)
+    position = {x: i for i, x in enumerate(states)}
+    assert len(position) == len(states) and states[-1] == lattice.top()
+    for x in states:
+        for _, y in engine._transitions(lattice, x, lattice.pick_sites(x), p, 1 - p):
+            assert position[y] < position[x], (lattice.name, x, y)
+
+
+@pytest.mark.parametrize("lattice", [
+    SnLattice(5), TamariAvLattice(6), TamariForestLattice(6),
+    IdealLattice(grid_poset(3, 3)), ChainLattice(5), SnLattice(0),
+], ids=lambda lattice: lattice.name)
+def test_enumeration_lists_every_target_before_its_state(lattice):
+    _assert_targets_come_first(lattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_posets())
+def test_enumeration_lists_every_target_before_its_state_on_posets(poset):
+    _assert_targets_come_first(IdealLattice(poset))
 
 
 def test_ideal_monte_carlo_does_not_scan_masks(monkeypatch):

@@ -51,3 +51,16 @@ def test_tracer_counts_forest_and_bank_layers_and_restores(capsys):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_counts_exact_solver_layers(capsys):
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        for size in (["--lattice", "sn", "--n", "4"], ["--lattice", "tamari-av", "--n", "4"],
+                     ["--lattice", "tamari", "--n", "4"],
+                     ["--lattice", "grid", "--rows", "2", "--cols", "3"]):
+            assert cli.main(["exact", *size]) == 0
+    capsys.readouterr()
+    for name in ("engine.enumerate_states", "perms.ungar_move", "perms.av_move",
+                 "tamari.forest_ungar", "engine.transitions", "poset.maximal_of_mask"):
+        assert tracer.calls[name] > 0, name
