@@ -54,6 +54,16 @@ def _check_p(p: float) -> float:
 # -- backends -----------------------------------------------------------------
 
 
+def _descent_sites(self, word) -> tuple[int, ...]:
+    """Ascending descent positions of a one-line word: the S_n and 312 sites.
+
+    Built from a list, not a generator: ``tuple(genexpr)`` grows its tuple
+    by resizing, and the interpreter's tuple freelists keep the resized
+    blocks, so memory crept up with the step count.
+    """
+    return tuple([i for i in range(1, len(word)) if word[i - 1] > word[i]])
+
+
 class SnLattice:
     """Weak order on S_n; sites are descent positions."""
 
@@ -67,8 +77,7 @@ class SnLattice:
     def bottom(self) -> Permutation:
         return Permutation.identity(self.n)
 
-    def pick_sites(self, state: Permutation) -> tuple[int, ...]:
-        return tuple(sorted(state.descents()))
+    pick_sites = _descent_sites
 
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return ungar_move(state, selected)
@@ -87,8 +96,7 @@ class TamariAvLattice:
     def bottom(self) -> Permutation:
         return Permutation.identity(self.n)
 
-    def pick_sites(self, state: Permutation) -> tuple[int, ...]:
-        return tuple(sorted(state.descents()))
+    pick_sites = _descent_sites
 
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return av_ungar_move(state, selected)
@@ -254,7 +262,9 @@ def run_chain(
 ) -> ChainRun:
     """Run one trajectory from ``start`` (default: top) to absorption."""
     p = _check_p(p)
-    state = lattice.top() if start is None else start
+    if start is None:
+        start = lattice.top()
+    state = start
     bottom = lattice.bottom()
     states = [state] if record_states else None
     picks = [] if record_picks else None
@@ -273,7 +283,7 @@ def run_chain(
     return ChainRun(
         backend=lattice.name,
         p=p,
-        start=lattice.top() if start is None else start,
+        start=start,
         absorption=t,
         states=tuple(states) if states is not None else None,
         picks=tuple(picks) if picks is not None else None,

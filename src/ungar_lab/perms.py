@@ -23,7 +23,12 @@ from .poset import OrderIdeal, grid_poset
 
 
 class Permutation(tuple):
-    """One-line word ``sigma(1..n)``, a bijection on ``1..n``."""
+    """One-line word ``sigma(1..n)``, a bijection on ``1..n``.
+
+    The constructor is where a word is validated.  Instances are immutable,
+    so the moves here and in :mod:`ungar_lab.tamari` trust them and check
+    only other words.
+    """
 
     def __new__(cls, word: Iterable[int]):
         w = tuple(int(v) for v in word)
@@ -88,24 +93,31 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
     is the trivial move.  A run of consecutive selected descents at
     positions ``i..i+k`` reverses the factor at positions ``i..i+k+1``,
     which is strictly decreasing, so each block reversal sorts its factor.
+
+    A :class:`Permutation` is valid by construction, so it is trusted; any
+    other word is validated first.  A block reversal of a permutation is a
+    permutation, so the result is built without a second check.
     """
-    sigma = Permutation(sigma)
-    chosen = sorted(set(int(i) for i in selected))
-    if not frozenset(chosen) <= sigma.descents():
-        raise InvalidSelection(
-            f"selection {chosen} not contained in descents {sorted(sigma.descents())}"
-        )
+    if type(sigma) is not Permutation:
+        sigma = Permutation(sigma)
+    n = len(sigma)
     w = list(sigma)
-    k = 0
-    while k < len(chosen):
-        start = chosen[k]
-        end = start
-        while k + 1 < len(chosen) and chosen[k + 1] == end + 1:
-            k += 1
-            end = chosen[k]
+    start = end = -1  # the run of selected descents being collected
+    chosen = sorted(map(int, selected))
+    for i in chosen:
+        if not (0 < i < n and sigma[i - 1] > sigma[i]):
+            raise InvalidSelection(
+                f"selection {sorted(set(chosen))} not contained in descents "
+                f"{sorted(sigma.descents())}"
+            )
+        if i > end + 1:  # a new run; a repeated position extends nothing
+            if end > 0:
+                w[start - 1 : end + 1] = reversed(w[start - 1 : end + 1])
+            start = i
+        end = i
+    if end > 0:
         w[start - 1 : end + 1] = reversed(w[start - 1 : end + 1])
-        k += 1
-    return Permutation(w)
+    return tuple.__new__(Permutation, w)
 
 
 # -- the prefix projection to grid order ideals ------------------------------

@@ -87,15 +87,6 @@ class OrderedForest:
     def non_leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if self._children[v])
 
-    def descendant_count(self, v: int) -> int:
-        total = 0
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            total += 1
-            stack.extend(self._children[u])
-        return total
-
     def validate(self) -> None:
         """Recompute the preorder traversal and check labels are canonical.
 
@@ -297,8 +288,10 @@ def project_down(sigma: Permutation) -> Permutation:
     position ``j > i+1`` has ``sigma(i+1) < sigma(j) < sigma(i)``.  The
     fixed point is independent of the order in which swaps are applied;
     the tests replay randomized orders to confirm rather than assume it.
+    A :class:`Permutation` is trusted and any other word validated, as in
+    :func:`~ungar_lab.perms.ungar_move`; swaps keep a permutation one.
     """
-    w = list(Permutation(sigma))
+    w = list(sigma if type(sigma) is Permutation else Permutation(sigma))
     n = len(w)
     changed = True
     while changed:
@@ -309,7 +302,7 @@ def project_down(sigma: Permutation) -> Permutation:
                 if any(lo < w[j] < hi for j in range(i + 2, n)):
                     w[i], w[i + 1] = w[i + 1], w[i]
                     changed = True
-    return Permutation(w)
+    return tuple.__new__(Permutation, w)
 
 
 def require_av312(sigma: Permutation) -> Permutation:

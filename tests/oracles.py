@@ -3,10 +3,10 @@
 The right weak order on S_n by inversion sets, ``J(P)`` as an explicit
 poset (enumerated by ``engine.enumerate_states``, as the exact solver
 does) with its maximal chains and meets, the restriction of a forest to a
-window of labels, the Young diagram of a grid ideal's complement, and
-the plain Monte Carlo samplers that draw every variable at once (the
-uniqueness of a geometric maximum, grid passage times).  They raise the
-library's errors.
+window of labels, a vertex's descendant count, the Young diagram of a
+grid ideal's complement, and the plain Monte Carlo samplers that draw
+every variable at once (the uniqueness of a geometric maximum, grid
+passage times).  They raise the library's errors.
 """
 
 from __future__ import annotations
@@ -241,6 +241,17 @@ def restrict(forest: OrderedForest, m: int) -> OrderedForest:
         p = forest.parent[v - 1]
         parent.append(p - m + 1 if p >= m else 0)
     return OrderedForest(parent)
+
+
+def descendant_count(forest: OrderedForest, v: int) -> int:
+    """Number of proper descendants of ``v``, by a walk over the children."""
+    total = 0
+    stack = list(forest.children(v))
+    while stack:
+        u = stack.pop()
+        total += 1
+        stack.extend(forest.children(u))
+    return total
 
 
 def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:

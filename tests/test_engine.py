@@ -35,6 +35,8 @@ from ungar_lab import engine
 from ungar_lab.rng import replica_generator, replica_random
 from ungar_lab.tamari import av_ungar_move
 
+from oracles import all_permutations
+
 
 def step(lattice, state, p, rnd):
     """One random move: select each site independently, then transition."""
@@ -171,6 +173,43 @@ def test_run_chain_records_and_caps():
     assert len(run.picks) == run.absorption
     with pytest.raises(NotReached):
         run_chain(SnLattice(6), 0.2, replica_random(2, 0), max_steps=1)
+
+
+def test_run_chain_builds_the_top_once():
+    class CountingSn(SnLattice):
+        tops = 0
+
+        def top(self):
+            CountingSn.tops += 1
+            return super().top()
+
+    run = run_chain(CountingSn(5), 0.5, replica_random(3, 0))
+    assert CountingSn.tops == 1 and run.start == Permutation.decreasing(5)
+
+
+def test_run_chain_memory_is_flat_in_replicas():
+    import tracemalloc
+
+    lattice = SnLattice(40)
+    run_chain(lattice, 0.5, replica_random(11, 300))  # first-call imports
+    tracemalloc.start()
+    try:
+        for r in range(300):
+            run_chain(lattice, 0.5, replica_random(11, r))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("lattice", [SnLattice(7), TamariAvLattice(7)])
+def test_word_sites_are_the_ascending_descents_on_s7(lattice):
+    for s in all_permutations(7):
+        assert lattice.pick_sites(s) == tuple(sorted(s.descents()))
+
+
+def test_exact_sn8_pinned():
+    assert expected_absorption_time(SnLattice(8), 0.5) == 19.098133289369038
 
 
 def test_p_zero_rejected():
@@ -543,3 +582,4 @@ def test_test_only_oracles_are_not_in_the_library():
     assert len(modules) >= 10
     for module in modules:
         assert not moved & set(vars(module)), module.__name__
+    assert not hasattr(ungar_lab.OrderedForest, "descendant_count")

@@ -13,6 +13,7 @@ from ungar_lab import (
     NotReached,
     Permutation,
     SizeMismatch,
+    project_down,
     project_pi_k,
     sorted_prefix_time,
     ungar_move,
@@ -65,6 +66,37 @@ def test_ungar_move_worked_examples():
 def test_ungar_move_rejects_non_descents():
     with pytest.raises(InvalidSelection):
         ungar_move(Permutation((1, 2, 3)), {1})
+
+
+def test_moves_validate_plain_words():
+    for word in ([1, 1, 2], (1, 1, 2), (2, 3)):
+        with pytest.raises(ValueError):
+            ungar_move(word, ())
+        with pytest.raises(ValueError):
+            project_down(word)
+    assert ungar_move((), ()) == () and project_down([]) == ()
+
+
+@pytest.mark.parametrize("make", [Permutation, list, tuple])
+def test_ungar_move_rejects_positions_outside_the_descents(make):
+    word = make((3, 1, 2, 5, 4))  # descents {1, 4}
+    for bad in ([0], [5], [-1], [2], [1, 2], [4, 4, 3]):
+        with pytest.raises(InvalidSelection, match="not contained in descents"):
+            ungar_move(word, bad)
+    assert ungar_move(word, [4, 1, 4]) == (1, 3, 2, 4, 5)
+
+
+def test_moves_agree_on_instances_and_plain_words_on_s6():
+    for s in all_permutations(6):
+        des = sorted(s.descents())
+        for r in range(len(des) + 1):
+            for sel in itertools.combinations(des, r):
+                moved = ungar_move(s, sel)
+                assert type(moved) is Permutation
+                assert ungar_move(list(s), sel) == moved
+                assert ungar_move(tuple(s), list(sel)) == moved
+        down = project_down(s)
+        assert type(down) is Permutation and project_down(list(s)) == down
 
 
 def test_nontrivial_moves_strictly_decrease_inversions():

@@ -22,7 +22,7 @@ from ungar_lab import (
 from ungar_lab.rng import replica_random
 from ungar_lab.tamari import av_ungar_move
 
-from oracles import all_permutations, restrict, weak_meet
+from oracles import all_permutations, descendant_count, restrict, weak_meet
 
 
 def random_order_project(sigma, rnd):
@@ -117,15 +117,15 @@ def test_forest_ungar_move_examples():
 
 def test_descendant_sum_strictly_decreases():
     for forest in ordered_forests(5):
-        total = sum(forest.descendant_count(v) for v in range(1, 6))
+        total = sum(descendant_count(forest, v) for v in range(1, 6))
         for v in forest.non_leaves():
             after = forest.operate(v)
-            after_total = sum(after.descendant_count(u) for u in range(1, 6))
+            after_total = sum(descendant_count(after, u) for u in range(1, 6))
             assert after_total < total
             # only the operated vertex loses descendants
-            assert after.descendant_count(v) < forest.descendant_count(v)
+            assert descendant_count(after, v) < descendant_count(forest, v)
             assert all(
-                after.descendant_count(u) == forest.descendant_count(u)
+                descendant_count(after, u) == descendant_count(forest, u)
                 for u in range(1, 6)
                 if u != v
             )
