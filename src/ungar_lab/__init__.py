@@ -29,20 +29,17 @@ from .engine import (
 from .errors import (
     BoundViolation,
     CapExceeded,
-    ChainExplosion,
     ConfigError,
     CouplingViolation,
     CycleDetected,
     DomainError,
     InvalidSelection,
     InvariantViolation,
-    NotALattice,
     Not312Avoiding,
     NotReached,
     RedundantCover,
     SeriesTruncationError,
     SingularSystem,
-    SizeMismatch,
     StateExplosion,
     UngarLabError,
 )

@@ -183,9 +183,7 @@ def cmd_exact(args) -> None:
 def cmd_simulate(args) -> None:
     lattice = _lattice(args)
     seed = _seed(args)
-    res = engine.monte_carlo_expectation(
-        lattice, args.p, reps=args.reps, seed=seed, keep_samples=bool(args.survival)
-    )
+    res = engine.monte_carlo_expectation(lattice, args.p, reps=args.reps, seed=seed)
     row = {
         "backend": lattice.name,
         "n": args.n if args.n is not None else "",

@@ -412,12 +412,10 @@ class McResult:
     reps: int
     minimum: int
     maximum: int
-    samples: np.ndarray | None = None
+    samples: np.ndarray
 
     @classmethod
-    def from_samples(
-        cls, samples: np.ndarray, *, keep_samples: bool = False
-    ) -> "McResult":
+    def from_samples(cls, samples: np.ndarray) -> "McResult":
         """Mean, standard error, min and max; ``stderr`` is ``inf`` for one
         sample."""
         reps = len(samples)
@@ -427,18 +425,11 @@ class McResult:
             reps=reps,
             minimum=int(samples.min()),
             maximum=int(samples.max()),
-            samples=samples if keep_samples else None,
+            samples=samples,
         )
 
 
-def monte_carlo_expectation(
-    lattice,
-    p: float,
-    *,
-    reps: int,
-    seed: int,
-    keep_samples: bool = False,
-) -> McResult:
+def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McResult:
     """Absorption-time mean over independent seeded replicas, each from the top.
 
     Replica ``r`` draws from the stream derived with spawn key
@@ -460,7 +451,7 @@ def monte_carlo_expectation(
             samples[r] = fast(p, rnd)
         else:
             samples[r] = run_chain(lattice, p, rnd).absorption
-    return McResult.from_samples(samples, keep_samples=keep_samples)
+    return McResult.from_samples(samples)
 
 
 def empirical_survival(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,13 +462,27 @@ def empirical_survival(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ts, surv
 
 
+def _sort_runs(word: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """One Ungarian step on every row: each run of selected descents is a
+    decreasing factor, and the meet reverses it, which sorts it.
+
+    Column ``j`` lies in block ``#unselected pairs left of j``, so a block is
+    one selected run or one unselected column; sorting each row by
+    ``(block, value)`` sorts every run and leaves every other entry in place.
+    """
+    n = word.shape[1]
+    block = np.zeros(word.shape, dtype=np.int64)
+    np.cumsum(~sel, axis=1, out=block[:, 1:])
+    return np.sort(block * (n + 1) + word, axis=1) % (n + 1)
+
+
 def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
     """Vectorized S_n sampler (all replicas stepped in lockstep).
 
-    Selected descents are reversed blockwise with an index map: a column
-    inside a selected run at positions ``[a, b]`` moves to ``a + b - c``.
-    Same chain as the scalar path, used where 1e5 x n is uncomfortable in
-    pure Python.
+    Every step draws one ``(reps, n - 1)`` uniform array, selects each
+    descent below ``p`` and sorts each selected run (``_sort_runs``).  Same
+    chain as the scalar path, used where 1e5 x n is uncomfortable in pure
+    Python.
     """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
@@ -485,32 +490,11 @@ def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
     identity = np.arange(1, n + 1, dtype=np.int64)
     absorbed = np.zeros(reps, dtype=np.int64)
     done = (word == identity).all(axis=1)
-    cols = np.arange(n)
     t = 0
-    pcols = np.arange(n - 1)
     while not done.all():
         t += 1
         desc = word[:, :-1] > word[:, 1:]
-        sel = desc & (rng.random((reps, n - 1)) < p)
-        # runs of consecutive selected pairs; distinct runs' column blocks
-        # may touch but never overlap, so block membership is per run
-        pair_start = sel.copy()
-        pair_start[:, 1:] &= ~sel[:, :-1]
-        pair_end = sel.copy()
-        pair_end[:, :-1] &= ~sel[:, 1:]
-        run_start = np.maximum.accumulate(np.where(pair_start, pcols, 0), axis=1)
-        run_end = np.minimum.accumulate(
-            np.where(pair_end, pcols, n - 2)[:, ::-1], axis=1
-        )[:, ::-1]
-        inrun = np.zeros((reps, n), dtype=bool)
-        inrun[:, :-1] |= sel
-        inrun[:, 1:] |= sel
-        selpad = np.concatenate([sel, np.zeros((reps, 1), dtype=bool)], axis=1)
-        which = np.where(selpad, cols, cols - 1).clip(0, n - 2)
-        block_start = np.take_along_axis(run_start, which, axis=1)
-        block_end = np.take_along_axis(run_end, which, axis=1) + 1
-        dest = np.where(inrun, block_start + block_end - cols, cols)
-        word = np.take_along_axis(word, dest, axis=1)
+        word = _sort_runs(word, desc & (rng.random((reps, n - 1)) < p))
         now_done = (word == identity).all(axis=1)
         absorbed[~done & now_done] = t
         done |= now_done

@@ -26,24 +26,12 @@ class StateExplosion(CapExceeded):
     """Too many states to enumerate exactly."""
 
 
-class ChainExplosion(CapExceeded):
-    """Too many maximal chains to enumerate."""
-
-
 class CycleDetected(UngarLabError, ValueError):
     """The supplied cover relation contains a cycle."""
 
 
 class RedundantCover(UngarLabError, ValueError):
     """A cover edge is implied by transitivity."""
-
-
-class NotALattice(UngarLabError):
-    """A greatest lower bound does not exist or is not unique."""
-
-
-class SizeMismatch(UngarLabError, ValueError):
-    """Permutations of different sizes were combined."""
 
 
 class InvalidSelection(UngarLabError, ValueError):

@@ -77,9 +77,10 @@ class LppSample:
 
 
 def max_chain_weight(poset: FinitePoset, weights: Sequence[int]) -> int:
-    """``max over maximal chains C of sum_{x in C} weights[x]`` by DP."""
+    """``max over maximal chains C of sum_{x in C} weights[x]`` by DP; 0 on
+    the empty poset."""
     passage = _passage_values(poset, weights)
-    return max(passage[x] for x in poset.maximal_elements())
+    return max((passage[x] for x in poset.maximal_elements()), default=0)
 
 
 def _passage_values(poset: FinitePoset, weights: Sequence[int]) -> list[int]:
@@ -99,7 +100,7 @@ def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
     sampler = GeometricSampler(p, rng)
     weights = tuple(sampler.sample() for _ in range(poset.n))
     passage = _passage_values(poset, weights)
-    total = max(passage[x] for x in poset.maximal_elements()) if poset.n else 0
+    total = max((passage[x] for x in poset.maximal_elements()), default=0)
     return LppSample(
         poset=poset, p=p, weights=weights, passage=tuple(passage), total=total
     )
@@ -132,7 +133,7 @@ def coupled_ideal_run(
         for x in lattice.pick_sites(mask):
             counts[x] += 1
     t = run.absorption
-    total = max_chain_weight(poset, counts) if poset.n else 0
+    total = max_chain_weight(poset, counts)
     if total != t:
         raise CouplingViolation(
             f"absorption {t} != max-chain weight {total}; engine bug"
@@ -310,6 +311,7 @@ def upsilon(p: float, x: float) -> float:
     if p == 1.0:
         return 0.0
     q = 1.0 - p
+    _check_upward_terms(q, x, tol)
     total = 0.0
     # upward: terms p x q^k e^{-q^k x} <= p x q^k; tail after K is <= x q^{K+1}
     k = 0
@@ -319,8 +321,6 @@ def upsilon(p: float, x: float) -> float:
         if x * q ** (k + 1) <= tol / 2:
             break
         k += 1
-        if k > 10**6:
-            raise SeriesTruncationError("upward tail would not close")
     # downward: y grows by 1/q per step; once y >= 4 successive terms decay
     # at least geometrically with ratio rho = e^{-y (1/q - 1)} / q
     k = -1
@@ -336,6 +336,18 @@ def upsilon(p: float, x: float) -> float:
         if k < -(10**6):
             raise SeriesTruncationError("downward tail would not close")
     return total
+
+
+def _check_upward_terms(q: float, x: float, tol: float) -> None:
+    """Raise unless the upward sum at ``x`` stops within 10**6 terms.
+
+    It stops at the first ``k`` with ``x q^{k+1} <= tol/2``, after
+    ``ceil((log(tol/2) - log x) / log q)`` terms; at ``log q = 0``
+    (``1 - p`` rounds to 1) it never stops.
+    """
+    log_q = math.log(q)
+    if log_q == 0 or (math.log(tol / 2) - math.log(x)) / log_q > 10**6:
+        raise SeriesTruncationError("upward tail would not close")
 
 
 def zeta_exact(p: float, n: int) -> float:
@@ -454,6 +466,7 @@ def _upsilon_on_grid(p: float, xs: np.ndarray) -> np.ndarray:
     """
     tol = 1e-12
     q = 1.0 - p
+    _check_upward_terms(q, float(xs.max()), tol)
     total = np.zeros_like(xs)
     live = np.ones(xs.shape, dtype=bool)
     k = 0
@@ -462,8 +475,6 @@ def _upsilon_on_grid(p: float, xs: np.ndarray) -> np.ndarray:
         total += np.where(live, p * y * np.exp(-y), 0.0)
         live &= xs * q ** (k + 1) > tol / 2
         k += 1
-        if k > 10**6:
-            raise SeriesTruncationError("upward tail would not close")
     live[:] = True
     k = -1
     while live.any():

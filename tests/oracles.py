@@ -6,7 +6,8 @@ does) with its maximal chains and meets, the restriction of a forest to a
 window of labels, a vertex's descendant count, the Young diagram of a
 grid ideal's complement, and the plain Monte Carlo samplers that draw
 every variable at once (the uniqueness of a geometric maximum, grid
-passage times).  They raise the library's errors.
+passage times).  They raise the library's errors and the three below,
+which only they raise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
-from ungar_lab.errors import ChainExplosion, DomainError, NotALattice, SizeMismatch
+from ungar_lab.errors import CapExceeded, DomainError, UngarLabError
 from ungar_lab.percolation import _grid_passage
 from ungar_lab.perms import Permutation
 from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset, GridPoset
@@ -26,6 +27,18 @@ from ungar_lab.rng import replica_generator
 from ungar_lab.tamari import OrderedForest
 
 DEFAULT_CHAIN_CAP = 10**6
+
+
+class ChainExplosion(CapExceeded):
+    """Too many maximal chains to enumerate."""
+
+
+class NotALattice(UngarLabError):
+    """A greatest lower bound does not exist or is not unique."""
+
+
+class SizeMismatch(UngarLabError, ValueError):
+    """Permutations of different sizes were combined."""
 
 
 # -- weak order via inversion sets -----------------------------------------

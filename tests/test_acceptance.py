@@ -264,7 +264,7 @@ def test_criterion_10_algorithm1_validity():
         ops += res.op_counts
         steps += res.steps
     chain_samples = monte_carlo_expectation(
-        TamariForestLattice(n), p, reps=reps, seed=1001, keep_samples=True
+        TamariForestLattice(n), p, reps=reps, seed=1001
     ).samples
     _, pvalue = stats.ks_2samp(stream_samples, chain_samples)
     assert pvalue > 0.001, pvalue

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import shlex
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -222,6 +223,20 @@ def test_bounds_values(capsys):
     )
     assert code == 0
     assert out.strip().split("\n")[1].split(",")[-1] == "1"
+
+
+def test_tamari_coefficient_too_many_terms_exits_at_once(capsys):
+    # at p = 1e-5 the upward sum needs about 2.8e6 terms: refused before any
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--what", "tamari-coefficient",
+                             "--p", "1e-5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "upward tail would not close" in err
+    code, out, _ = run_cli(capsys, "bounds", "--what", "tamari-coefficient",
+                           "--p", "1e-4")
+    assert code == 0
+    assert out.strip().split("\n")[1].split(",")[-1] == "8284.21058407"
 
 
 def test_ideal_lattice_from_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Chain engine: exact solves, Monte Carlo, couplings, probability utilities."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from ungar_lab import (
     phi,
     run_chain,
     sn_absorption_samples,
+    ungar_move,
     walk_hitting_time,
 )
 from ungar_lab import engine
@@ -385,6 +387,62 @@ def test_vectorized_sn_matches_exact_and_bound():
     assert (samples == samples[0]).all()
 
 
+def test_sort_runs_is_the_ungar_move_on_all_of_s6():
+    # every sigma in S_6 with every subset of its descents, as one batch
+    words, sels, moves = [], [], []
+    for sigma in all_permutations(6):
+        sites = sorted(sigma.descents())
+        for bits in range(1 << len(sites)):
+            chosen = [i for k, i in enumerate(sites) if bits >> k & 1]
+            sel = np.zeros(5, dtype=bool)
+            sel[[i - 1 for i in chosen]] = True
+            words.append(sigma)
+            sels.append(sel)
+            moves.append(list(ungar_move(sigma, chosen)))
+    got = engine._sort_runs(np.array(words, dtype=np.int64), np.array(sels))
+    assert got.tolist() == moves
+
+
+# SHA-256 of the int64 samples, recorded before the sampler sorted its runs:
+# criterion 2's and criterion 11's cases, the seeds above and below, and the
+# perfbench sn-40 check's size at five seeds
+SN_SAMPLES_SHA256 = {
+    (3, 0.3, 100_000, 1000): "d9a71825fe8c264c19f52d902b9b9738c2ad2d269f2b6b5bbe80becb237cb9c2",
+    (3, 0.7, 100_000, 1001): "b10c279a3d3ee575f8bdbc4d4fd25e8aff8816140e09b778c29cf3df32b37e17",
+    (4, 0.3, 100_000, 1002): "5f6cce8e151673b7be1af4b8de6d82a130d87ef11fc90d9a05c1257535bbaf87",
+    (4, 0.7, 100_000, 1003): "5aa71f1985c88831a19dc4ed483514e5c7b5afd900d1b1f04c1a03a8df2c1d2b",
+    (5, 0.3, 100_000, 1004): "5737cce4a87677b7e0405a0c9427fb3152466e72d5c4b43724b8ed43dc7f33c9",
+    (5, 0.7, 100_000, 1005): "a0a5a9651234d7ef950787a8fe083950ff1175594095faf4105db1069bcc5fa6",
+    (20, 0.5, 400, 111): "7b91f7099a0ff3741ddc0f65e54b6638d2ea3a61db7b50b04acfc9407cbdc0a0",
+    (40, 0.5, 400, 112): "daabde8d9d816679ed9d9264e7696266f33a4398b54ed701eb39e3a25fbe7b41",
+    (80, 0.5, 400, 113): "0451af87aade52454e011d2845de1a1a43a2ca51608bbb25d0fbd717cf606cc1",
+    (5, 0.5, 20_000, 3): "c4b9b76f095f65004c4fec7d08825c74f401cf66a2740d2446543440abc00771",
+    (6, 1.0, 50, 4): "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7",
+    (5, 0.3, 4_000, 17): "0272e6870d374c2685ec2e59587a7a6eae9bcc9bd7ef1f219d12ff1ce7ec8a01",
+    (40, 0.5, 2_000, 2): "224a7d51c6b2bb973d546549dabba5bc90c5bf65eee161c5c2330f83d6613308",
+    (40, 0.5, 2_000, 3): "589259945ea4d0cbc9e4aac33834b26d1784c5a64b406e48940ad6915d425e49",
+    (40, 0.5, 2_000, 4): "dd55e7a1cba4d8999e34447f7d1658dfe2a2aba575bffd7f510a21a296ae8b1c",
+    (40, 0.5, 2_000, 5): "8abda1cc549a2a5e19d2e28d7336f7111a0b6d0c6ff803beab106f430036e1c7",
+    (40, 0.5, 2_000, 6): "a37d7c2d46dce0d13c85249baad2b3473e418e24bb0ce0556d23334d0d41e26a",
+}
+
+
+def test_vectorized_sn_golden_digests():
+    for case, digest in SN_SAMPLES_SHA256.items():
+        samples = sn_absorption_samples(*case)
+        assert hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest() == digest, case
+
+
+def test_vectorized_sn_below_three():
+    # S_0 and S_1 start absorbed; on S_2 the one move is a geometric(p) wait
+    assert sn_absorption_samples(0, 0.5, 3, 1).tolist() == [0, 0, 0]
+    assert sn_absorption_samples(1, 0.5, 3, 1).tolist() == [0, 0, 0]
+    assert sn_absorption_samples(2, 1.0, 4, 1).tolist() == [1, 1, 1, 1]
+    samples = sn_absorption_samples(2, 0.5, 4_000, 1)
+    assert samples.min() >= 1
+    assert abs(samples.mean() - 2) <= 5 * samples.std(ddof=1) / math.sqrt(len(samples))
+
+
 def test_backend_equivalence_coupled_runs():
     # identical pick streams drive the Av312 and forest backends through
     # the isomorphism: descent i corresponds to the vertex labeled s(i+1)
@@ -576,7 +634,8 @@ def test_test_only_oracles_are_not_in_the_library():
 
     moved = {"all_permutations", "descents", "maximal_ungar_move", "weak_leq",
              "weak_meet", "IdealLatticePoset", "order_ideals", "maximal_chains",
-             "meet", "restrict", "ideal_complement_rows", "enumerate_ideal_masks"}
+             "meet", "restrict", "ideal_complement_rows", "enumerate_ideal_masks",
+             "ChainExplosion", "NotALattice", "SizeMismatch"}
     modules = [ungar_lab] + [importlib.import_module(f"ungar_lab.{info.name}")
                              for info in pkgutil.iter_modules(ungar_lab.__path__)]
     assert len(modules) >= 10

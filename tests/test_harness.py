@@ -1,9 +1,12 @@
-"""The benchmark's tracer can wrap the names it counts, and puts them back.
+"""The benchmark's tracer can wrap the names it counts, and puts them back;
+its output checks pass on real job output.
 
 ``perfbench/tracer.py`` counts layers by replacing functions and methods
-of ``ungar_lab`` by name.  A refactor that drops or renames one of those
-names would otherwise fail only inside the benchmark; this test fails
-here instead.  The tracer is loaded from its file and not modified.
+of ``ungar_lab`` by name, and ``perfbench/checks.py`` calls library
+functions to check job output.  A refactor that drops or renames one of
+those names, or breaks their contract, would otherwise fail only inside
+the benchmark; these tests fail here instead.  The benchmark's modules
+are loaded from their files and not modified.
 """
 
 import importlib.util
@@ -18,6 +21,16 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_sibling(name, monkeypatch):
+    """``perfbench/<name>.py`` as ``sys.modules[name]`` for one test, since
+    the benchmark's modules import each other by that name."""
+    spec = importlib.util.spec_from_file_location(name, TRACER_PATH.with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -64,3 +77,24 @@ def test_tracer_counts_exact_solver_layers(capsys):
     for name in ("engine.enumerate_states", "perms.ungar_move", "perms.av_move",
                  "tamari.forest_ungar", "engine.transitions", "poset.maximal_of_mask"):
         assert tracer.calls[name] > 0, name
+
+
+def test_perfbench_checks_pass_on_sn_and_coupled_jobs(tmp_path, monkeypatch, capsys):
+    jobs = _load_sibling("jobs", monkeypatch)
+    checks = _load_sibling("checks", monkeypatch)
+    keys = {"simulate:sn-40", "coupled:grid-15x15"}
+    picked = [job for workload in ("large_n", "grid")
+              for job in jobs.build_jobs(workload, 1, tmp_path) if job.key in keys]
+    assert {job.key for job in picked} == keys
+    outputs = {}
+    for job in picked:
+        if job.kind == "coupled":
+            outputs[job.key] = jobs.run_coupled(job)
+        else:
+            assert cli.main(list(job.argv)) == 0
+            outputs[job.key] = capsys.readouterr().out
+    assert checks.check_outputs(picked, outputs) == {key: [] for key in keys}
+    # the checks are live: one wrong absorption time is caught
+    first, rest = outputs["coupled:grid-15x15"].split(":", 1)
+    outputs["coupled:grid-15x15"] = f"{int(first) + 1}:{rest}"
+    assert checks.check_outputs(picked, outputs)["coupled:grid-15x15"]

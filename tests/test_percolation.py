@@ -11,6 +11,7 @@ from scipy import stats
 from ungar_lab import (
     DomainError,
     IdealLattice,
+    SeriesTruncationError,
     build_poset,
     coupled_ideal_run,
     grid_poset,
@@ -99,6 +100,7 @@ def test_lpp_passage_equals_chain_enumeration():
             sum(weights[x] for x in chain) for chain in maximal_chains(poset)
         )
         assert max_chain_weight(poset, weights) == via_chains
+    assert max_chain_weight(build_poset([], n=0), []) == 0
 
 
 def test_lpp_r22_mean_matches_truncated_enumeration():
@@ -277,6 +279,14 @@ def test_upsilon_properties():
             assert upsilon(p, x) == pytest.approx(upsilon(p, (1 - p) * x), rel=1e-9)
     with pytest.raises(DomainError):
         upsilon(0.5, -1.0)
+
+
+def test_upsilon_refuses_past_a_million_upward_terms():
+    # p = 1e-5 needs about 2.8e6 terms; at p = 1e-17, 1 - p rounds to 1
+    for p in (1e-5, 1e-17):
+        with pytest.raises(SeriesTruncationError):
+            upsilon(p, 1.0)
+    assert upsilon(1e-4, 1.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_zeta_trivial_and_small_n_exact():

@@ -12,14 +12,13 @@ from ungar_lab import (
     InvalidSelection,
     NotReached,
     Permutation,
-    SizeMismatch,
     project_down,
     project_pi_k,
     sorted_prefix_time,
     ungar_move,
 )
 
-from oracles import all_permutations, weak_leq, weak_meet
+from oracles import SizeMismatch, all_permutations, weak_leq, weak_meet
 
 
 def brute_lower_bounds(perms):

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ungar_lab import (
-    ChainExplosion,
     CycleDetected,
     FinitePoset,
-    NotALattice,
     OrderIdeal,
     RedundantCover,
     StateExplosion,
@@ -18,7 +16,7 @@ from ungar_lab import (
     grid_poset,
 )
 
-from oracles import maximal_chains, meet, order_ideals
+from oracles import ChainExplosion, NotALattice, maximal_chains, meet, order_ideals
 
 
 def brute_ideals(poset):

@@ -266,7 +266,7 @@ def test_algorithm1_marginal_law():
 def test_algorithm1_matches_naive_distribution_small():
     samples_a = np.array([algorithm1_run(4, 0.5, seed).absorption for seed in range(3_000)])
     samples_n = monte_carlo_expectation(
-        TamariForestLattice(4), 0.5, reps=3_000, seed=8, keep_samples=True
+        TamariForestLattice(4), 0.5, reps=3_000, seed=8
     ).samples
     _, pvalue = stats.ks_2samp(samples_a, samples_n)
     assert pvalue > 0.001
