@@ -70,8 +70,6 @@ from .perms import (
 )
 from .poset import (
     FinitePoset,
-    GridPoset,
-    OrderIdeal,
     build_poset,
     grid_poset,
 )

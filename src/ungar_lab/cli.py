@@ -107,28 +107,23 @@ def _poset(args, missing: str) -> FinitePoset:
         return FinitePoset.from_json(fh.read())
 
 
-_SIZED_LATTICES = {
-    "sn": engine.SnLattice,
-    "tamari": engine.TamariForestLattice,
-    "tamari-av": engine.TamariAvLattice,
-}
-
-
-# --lattice choice -> the size flags it reads; the others are a configuration
-# error, since the per-subcommand flag table cannot tell which one is read
-_SIZE_FLAGS = {
-    "sn": ("--n",),
-    "tamari": ("--n",),
-    "tamari-av": ("--n",),
-    "grid": ("--rows", "--cols"),
-    "ideal": ("--poset",),
+# --lattice choice -> (the size flags it reads, the lattice class that --n
+# sizes, the linear-growth coefficient simulate reports).  A size flag the
+# choice does not read is a configuration error, since the per-subcommand
+# flag table cannot tell which one is read.
+_LATTICES = {
+    "sn": (("--n",), engine.SnLattice, percolation.sn_linear_coefficient),
+    "tamari": (("--n",), engine.TamariForestLattice, percolation.tamari_linear_coefficient),
+    "tamari-av": (("--n",), engine.TamariAvLattice, percolation.tamari_linear_coefficient),
+    "grid": (("--rows", "--cols"), None, None),
+    "ideal": (("--poset",), None, None),
 }
 
 
 def _reject_unread_size_flags(args) -> None:
     """ConfigError if ``--n``, ``--rows``, ``--cols`` or ``--poset`` is set but
     the chosen ``--lattice`` does not read it."""
-    reads = _SIZE_FLAGS[args.lattice]
+    reads = _LATTICES[args.lattice][0]
     for flag in ("--n", "--rows", "--cols", "--poset"):
         if getattr(args, flag[2:], None) is not None and flag not in reads:
             raise ConfigError(f"--lattice {args.lattice} does not read {flag}")
@@ -137,19 +132,18 @@ def _reject_unread_size_flags(args) -> None:
 def _lattice(args):
     _reject_unread_size_flags(args)
     kind = args.lattice
-    if kind in _SIZED_LATTICES:
+    sized = _LATTICES[kind][1]
+    if sized is not None:
         if args.n is None:
             raise ConfigError(f"--lattice {kind} requires --n")
         if args.n < 0:
             raise ConfigError(f"--lattice {kind} needs --n of at least 0")
-        return _SIZED_LATTICES[kind](args.n)
+        return sized(args.n)
     if kind == "grid":
         rows, cols = _grid_shape(args, "--lattice grid")
         return engine.IdealLattice(grid_poset(rows, cols), name=f"grid-{rows}x{cols}")
-    if kind == "ideal":
-        poset = _poset(args, "--lattice ideal requires --poset FILE")
-        return engine.IdealLattice(poset, name=f"ideal-file-{poset.n}")
-    raise ConfigError(f"unknown lattice {kind!r}")
+    poset = _poset(args, "--lattice ideal requires --poset FILE")
+    return engine.IdealLattice(poset, name=f"ideal-file-{poset.n}")
 
 
 def _stats(res: engine.McResult) -> dict:
@@ -193,12 +187,10 @@ def cmd_simulate(args) -> None:
     }
     # linear-growth reporting (informational; asymptotic constants are
     # never asserted at finite n)
-    if args.lattice == "sn" and args.n and 0 < args.p < 1:
+    coefficient = _LATTICES[args.lattice][2]
+    if coefficient is not None and args.n and 0 < args.p < 1:
         row["mean_over_n"] = res.mean / args.n
-        row["linear_coefficient"] = percolation.sn_linear_coefficient(args.p)
-    if args.lattice in ("tamari", "tamari-av") and args.n and 0 < args.p < 1:
-        row["mean_over_n"] = res.mean / args.n
-        row["linear_coefficient"] = percolation.tamari_linear_coefficient(args.p)
+        row["linear_coefficient"] = coefficient(args.p)
     if args.survival:
         ts, surv = engine.empirical_survival(res.samples)
         with open(args.survival, "w") as fh:
@@ -355,7 +347,7 @@ def cmd_bounds(args) -> None:
 
 # Every flag a subcommand may take, with its argparse settings.
 _FLAGS = {
-    "--lattice": dict(default="sn", choices=["sn", "tamari", "tamari-av", "grid", "ideal"]),
+    "--lattice": dict(default="sn", choices=list(_LATTICES)),
     "--n": dict(type=int),
     "--rows": dict(type=int),
     "--cols": dict(type=int),

@@ -300,14 +300,15 @@ def upsilon(p: float, x: float) -> float:
     Truncation is certified to within ``tol = 1e-12``: the ``k -> +inf``
     tail is geometric and the ``k -> -inf`` tail is dominated by a
     geometric series once ``y = (1-p)^k x >= 4`` (using
-    ``y e^{-y} <= e^{-y/2}`` there), each bounded below ``tol/2``.
+    ``y e^{-y} <= e^{-y/2}`` there), each bounded below ``tol/2``.  ``x``
+    must be positive and finite; a NaN would never close the upward tail.
     """
     tol = 1e-12
     p = float(p)
     if not 0 < p <= 1:
         raise DomainError(f"p={p} outside (0, 1]")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x}")
     if p == 1.0:
         return 0.0
     q = 1.0 - p
@@ -325,7 +326,14 @@ def upsilon(p: float, x: float) -> float:
     # at least geometrically with ratio rho = e^{-y (1/q - 1)} / q
     k = -1
     while True:
-        y = q**k * x
+        try:
+            y = q**k * x
+        except OverflowError:
+            # from a tiny x, q**k passes the float range before y reaches 4;
+            # the series is invariant under x -> x / q, so sum it from
+            # x / q**m >= 1 instead (two factors keep each power finite)
+            m = math.ceil(math.log(x) / math.log(q))
+            return upsilon(p, x * q ** -(m // 2) * q ** (m // 2 - m))
         term = p * y * math.exp(-y)
         total += term
         if y >= 4:

@@ -11,7 +11,7 @@ The test suite checks the move against the weak-order meet computed on
 inversion sets.
 
 The prefix projection ``project_pi_k`` maps a permutation to a lattice
-path and an order ideal of the grid ``R_{k,n-k}``.
+path and an order ideal of the grid ``R_{k,n-k}``, as a bitmask.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InvalidSelection, NotReached
-from .poset import OrderIdeal, grid_poset
 
 
 class Permutation(tuple):
@@ -123,14 +122,15 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
 # -- the prefix projection to grid order ideals ------------------------------
 
 
-def project_pi_k(sigma: Permutation, k: int) -> tuple[str, OrderIdeal]:
+def project_pi_k(sigma: Permutation, k: int) -> tuple[str, int]:
     """Project onto the lattice-path coordinate at level ``k``.
 
     The i-th character of the path is ``E`` when ``sigma(i) <= k`` and
-    ``N`` otherwise.  The accompanying ideal of the grid ``R_{k,n-k}``
-    collects the cells to the right of or below the path, indexed so that
-    the bottom-left cell is minimal: the identity maps to the empty ideal
-    and the ideal shrinks as the prefix gets sorted.
+    ``N`` otherwise.  The accompanying ideal of ``grid_poset(k, n - k)``
+    is the bitmask of the cells to the right of or below the path (cell
+    ``(i, j)`` at bit ``i * (n - k) + j``), indexed so that the bottom-left
+    cell is minimal: the identity maps to the empty ideal and the ideal
+    shrinks as the prefix gets sorted.
     """
     sigma = Permutation(sigma)
     n = sigma.n
@@ -139,14 +139,13 @@ def project_pi_k(sigma: Permutation, k: int) -> tuple[str, OrderIdeal]:
     path = "".join("E" if v <= k else "N" for v in sigma)
     e_pos = [i + 1 for i, ch in enumerate(path) if ch == "E"]  # position of x-th E
     n_pos = [i + 1 for i, ch in enumerate(path) if ch == "N"]
-    grid = grid_poset(k, n - k)
     mask = 0
     for i in range(k):
         for j in range(n - k):
             # cell (i, j) lies right of / below the path
             if n_pos[j] < e_pos[k - 1 - i]:
-                mask |= 1 << grid.index(i, j)
-    return path, OrderIdeal(grid, mask)
+                mask |= 1 << (i * (n - k) + j)
+    return path, mask
 
 
 def sorted_prefix_time(run, k: int) -> int:

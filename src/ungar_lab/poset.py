@@ -7,12 +7,13 @@ relation is the order relation; it is cached as bitmasks (one Python int
 per element) for posets with at most ``LEQ_CACHE_CAP`` elements and
 recomputed on demand above that.
 
-The module also provides order ideals (downward-closed subsets, stored as
-bitmasks), the maximal elements of an ideal (the sites of the ideal-chain
-move), and the grid poset ``R_{n,m}`` (the product of a chain of length
-``n-1`` and one of length ``m-1``).  The lattice ``J(P)`` itself is
-enumerated by ``engine.enumerate_states`` on an ``engine.IdealLattice``,
-under the state cap ``DEFAULT_STATE_CAP``.
+An order ideal (downward-closed subset) is a bitmask over the elements;
+the poset answers the questions asked of one: ``is_down_closed`` and
+``maximal_of_mask`` (the sites of the ideal-chain move).  ``grid_poset``
+builds the grid ``R_{n,m}`` (the product of a chain of length ``n-1`` and
+one of length ``m-1``) as a plain poset with row-major indices.  The
+lattice ``J(P)`` itself is enumerated by ``engine.enumerate_states`` on an
+``engine.IdealLattice``, under the state cap ``DEFAULT_STATE_CAP``.
 """
 
 from __future__ import annotations
@@ -207,38 +208,6 @@ class FinitePoset:
         return f"FinitePoset(n={self.n}, covers={len(self.cover_pairs())} edges)"
 
 
-class GridPoset(FinitePoset):
-    """The grid ``R_{rows,cols}``: pairs ``(i, j)`` ordered componentwise."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError("grid dimensions must be positive")
-        covers = []
-        for i in range(rows):
-            for j in range(cols):
-                below = []
-                if i > 0:
-                    below.append((i - 1) * cols + j)
-                if j > 0:
-                    below.append(i * cols + j - 1)
-                covers.append(below)
-        # object.__setattr__ not needed: plain slots, set before super() use
-        self.rows = rows
-        self.cols = cols
-        super().__init__(covers, validate=False)
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.cols + j
-
-    def coords(self, e: int) -> tuple[int, int]:
-        return divmod(e, self.cols)
-
-    def __repr__(self) -> str:
-        return f"GridPoset({self.rows}x{self.cols})"
-
-
 def build_poset(
     pairs: Iterable[tuple[int, int]], n: int | None = None
 ) -> FinitePoset:
@@ -259,72 +228,16 @@ def build_poset(
     return FinitePoset(covers)
 
 
-def grid_poset(rows: int, cols: int) -> GridPoset:
-    """The product of a chain of length ``rows-1`` and one of ``cols-1``."""
-    return GridPoset(rows, cols)
+def grid_poset(rows: int, cols: int) -> FinitePoset:
+    """The grid ``R_{rows,cols}``: pairs ``(i, j)`` ordered componentwise.
 
-
-class OrderIdeal:
-    """A downward-closed subset of a :class:`FinitePoset`, as a bitmask."""
-
-    __slots__ = ("poset", "mask")
-
-    def __init__(self, poset: FinitePoset, members: int | Iterable[int], *,
-                 validate: bool = True):
-        if isinstance(members, int):
-            mask = members
-        else:
-            mask = 0
-            for x in members:
-                mask |= 1 << x
-        if validate and not poset.is_down_closed(mask):
-            raise ValueError("subset is not downward closed")
-        self.poset = poset
-        self.mask = mask
-
-    @classmethod
-    def full(cls, poset: FinitePoset) -> "OrderIdeal":
-        return cls(poset, poset.full_mask(), validate=False)
-
-    @classmethod
-    def empty(cls, poset: FinitePoset) -> "OrderIdeal":
-        return cls(poset, 0, validate=False)
-
-    def members(self) -> tuple[int, ...]:
-        out, m = [], self.mask
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
-
-    def maximal(self) -> tuple[int, ...]:
-        return self.poset.maximal_of_mask(self.mask)
-
-    def remove(self, elements: Iterable[int]) -> "OrderIdeal":
-        """Remove a batch of maximal elements (the ideal-chain move)."""
-        drop = 0
-        maxima = set(self.maximal())
-        for x in elements:
-            if x not in maxima:
-                raise ValueError(f"{x} is not a maximal element of the ideal")
-            drop |= 1 << x
-        return OrderIdeal(self.poset, self.mask & ~drop, validate=False)
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrderIdeal)
-            and self.poset == other.poset
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.mask))
-
-    def __repr__(self) -> str:
-        return f"OrderIdeal({sorted(self.members())})"
+    It is the product of a chain of length ``rows-1`` and one of length
+    ``cols-1``.  Element ``(i, j)`` has index ``i * cols + j``, so
+    ``divmod(e, cols)`` recovers it.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("grid dimensions must be positive")
+    # element e = (i, j) covers (i-1, j) = e - cols and (i, j-1) = e - 1
+    covers = [[e - cols] * (e >= cols) + [e - 1] * (e % cols > 0)
+              for e in range(rows * cols)]
+    return FinitePoset(covers, validate=False)

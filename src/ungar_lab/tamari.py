@@ -9,17 +9,17 @@ representation of choice for simulation.
 Ordered forests are canonically labeled: vertex names 1..n are fixed to
 the left-to-right preorder traversal.  Under that labeling the ordering of
 roots and of each child list coincides with the natural order on labels,
-so a forest is fully determined by its parent array, and the vertex
-operation (reattach the rightmost child of ``v`` to the parent of ``v``,
-immediately to the right of ``v``) reduces to a single parent-pointer
-update.  Operations preserve the canonical labeling; ``validate`` rechecks
-that from scratch.
+so a forest is fully determined by its parent array, and
+``OrderedForest`` stores nothing else.  The vertex operation (reattach
+the rightmost child of ``v`` to the parent of ``v``, immediately to the
+right of ``v``) reduces to a single parent-pointer update.  Operations
+preserve the canonical labeling; ``validate`` rechecks that from scratch.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect, bisect_left
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -42,28 +42,18 @@ __all__ = [
 class OrderedForest:
     """An ordered forest on vertices ``1..n`` in canonical preorder labels.
 
-    ``parent[v]`` is 0 for roots.  Children and roots are recovered by
-    sorting, which is exactly the planar order under the canonical
-    labeling.
+    The parent tuple is the whole state: ``parent[v - 1]`` is the parent
+    of ``v``, 0 for a root.  The first child of a non-leaf ``v`` is
+    ``v + 1``, so ``v < n`` is a non-leaf exactly when ``parent[v] == v``;
+    child lists and roots are read off the tuple on demand, in label order,
+    which is the planar order under the canonical labeling.
     """
 
-    __slots__ = ("n", "parent", "_children", "_roots")
+    __slots__ = ("n", "parent")
 
     def __init__(self, parent: Sequence[int], *, validate: bool = True):
-        par = tuple(int(x) for x in parent)
-        n = len(par)
-        for v, p in enumerate(par, start=1):
-            if p != 0 and not 1 <= p < v:
-                raise ValueError(
-                    f"parent of {v} is {p}; canonical labels need parent < vertex"
-                )
-        self.n = n
-        self.parent = par
-        kids: list[list[int]] = [[] for _ in range(n + 1)]
-        for v, p in enumerate(par, start=1):
-            kids[p].append(v)
-        self._children = tuple(tuple(k) for k in kids)
-        self._roots = self._children[0]
+        self.parent = tuple(map(int, parent))
+        self.n = len(self.parent)
         if validate:
             self.validate()
 
@@ -79,37 +69,40 @@ class OrderedForest:
 
     @property
     def roots(self) -> tuple[int, ...]:
-        return self._roots
+        return self.children(0)
 
     def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
+        """The children of ``v`` in planar order; ``children(0)`` are the roots."""
+        return tuple(self._child_lists()[v])
+
+    def _child_lists(self) -> list[list[int]]:
+        """``children(v)`` for every ``v`` in ``0..n``, in one pass."""
+        kids: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for v, p in enumerate(self.parent, start=1):
+            kids[p].append(v)
+        return kids
 
     def non_leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self._children[v])
+        par = self.parent
+        return tuple(v for v in range(1, self.n) if par[v] == v)
 
     def validate(self) -> None:
-        """Recompute the preorder traversal and check labels are canonical.
+        """Check that the labels are the canonical preorder traversal.
 
-        Rules: label 1 goes to the root of the leftmost tree; after a
-        non-leaf, its leftmost child; after a leaf, the leftmost unlabeled
-        child of the largest smaller label that still has one; after a
-        finished tree, the root of the next tree.  Under the canonical
-        encoding this must visit 1, 2, ..., n in order.
+        They are exactly when every vertex's parent is 0 or lies on the
+        rightmost path of the forest on the smaller labels (the ancestors
+        of ``v - 1`` and ``v - 1`` itself); one stack holds that path.
         """
-        expected = 1
-        for r in self._roots:
-            stack = [r]
-            while stack:
-                v = stack.pop()
-                if v != expected:
-                    raise ValueError(
-                        f"labels are not a preorder traversal (saw {v}, "
-                        f"expected {expected})"
-                    )
-                expected += 1
-                stack.extend(reversed(self._children[v]))
-        if expected != self.n + 1:
-            raise ValueError("forest is disconnected from its label range")
+        path: list[int] = []
+        for v, p in enumerate(self.parent, start=1):
+            while path and path[-1] != p:
+                path.pop()
+            if p != 0 and not path:
+                raise ValueError(
+                    f"parent of {v} is {p}, not 0 or an ancestor-or-self of "
+                    f"{v - 1}: labels are not a preorder traversal"
+                )
+            path.append(v)
 
     def operate(self, v: int) -> "OrderedForest":
         """Apply the vertex operation at ``v``; see :meth:`ungar`."""
@@ -124,28 +117,26 @@ class OrderedForest:
         of ``v`` is reattached to the parent of ``v`` immediately to the
         right of ``v`` (or becomes a new root tree immediately right of
         ``v``'s tree); with canonical labels that slot is the sorted
-        position, so only one parent pointer changes.  The parent and
-        child tuples are copied once and every operation edits the copies.
+        position, so only one parent pointer changes.  The rightmost child
+        is the last label ``u`` with parent ``v`` in the subtree of ``v``,
+        which ends before the first later label whose parent is below ``v``.
         """
+        n = self.n
         parent = list(self.parent)
-        children = list(self._children)
         for v in sorted(set(vertices)):
-            if not 1 <= v <= self.n:
+            if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} out of range")
-            kids = children[v]
-            if kids:
-                c = kids[-1]
-                w = parent[v - 1]
-                children[v] = kids[:-1]
-                siblings = children[w]
-                i = bisect(siblings, c)
-                children[w] = siblings[:i] + (c,) + siblings[i:]
-                parent[c - 1] = w
+            if v < n and parent[v] == v:
+                c = v + 1
+                for u in range(v + 2, n + 1):
+                    p = parent[u - 1]
+                    if p < v:
+                        break
+                    if p == v:
+                        c = u
+                parent[c - 1] = parent[v - 1]
         forest = OrderedForest.__new__(OrderedForest)
-        forest.n = self.n
-        forest.parent = tuple(parent)
-        forest._children = tuple(children)
-        forest._roots = forest._children[0]
+        forest.n, forest.parent = n, tuple(parent)
         return forest
 
     def right_to_left_preorder(self) -> tuple[int, ...]:
@@ -154,24 +145,20 @@ class OrderedForest:
         Same rules as the preorder traversal with left and right swapped
         uniformly: rightmost tree first, rightmost child first.
         """
+        kids = self._child_lists()
         r = [0] * (self.n + 1)
         counter = 1
-        for root in reversed(self._roots):
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                r[v] = counter
-                counter += 1
-                stack.extend(self._children[v])
+        stack = kids[0]
+        while stack:
+            v = stack.pop()
+            r[v] = counter
+            counter += 1
+            stack.extend(kids[v])
         return tuple(r[1:])
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "n": self.n,
-                "parent": list(self.parent),
-                "children": [list(self._children[v]) for v in range(1, self.n + 1)],
-            }
+            {"n": self.n, "parent": list(self.parent), "children": self._child_lists()[1:]}
         )
 
     @classmethod
@@ -179,7 +166,7 @@ class OrderedForest:
         data = json.loads(text)
         forest = cls([int(x) for x in data["parent"]])
         declared = [[int(x) for x in c] for c in data["children"]]
-        if declared != [list(forest.children(v)) for v in range(1, forest.n + 1)]:
+        if declared != forest._child_lists()[1:]:
             raise ValueError("children lists disagree with parent array")
         return forest
 

@@ -22,7 +22,7 @@ from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
 from ungar_lab.errors import CapExceeded, DomainError, UngarLabError
 from ungar_lab.percolation import _grid_passage
 from ungar_lab.perms import Permutation
-from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset, GridPoset
+from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset
 from ungar_lab.rng import replica_generator
 from ungar_lab.tamari import OrderedForest
 
@@ -267,20 +267,17 @@ def descendant_count(forest: OrderedForest, v: int) -> int:
     return total
 
 
-def ideal_complement_rows(grid: GridPoset, mask: int) -> tuple[int, ...]:
-    """Complement of a grid ideal as top-down row lengths.
+def ideal_complement_rows(rows: int, cols: int, mask: int) -> tuple[int, ...]:
+    """Complement of an ideal of ``grid_poset(rows, cols)`` as top-down row lengths.
 
     Row ``i`` of the grid contributes ``#{j : (i,j) not in the ideal}``;
     reading rows from the top (largest ``i``) down gives a weakly
     decreasing sequence, i.e. a Young diagram.  Raises ``ValueError`` if
     the monotonicity fails (the mask was not an ideal).
     """
-    rows = []
-    for i in range(grid.rows):
-        rows.append(
-            sum(1 for j in range(grid.cols) if not mask >> grid.index(i, j) & 1)
-        )
-    shape = tuple(reversed(rows))
+    lengths = [sum(1 for j in range(cols) if not mask >> (i * cols + j) & 1)
+               for i in range(rows)]
+    shape = tuple(reversed(lengths))
     if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
         raise ValueError(f"complement rows {shape} are not weakly decreasing")
     return shape

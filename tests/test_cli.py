@@ -210,6 +210,20 @@ def test_forest_simulate_golden_digest(capsys):
     assert digest.hexdigest() == FOREST_SIMULATE_GOLDEN
 
 
+# sha256 of the forest trace file below, recorded while OrderedForest still
+# stored its child lists; the "children" lists in each state are now derived
+# from the parent tuple, and a change to them or to the chain changes it
+FOREST_TRACE_GOLDEN = "c49ea09aac3aaa330d5367d35ec557fc4b77d884679d337251bf6c874c28eed1"
+
+
+def test_forest_trace_golden_digest(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", "6",
+                         "--p", "0.5", "--reps", "1", "--seed", "3", "--trace", str(trace))
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == FOREST_TRACE_GOLDEN
+
+
 def test_bounds_values(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--what", "tw-tail", "--t", "4")
     assert code == 0

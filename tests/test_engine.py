@@ -263,7 +263,7 @@ IDEAL_EDGE_CASES = [
     FinitePoset([set()]),
     FinitePoset([set(), set(), set(), set()]),
     FinitePoset([set(), {0}, {1}, {2}]),
-    grid_poset(1, 1),
+    pytest.param(grid_poset(1, 1), id="grid_poset(1, 1)"),
 ]
 
 
@@ -642,3 +642,9 @@ def test_test_only_oracles_are_not_in_the_library():
     for module in modules:
         assert not moved & set(vars(module)), module.__name__
     assert not hasattr(ungar_lab.OrderedForest, "descendant_count")
+    # a lattice state is its canonical encoding: no wrapper classes, no
+    # child tables beside the forest's parent tuple
+    for module in modules:
+        assert not {"OrderIdeal", "GridPoset"} & set(vars(module)), module.__name__
+    assert ungar_lab.OrderedForest.__slots__ == ("n", "parent")
+    assert not hasattr(ungar_lab.OrderedForest.path(3), "_children")

@@ -177,7 +177,7 @@ def test_complement_is_young_diagram_every_step():
     rnd = replica_random(12, 0)
     for _ in range(100):
         run = coupled_ideal_run(grid, 0.5, rnd, record_states=True)
-        shapes = [ideal_complement_rows(grid, mask) for mask in run.masks]
+        shapes = [ideal_complement_rows(3, 4, mask) for mask in run.masks]
         assert shapes[0] == (0, 0, 0)
         assert shapes[-1] == (4, 4, 4)
         for a, b in zip(shapes, shapes[1:]):
@@ -279,6 +279,25 @@ def test_upsilon_properties():
             assert upsilon(p, x) == pytest.approx(upsilon(p, (1 - p) * x), rel=1e-9)
     with pytest.raises(DomainError):
         upsilon(0.5, -1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0])
+def test_upsilon_rejects_x_that_is_not_positive_and_finite(x):
+    # a NaN x compares false against every tail bound and would never stop
+    with pytest.raises(DomainError):
+        upsilon(0.5, x)
+
+
+def test_upsilon_sums_from_subnormal_x():
+    # q**k overflows on the way down from these x; the sum is invariant
+    # under x -> x / q, exactly so at q = 1/2 and powers of two
+    assert upsilon(0.5, 5e-324) == pytest.approx(upsilon(0.5, 1.0), rel=1e-12)
+    assert upsilon(0.5, 2.0**-1060) == pytest.approx(upsilon(0.5, 2.0**-10), rel=1e-12)
+    shifted = 1e-310 * 2.0**520 * 2.0**520
+    assert upsilon(0.5, 1e-310) == pytest.approx(upsilon(0.5, shifted), rel=1e-12)
+    for p in (0.3, 0.9):
+        value = upsilon(p, 1e-320)
+        assert zeta_liminf_lower_bound(p) <= value <= zeta_limsup_estimate(p) + 1e-9
 
 
 def test_upsilon_refuses_past_a_million_upward_terms():

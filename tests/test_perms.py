@@ -12,6 +12,7 @@ from ungar_lab import (
     InvalidSelection,
     NotReached,
     Permutation,
+    grid_poset,
     project_down,
     project_pi_k,
     sorted_prefix_time,
@@ -165,22 +166,21 @@ def test_ungar_move_is_meet_with_covers(n):
 
 
 def test_project_pi_k_worked_example():
-    path, ideal = project_pi_k(Permutation((1, 7, 2, 5, 3, 6, 4)), 4)
+    path, mask = project_pi_k(Permutation((1, 7, 2, 5, 3, 6, 4)), 4)
     assert path == "ENENENE"
-    grid = ideal.poset
-    cells = {grid.coords(e) for e in ideal.members()}
+    cells = {divmod(e, 3) for e in range(4 * 3) if mask >> e & 1}
     # derived by tracing the path: normalized cells, bottom-left minimal
     assert cells == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)}
 
 
 def test_project_identity_and_decreasing():
     n, k = 6, 2
-    path, ideal = project_pi_k(Permutation.identity(n), k)
+    path, mask = project_pi_k(Permutation.identity(n), k)
     assert path == "E" * k + "N" * (n - k)
-    assert len(ideal) == 0
-    path, ideal = project_pi_k(Permutation.decreasing(n), k)
+    assert mask == 0
+    path, mask = project_pi_k(Permutation.decreasing(n), k)
     assert path == "N" * (n - k) + "E" * k
-    assert len(ideal) == k * (n - k)
+    assert mask == (1 << k * (n - k)) - 1
 
 
 def test_project_pi_1_of_21():
@@ -191,8 +191,8 @@ def test_project_pi_1_of_21():
 def test_projection_ideal_is_downward_closed_everywhere():
     for s in all_permutations(5):
         for k in range(1, 5):
-            _, ideal = project_pi_k(s, k)
-            assert ideal.poset.is_down_closed(ideal.mask)
+            _, mask = project_pi_k(s, k)
+            assert grid_poset(k, 5 - k).is_down_closed(mask)
 
 
 def test_sorted_prefix_time():
@@ -212,9 +212,9 @@ def test_prefix_time_is_ideal_emptying_time():
     # is empty
     for s in all_permutations(5):
         for k in range(1, 5):
-            _, ideal = project_pi_k(s, k)
+            _, mask = project_pi_k(s, k)
             holds = all(s[i] <= k for i in range(k))
-            assert (len(ideal) == 0) == holds
+            assert (mask == 0) == holds
 
 
 @settings(max_examples=80, deadline=None)

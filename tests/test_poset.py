@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ungar_lab import (
     CycleDetected,
     FinitePoset,
-    OrderIdeal,
     RedundantCover,
     StateExplosion,
     build_poset,
@@ -75,6 +74,20 @@ def test_grid_2x2_chains_and_count():
     assert sorted(chains) == brute_maximal_chains(grid)
     assert len(chains) == 2
     assert all(len(c) == 3 for c in chains)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (3, 1), (3, 4)])
+def test_grid_poset_is_row_major_product_of_chains(rows, cols):
+    # build_poset validates: the covers are acyclic and irredundant
+    pairs = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    pairs += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    grid = grid_poset(rows, cols)
+    assert type(grid) is FinitePoset
+    assert grid == build_poset(pairs, n=rows * cols)
+    assert grid.maximal_of_mask(grid.full_mask()) == (rows * cols - 1,)
+    for rows_, cols_ in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            grid_poset(rows_, cols_)
 
 
 def test_cycle_detected():
@@ -188,19 +201,6 @@ def test_json_roundtrip_and_dot():
     assert again.cover_pairs() == grid.cover_pairs()
     dot = grid.to_dot()
     assert "rankdir=BT" in dot and "->" in dot
-
-
-def test_order_ideal_object():
-    grid = grid_poset(2, 2)
-    full = OrderIdeal.full(grid)
-    assert len(full) == 4
-    assert set(full.maximal()) == {grid.index(1, 1)}
-    smaller = full.remove([grid.index(1, 1)])
-    assert len(smaller) == 3
-    with pytest.raises(ValueError):
-        smaller.remove([grid.index(0, 0)])  # not maximal
-    with pytest.raises(ValueError):
-        OrderIdeal(grid, [grid.index(1, 1)])  # not downward closed
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Forests, vertex operations, the projection, and the bijection pair."""
 
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -96,8 +98,8 @@ def test_operations_preserve_preorder_labels():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_operate_result_equals_forest_rebuilt_from_parents(n):
-    # operate splices its child lists; a validated rebuild from the parent
-    # array is the oracle for every field a caller can see
+    # operate edits the parent tuple in place of a copy; a validated
+    # rebuild from that tuple is the oracle for everything a caller can see
     for forest in ordered_forests(n):
         for v in range(1, n + 1):
             after = forest.operate(v)
@@ -315,6 +317,42 @@ def test_forest_json_roundtrip_and_dot():
     again = OrderedForest.from_json(f.to_json())
     assert again == f
     assert "7 -> 8" in f.to_dot()
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_constructor_accepts_exactly_the_canonical_parent_arrays(n):
+    # every array with 0 <= parent[v] < v: the canonical ones are the
+    # ordered forests, and every other one is rejected
+    canonical = {f.parent for f in ordered_forests(n)}
+    rejected = 0
+    for parent in itertools.product(*(range(v) for v in range(1, n + 1))):
+        if parent in canonical:
+            assert OrderedForest(parent).parent == parent
+        else:
+            with pytest.raises(ValueError):
+                OrderedForest(parent)
+            rejected += 1
+    assert rejected == math.factorial(n) - catalan(n)
+
+
+def test_constructor_rejects_parents_out_of_range():
+    for parent in ([1], [0, 2], [0, 3, 1], [-1], [0, 1, -1]):
+        with pytest.raises(ValueError):
+            OrderedForest(parent)
+
+
+def test_from_json_rejects_children_that_disagree_with_parents():
+    record = json.loads(FIG_LEFT.to_json())
+    for children in (
+        [[], *record["children"][1:]],  # 1 loses its children
+        [[7, 2], *record["children"][1:]],  # out of planar order
+        record["children"][:-1],  # one vertex short
+    ):
+        with pytest.raises(ValueError):
+            OrderedForest.from_json(json.dumps({**record, "children": children}))
+    bad_parent = {**record, "parent": [0, 1, 2, 3, 2, 2, 1, 7, 6]}  # 6 is off the path
+    with pytest.raises(ValueError):
+        OrderedForest.from_json(json.dumps(bad_parent))
 
 
 @pytest.mark.parametrize("n", (9, 10))
