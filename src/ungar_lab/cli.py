@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -28,10 +30,11 @@ from .errors import (
     ConfigError,
     DomainError,
     InvariantViolation,
+    StateExplosion,
     UngarLabError,
 )
 from .poset import FinitePoset, grid_poset
-from .rng import replica_random, replica_seed_sequence
+from .rng import replica_random, replica_state
 
 
 def _fmt(x) -> str:
@@ -107,16 +110,31 @@ def _poset(args, missing: str) -> FinitePoset:
         return FinitePoset.from_json(fh.read())
 
 
+def _catalans(n: int):
+    """Catalan(0), ..., Catalan(n)."""
+    return itertools.accumulate(range(n), lambda c, k: c * (4 * k + 2) // (k + 2), initial=1)
+
+
+def _grid_ideal_counts(rows: int, cols: int):
+    """C(a + k, k) for k = 0..b, with a >= b the sides; the last is C(rows + cols, rows)."""
+    a, b = max(rows, cols), min(rows, cols)
+    return itertools.accumulate(range(1, b + 1), lambda c, k: c * (a + k) // k, initial=1)
+
+
 # --lattice choice -> (the size flags it reads, the lattice class that --n
-# sizes, the linear-growth coefficient simulate reports).  A size flag the
-# choice does not read is a configuration error, since the per-subcommand
-# flag table cannot tell which one is read.
+# sizes, the linear-growth coefficient simulate reports, a nondecreasing
+# sequence of ints that ends with the state count).  A size flag the choice
+# does not read is a configuration error, since the per-subcommand flag
+# table cannot tell which one is read.
 _LATTICES = {
-    "sn": (("--n",), engine.SnLattice, percolation.sn_linear_coefficient),
-    "tamari": (("--n",), engine.TamariForestLattice, percolation.tamari_linear_coefficient),
-    "tamari-av": (("--n",), engine.TamariAvLattice, percolation.tamari_linear_coefficient),
-    "grid": (("--rows", "--cols"), None, None),
-    "ideal": (("--poset",), None, None),
+    "sn": (("--n",), engine.SnLattice, percolation.sn_linear_coefficient,
+           lambda a: itertools.accumulate(range(1, a.n + 1), operator.mul, initial=1)),
+    "tamari": (("--n",), engine.TamariForestLattice, percolation.tamari_linear_coefficient,
+               lambda a: _catalans(a.n)),
+    "tamari-av": (("--n",), engine.TamariAvLattice, percolation.tamari_linear_coefficient,
+                  lambda a: _catalans(a.n)),
+    "grid": (("--rows", "--cols"), None, None, lambda a: _grid_ideal_counts(a.rows, a.cols)),
+    "ideal": (("--poset",), None, None, None),
 }
 
 
@@ -130,20 +148,29 @@ def _reject_unread_size_flags(args) -> None:
 
 
 def _lattice(args):
+    """The ``--lattice`` backend.  Where the subcommand has ``--cap-states``
+    and the state count has a closed form, a count over the cap exits 3
+    before anything is built or enumerated."""
     _reject_unread_size_flags(args)
     kind = args.lattice
-    sized = _LATTICES[kind][1]
-    if sized is not None:
+    if kind == "ideal":
+        poset = _poset(args, "--lattice ideal requires --poset FILE")
+        return engine.IdealLattice(poset, name=f"ideal-file-{poset.n}")
+    if kind == "grid":
+        rows, cols = _grid_shape(args, "--lattice grid")
+        name = f"grid-{rows}x{cols}"
+    else:
         if args.n is None:
             raise ConfigError(f"--lattice {kind} requires --n")
         if args.n < 0:
             raise ConfigError(f"--lattice {kind} needs --n of at least 0")
-        return sized(args.n)
+        name = f"{kind}-{args.n}"  # the name the lattice gives itself
+    cap = getattr(args, "cap_states", None)
+    if cap is not None and any(count > cap for count in _LATTICES[kind][3](args)):
+        raise StateExplosion(f"state count of {name} exceeds cap {cap}")
     if kind == "grid":
-        rows, cols = _grid_shape(args, "--lattice grid")
-        return engine.IdealLattice(grid_poset(rows, cols), name=f"grid-{rows}x{cols}")
-    poset = _poset(args, "--lattice ideal requires --poset FILE")
-    return engine.IdealLattice(poset, name=f"ideal-file-{poset.n}")
+        return engine.IdealLattice(grid_poset(rows, cols), name=name)
+    return _LATTICES[kind][1](args.n)
 
 
 def _stats(res: engine.McResult) -> dict:
@@ -280,8 +307,8 @@ def cmd_skyline(args) -> None:
     seed = _seed(args)
     lines = []
     for r in range(args.reps):
-        # run r gets its own integer seed from the replica spawn key (1, r)
-        run_seed = int(replica_seed_sequence(seed, r).generate_state(1)[0])
+        # run r gets its own integer seed: the low word of replica r's state
+        run_seed = replica_state(seed, r) & 0xFFFFFFFF
         res = algorithm1_run(args.n, args.p, run_seed)
         lines.append(json.dumps(res.to_jsonable()))
     _write("\n".join(lines) + "\n", args)

@@ -70,12 +70,14 @@ class SnLattice:
     def __init__(self, n: int):
         self.n = n
         self.name = f"sn-{n}"
+        self._top = Permutation.decreasing(n)  # immutable, so every run shares them
+        self._bottom = Permutation.identity(n)
 
     def top(self) -> Permutation:
-        return Permutation.decreasing(self.n)
+        return self._top
 
     def bottom(self) -> Permutation:
-        return Permutation.identity(self.n)
+        return self._bottom
 
     pick_sites = _descent_sites
 
@@ -89,12 +91,14 @@ class TamariAvLattice:
     def __init__(self, n: int):
         self.n = n
         self.name = f"tamari-av-{n}"
+        self._top = Permutation.decreasing(n)  # immutable, so every run shares them
+        self._bottom = Permutation.identity(n)
 
     def top(self) -> Permutation:
-        return Permutation.decreasing(self.n)
+        return self._top
 
     def bottom(self) -> Permutation:
-        return Permutation.identity(self.n)
+        return self._bottom
 
     pick_sites = _descent_sites
 
@@ -108,6 +112,7 @@ class TamariForestLattice:
     def __init__(self, n: int):
         self.n = n
         self.name = f"tamari-{n}"
+        self._start = SimForest.path(n)
 
     def top(self) -> OrderedForest:
         return OrderedForest.path(self.n)
@@ -124,11 +129,12 @@ class TamariForestLattice:
     def fast_absorption_sample(self, p: float, rnd) -> int:
         """Scalar-loop sampler on the mutable forest.
 
-        Each operation is O(1) pointer work, plus a bisect and a list
-        deletion the at most ``n`` times a vertex becomes a leaf; each step
-        also copies the non-leaf list.
+        Each replica starts from a copy of one path forest built with the
+        lattice (list slices, no rebuild).  Each operation is O(1) pointer
+        work, plus a bisect and a list deletion the at most ``n`` times a
+        vertex becomes a leaf; each step also copies the non-leaf list.
         """
-        sim = SimForest.path(self.n)
+        sim = self._start.copy()
         t = 0
         while not sim.absorbed():
             t += 1

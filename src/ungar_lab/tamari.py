@@ -224,6 +224,17 @@ class SimForest:
     def path(cls, n: int) -> "SimForest":
         return cls(OrderedForest.path(n))
 
+    def copy(self) -> "SimForest":
+        """An independent copy, made of list slices."""
+        other = SimForest.__new__(SimForest)
+        other.n = self.n
+        other.parent = self.parent[:]
+        other.size = self.size[:]
+        other.last_child = self.last_child[:]
+        other.prev_sib = self.prev_sib[:]
+        other._non_leaves = self._non_leaves[:]
+        return other
+
     def absorbed(self) -> bool:
         return not self._non_leaves
 

@@ -7,15 +7,17 @@ import json
 import shlex
 import time
 import warnings
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ungar_lab import engine, percolation
-from ungar_lab.cli import _COMMANDS, build_parser, main
+from ungar_lab.cli import _COMMANDS, _LATTICES, build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
 
@@ -428,6 +430,52 @@ def test_exit_code_cap_exceeded(capsys):
     assert code == 3 and "cap" in err.lower()
 
 
+@pytest.mark.parametrize("size, name", [
+    (("sn", "--n", "10"), "sn-10"),
+    (("tamari", "--n", "14"), "tamari-14"),
+    (("tamari-av", "--n", "14"), "tamari-av-14"),
+    (("grid", "--rows", "12", "--cols", "12"), "grid-12x12"),
+    (("grid", "--rows", "2", "--cols", "2000"), "grid-2x2000"),
+])
+def test_exact_refuses_an_oversized_state_count_before_enumerating(capsys, monkeypatch,
+                                                                   size, name):
+    def enumerate_states(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(engine, "enumerate_states", enumerate_states)
+    code, out, err = run_cli(capsys, "exact", "--lattice", *size)
+    assert (code, out) == (3, "")
+    assert f"state count of {name} exceeds cap 1000000" in err
+
+
+@pytest.mark.parametrize("size, count", [
+    (("sn", "--n", "4"), 24),
+    (("tamari", "--n", "5"), 42),
+    (("tamari-av", "--n", "5"), 42),
+    (("grid", "--rows", "3", "--cols", "4"), 35),
+])
+def test_exact_cap_boundary_is_the_state_count(capsys, size, count):
+    code, out, _ = run_cli(capsys, "exact", "--lattice", *size, "--cap-states", str(count))
+    assert code == 0 and out.splitlines()[1].split(",")[2] == str(count)
+    code, out, err = run_cli(capsys, "exact", "--lattice", *size,
+                             "--cap-states", str(count - 1))
+    assert (code, out) == (3, "") and f"exceeds cap {count - 1}" in err
+
+
+def test_closed_form_state_counts_match_enumeration():
+    cases = [("sn", Namespace(n=n)) for n in range(7)]
+    cases += [(kind, Namespace(n=n)) for kind in ("tamari", "tamari-av") for n in range(8)]
+    cases += [("grid", Namespace(rows=r, cols=c)) for r in range(1, 5) for c in range(1, 5)]
+    for kind, args in cases:
+        counts = list(_LATTICES[kind][3](args))
+        assert counts == sorted(counts), (kind, args)
+        if kind == "grid":
+            lattice = engine.IdealLattice(grid_poset(args.rows, args.cols))
+        else:
+            lattice = _LATTICES[kind][1](args.n)
+        assert counts[-1] == len(engine.enumerate_states(lattice)), (kind, args)
+
+
 def test_exit_code_bad_caps_and_reps(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--lattice", "sn", "--n", "3", "--reps", "0"
@@ -627,6 +675,28 @@ def test_skyline_seeds_are_disjoint_and_replay(capsys):
     for record in first[:5] + second[:5]:
         replay = algorithm1_run(6, 0.5, record["seed"]).to_jsonable()
         assert json.loads(json.dumps(replay)) == record
+
+
+def test_skyline_run_seeds_are_the_first_seed_sequence_word(capsys):
+    code, out, _ = run_cli(capsys, "skyline", "--n", "3", "--reps", "100", "--seed", "11")
+    assert code == 0
+    seeds = [json.loads(line)["seed"] for line in out.splitlines()]
+    assert seeds == [int(np.random.SeedSequence(11, spawn_key=(1, r)).generate_state(1)[0])
+                     for r in range(100)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--lattice", "sn", "--n", "3", "--reps", "2"),
+    ("simulate", "--lattice", "tamari", "--n", "3", "--reps", "2"),
+    ("lpp", "--lattice", "grid", "--rows", "2", "--cols", "2", "--reps", "2"),
+    ("tasep", "--rows", "2", "--cols", "2", "--reps", "2"),
+    ("fluctuation", "--rows", "2", "--cols", "2", "--reps", "2"),
+    ("zeta", "--n", "3", "--reps", "2"),
+    ("skyline", "--n", "3", "--reps", "2"),
+], ids=lambda argv: "-".join(argv[:3]))
+def test_negative_seed_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "") and "expected non-negative integer" in err
 
 
 # the flags each subcommand reads, and a strategy for each flag's value;

@@ -189,6 +189,25 @@ def test_run_chain_builds_the_top_once():
     assert CountingSn.tops == 1 and run.start == Permutation.decreasing(5)
 
 
+@pytest.mark.parametrize("cls", [SnLattice, TamariAvLattice])
+def test_word_lattice_ends_are_built_once_and_survive_runs(cls):
+    lattice = cls(6)
+    top, bottom = lattice.top(), lattice.bottom()
+    for r in range(100):
+        run = run_chain(lattice, 0.5, replica_random(7, r))
+        assert run.start is top and run.absorption > 0
+    assert lattice.top() is top and lattice.bottom() is bottom
+    assert top == Permutation.decreasing(6) and bottom == Permutation.identity(6)
+
+
+def test_forest_sampler_replicas_leave_the_start_forest():
+    lattice = TamariForestLattice(7)
+    first = monte_carlo_expectation(lattice, 0.3, reps=200, seed=5).samples
+    again = monte_carlo_expectation(lattice, 0.3, reps=200, seed=5).samples
+    fresh = monte_carlo_expectation(TamariForestLattice(7), 0.3, reps=200, seed=5).samples
+    assert (first == again).all() and (first == fresh).all()
+
+
 def test_run_chain_memory_is_flat_in_replicas():
     import tracemalloc
 

@@ -312,6 +312,17 @@ def test_sim_forest_operate_matches_fresh_build_field_by_field():
                 assert sim.non_leaves() == list(after.non_leaves())
 
 
+def test_sim_forest_copy_operates_like_a_fresh_build_and_leaves_the_template():
+    for n in range(0, 7):
+        for forest in ordered_forests(n):
+            template = SimForest(forest)
+            for v in range(1, n + 1):
+                sim = template.copy()
+                sim.operate(v)
+                assert _sim_fields(sim) == _sim_fields(SimForest(forest.operate(v)))
+            assert _sim_fields(template) == _sim_fields(SimForest(forest))
+
+
 def test_forest_json_roundtrip_and_dot():
     f = FIG_LEFT
     again = OrderedForest.from_json(f.to_json())
