@@ -154,6 +154,13 @@ class IdealLattice:
     ``simulate --trace`` and ``coupled_ideal_run``).  Monte Carlo uses
     ``fast_absorption_sample`` instead, which keys nothing by mask, so the
     cache does not grow with the number of replicas.
+
+    The bit-parallel ``maximal_of_mask`` costs about a microsecond, so the
+    cache now saves little; it stays because those paths ask about each
+    mask more than once (``coupled_ideal_run`` reads every state's sites
+    again to count its weights), and because the benchmark's tracer reads
+    its hit ratio on the ``grid`` workload.  Once those paths run on Kahn
+    counters, the cache can go.
     """
 
     def __init__(self, poset: FinitePoset, name: str | None = None):
@@ -523,7 +530,36 @@ class GeometricSampler:
         u = self.rng.random()
         while u <= 0.0:  # guard the measure-zero edge
             u = self.rng.random()
-        return int(math.ceil(math.log(u) / math.log1p(-self.p)))
+        return _geometric_of_uniforms(self.p, [u])[0]
+
+
+def geometric_draws(p: float, rng, size: int) -> list[int]:
+    """``size`` geometric(p) values, the ones ``size`` calls of
+    :meth:`GeometricSampler.sample` give from the same ``rng`` state.
+
+    The uniforms come from one ``rng.random(size)`` call (a numpy
+    ``Generator`` draws an array from the stream it draws scalars from);
+    a ``0.0`` is dropped and replaced by the next draw, in stream order.
+    At ``p == 1`` nothing is drawn.
+    """
+    if p == 1.0:
+        return [1] * size
+    uniforms = rng.random(size).tolist()
+    while 0.0 in uniforms:  # the measure-zero edge
+        uniforms = [u for u in uniforms if u > 0.0]
+        uniforms += rng.random(size - len(uniforms)).tolist()
+    return _geometric_of_uniforms(p, uniforms)
+
+
+def _geometric_of_uniforms(p: float, uniforms) -> list[int]:
+    """Inversion ``ceil(log(u) / log(1 - p))`` of uniforms in ``(0, 1)``.
+
+    ``math.log`` on Python floats, not numpy's vectorized ``log`` (which
+    can differ in the last bit), so a weight is the same whether its
+    uniform came from a scalar or an array draw.
+    """
+    log_q = math.log1p(-p)
+    return [math.ceil(math.log(u) / log_q) for u in uniforms]
 
 
 def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> float:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import GeometricSampler, IdealLattice, _check_p, run_chain
+from .engine import IdealLattice, _check_p, geometric_draws, run_chain
 from .errors import CouplingViolation, DomainError, SeriesTruncationError
 from .poset import FinitePoset
 from .rng import replica_generator
@@ -95,10 +95,14 @@ def _passage_values(poset: FinitePoset, weights: Sequence[int]) -> list[int]:
 
 
 def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
-    """Draw i.i.d. geometric(p) weights and compute the passage time."""
+    """Draw i.i.d. geometric(p) weights and compute the passage time.
+
+    ``rng`` is a numpy ``Generator``; the ``poset.n`` weights take one
+    :func:`engine.geometric_draws` call, and equal those of ``poset.n``
+    :class:`engine.GeometricSampler` draws from the same state.
+    """
     p = _check_p(p)
-    sampler = GeometricSampler(p, rng)
-    weights = tuple(sampler.sample() for _ in range(poset.n))
+    weights = tuple(geometric_draws(p, rng, poset.n))
     passage = _passage_values(poset, weights)
     total = max((passage[x] for x in poset.maximal_elements()), default=0)
     return LppSample(

@@ -9,11 +9,20 @@ recomputed on demand above that.
 
 An order ideal (downward-closed subset) is a bitmask over the elements;
 the poset answers the questions asked of one: ``is_down_closed`` and
-``maximal_of_mask`` (the sites of the ideal-chain move).  ``grid_poset``
-builds the grid ``R_{n,m}`` (the product of a chain of length ``n-1`` and
-one of length ``m-1``) as a plain poset with row-major indices.  The
-lattice ``J(P)`` itself is enumerated by ``engine.enumerate_states`` on an
-``engine.IdealLattice``, under the state cap ``DEFAULT_STATE_CAP``.
+``maximal_of_mask`` (the sites of the ideal-chain move).  Both scan a
+mask bit-parallel, with no loop over its members: the cover edges are
+grouped by index offset ``k = parent - child``, and ``below_k`` is the
+mask of the elements with a parent ``k`` above them, so ``below_k &
+(mask >> k)`` marks every element with such a parent in ``mask``.  The
+table is built on first use and kept on the poset; it holds one int of
+at most ``n`` bits per distinct cover offset (on a grid, two: 1 and
+``cols``).
+
+``grid_poset`` builds the grid ``R_{n,m}`` (the product of a chain of
+length ``n-1`` and one of length ``m-1``) as a plain poset with
+row-major indices.  The lattice ``J(P)`` itself is enumerated by
+``engine.enumerate_states`` on an ``engine.IdealLattice``, under the
+state cap ``DEFAULT_STATE_CAP``.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ class FinitePoset:
     silently reduced, to surface construction bugs.
     """
 
-    __slots__ = ("n", "covers", "parents", "_topo", "_down")
+    __slots__ = ("n", "covers", "parents", "_topo", "_down", "_minimal", "_maximal",
+                 "_offsets")
 
     def __init__(self, covers: Sequence[Iterable[int]], *, validate: bool = True):
         n = len(covers)
@@ -57,6 +67,9 @@ class FinitePoset:
         self.parents = tuple(frozenset(s) for s in par)
         self._topo = self._toposort()
         self._down = None
+        self._minimal = tuple(x for x in range(n) if not cov[x])
+        self._maximal = tuple(x for x in range(n) if not par[x])
+        self._offsets = None
         if validate:
             self._check_irredundant()
 
@@ -117,39 +130,52 @@ class FinitePoset:
         return self._topo
 
     def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self.covers[x])
+        return self._minimal
 
     def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self.parents[x])
+        return self._maximal
 
     # -- ideals as bitmasks ------------------------------------------------
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def _offset_table(self) -> tuple[tuple[int, int], ...]:
+        """``(k, below_k)`` for each distinct cover offset ``k = parent - child``,
+        where bit ``x`` of ``below_k`` is set iff ``x + k`` covers ``x``."""
+        if self._offsets is None:
+            below: dict[int, int] = {}
+            for x, cs in enumerate(self.covers):
+                for c in cs:
+                    below[x - c] = below.get(x - c, 0) | 1 << c
+            self._offsets = tuple(sorted(below.items()))
+        return self._offsets
+
+    def _with_parent_in(self, mask: int) -> int:
+        """The elements with a cover-parent in ``mask``, as a mask."""
+        out = 0
+        for k, below in self._offset_table():
+            out |= below & (mask >> k if k > 0 else mask << -k)
+        return out
+
     def is_down_closed(self, mask: int) -> bool:
-        m = mask
-        while m:
-            x = (m & -m).bit_length() - 1
-            for c in self.covers[x]:
-                if not mask >> c & 1:
-                    return False
-            m &= m - 1
-        return True
+        """True iff every cover-child of a member of ``mask`` is a member."""
+        return not self._with_parent_in(mask) & ~mask
 
     def maximal_of_mask(self, mask: int) -> tuple[int, ...]:
-        """Maximal elements of a downward-closed ``mask``.
+        """Members of ``mask`` with no cover-parent in ``mask``, ascending.
 
-        For a downward-closed set these are exactly the members with no
-        cover-parent inside the set.
+        For a downward-closed ``mask`` these are its maximal elements.  One
+        shift, AND and OR per distinct cover offset (see the module
+        docstring) finds them all; only the result's bits are then read
+        out, lowest first.
         """
+        m = mask & ~self._with_parent_in(mask)
         out = []
-        m = mask
         while m:
-            x = (m & -m).bit_length() - 1
-            if all(not mask >> y & 1 for y in self.parents[x]):
-                out.append(x)
-            m &= m - 1
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
         return tuple(out)
 
     # -- serialization ------------------------------------------------------

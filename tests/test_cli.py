@@ -226,6 +226,26 @@ def test_forest_trace_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == FOREST_TRACE_GOLDEN
 
 
+# sha256 of the ``lpp --poset`` stdout below, on a committed poset whose
+# labels were shuffled (so covers run both up and down the index order),
+# recorded while lpp_sample drew one scalar per weight; a change to the
+# weight stream or to its mapping changes it
+LPP_POSET_GOLDEN = "89752f4891b663fa5f7c45f18cee10455ac19ef0fa71c86a999674a332384630"
+POSET_FIXTURE = Path(__file__).parent / "data" / "shuffled_graded_poset.json"
+
+
+def test_lpp_poset_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for p, seed, reps, fmt in [(0.5, 1, 2000, "csv"), (0.1, 7, 300, "json"),
+                               (1.0, 3, 50, "csv"), (0.9, 11, 1000, "json")]:
+        code, out, _ = run_cli(capsys, "lpp", "--lattice", "ideal", "--poset", str(POSET_FIXTURE),
+                               "--p", str(p), "--reps", str(reps), "--seed", str(seed),
+                               "--format", fmt)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == LPP_POSET_GOLDEN
+
+
 def test_bounds_values(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--what", "tw-tail", "--t", "4")
     assert code == 0

@@ -13,7 +13,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from ungar_lab import cli
+from ungar_lab import cli, percolation
+from ungar_lab.poset import grid_poset
+from ungar_lab.rng import replica_random
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -77,6 +79,22 @@ def test_tracer_counts_exact_solver_layers(capsys):
     for name in ("engine.enumerate_states", "perms.ungar_move", "perms.av_move",
                  "tamari.forest_ungar", "engine.transitions", "poset.maximal_of_mask"):
         assert tracer.calls[name] > 0, name
+
+
+def test_tracer_counts_grid_mask_layers(capsys):
+    """The ``grid`` workload must move the mask-scan and LPP counters, and
+    its hit ratio ``1 - maximal_of_mask / pick_sites.ideal`` must stay above 0."""
+    tracer = _load_tracer().Tracer()
+    fixture = Path(__file__).parent / "data" / "shuffled_graded_poset.json"
+    with tracer.installed():
+        percolation.coupled_ideal_run(grid_poset(6, 6), 0.5, replica_random(1, 0))
+        assert cli.main(["lpp", "--lattice", "ideal", "--poset", str(fixture),
+                         "--reps", "20", "--seed", "1"]) == 0
+    capsys.readouterr()
+    for name in ("poset.maximal_of_mask", "percolation.lpp_sample",
+                 "percolation.coupled_ideal_run"):
+        assert tracer.calls[name] >= 1, name
+    assert tracer.calls["engine.pick_sites.ideal"] > tracer.calls["poset.maximal_of_mask"]
 
 
 def test_perfbench_checks_pass_on_sn_and_coupled_jobs(tmp_path, monkeypatch, capsys):

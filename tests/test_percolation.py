@@ -1,5 +1,7 @@
 """LPP, the per-run coupling identity, corner growth, and the constants."""
 
+import copy
+import hashlib
 import math
 import random
 import tracemalloc
@@ -10,6 +12,7 @@ from scipy import stats
 
 from ungar_lab import (
     DomainError,
+    GeometricSampler,
     IdealLattice,
     SeriesTruncationError,
     build_poset,
@@ -103,6 +106,57 @@ def test_lpp_passage_equals_chain_enumeration():
     assert max_chain_weight(build_poset([], n=0), []) == 0
 
 
+class ListedStream:
+    """A stand-in generator whose stream is ``values``: ``random()`` gives
+    the next value and ``random(k)`` the next ``k`` as an array."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self, size=None):
+        start = self.drawn
+        self.drawn += 1 if size is None else size
+        assert self.drawn <= len(self.values), "stream exhausted"
+        return self.values[start] if size is None else np.array(self.values[start:self.drawn])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.07, 0.93, 1.0])
+def test_lpp_weights_equal_a_scalar_sampler_replay(p):
+    """One ``random(n)`` call per sample reads the stream that ``n`` scalar
+    draws read, and maps it as ``GeometricSampler`` does; at ``p = 1``
+    nothing is drawn."""
+    rng = replica_generator(21, 0)
+    for poset in [build_poset([], n=0), build_poset([], n=1), two_dim_random_poset(9, 2),
+                  grid_poset(4, 5)]:
+        for _ in range(40):
+            replay = copy.deepcopy(rng)
+            sample = lpp_sample(poset, p, rng)
+            sampler = GeometricSampler(p, replay)
+            assert sample.weights == tuple(sampler.sample() for _ in range(poset.n))
+            assert all(type(w) is int for w in sample.weights)
+            assert replay.bit_generator.state == rng.bit_generator.state
+    if p == 1.0:
+        assert rng.bit_generator.state == replica_generator(21, 0).bit_generator.state
+
+
+def test_lpp_skips_zero_draws_in_stream_order():
+    # the first sample's five draws hold three zeros, the first refill one
+    # more, and the second refill is a lone zero: four calls in all; the
+    # second sample has one zero
+    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.125, 0.0, 0.7, 0.0, 0.3,
+              0.9, 0.0, 0.05, 0.6, 0.4, 0.2]
+    chain = build_poset([(i, i + 1) for i in range(4)])
+    vector, scalar = ListedStream(values), ListedStream(values)
+    sampler = GeometricSampler(0.3, scalar)
+    for _ in range(2):
+        sample = lpp_sample(chain, 0.3, vector)
+        assert sample.weights == tuple(sampler.sample() for _ in range(chain.n))
+        assert vector.drawn == scalar.drawn
+    assert vector.drawn == len(values)
+    assert lpp_sample(chain, 1.0, ListedStream([])).weights == (1,) * chain.n
+
+
 def test_lpp_r22_mean_matches_truncated_enumeration():
     expected, err = truncated_expected_total(0.5)
     assert expected == pytest.approx(20 / 3, abs=1e-4)  # 2/p + E max(G,G')
@@ -144,6 +198,21 @@ def test_coupling_identity_on_grids_and_random_posets():
             # absorbed iff the max-chain sum of the counted weights matches;
             # coupled_ideal_run raises CouplingViolation internally otherwise
             assert run.absorption == max_chain_weight(poset, run.weights)
+
+
+# sha256 of the "absorption:weights" lines of the runs below, recorded
+# while maximal_of_mask still read a mask one member at a time; a change
+# to the ideal chain, its site order or its replica streams changes it
+COUPLED_GOLDEN = "a703f08398a8173f2b5429dbbd4ed9a6cfcdf2b977b838666ae9f2a2d916fbfc"
+
+
+def test_coupled_runs_golden_digest():
+    grid = grid_poset(15, 15)
+    digest = hashlib.sha256()
+    for r in range(5):
+        run = coupled_ideal_run(grid, 0.5, replica_random(2026, r))
+        digest.update(f"{run.absorption}:{' '.join(map(str, run.weights))}\n".encode())
+    assert digest.hexdigest() == COUPLED_GOLDEN
 
 
 def test_coupled_weights_are_geometric():

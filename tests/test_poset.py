@@ -1,6 +1,7 @@
 """Posets, ideals, J(P), maximal chains, meets."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +242,48 @@ def test_random_poset_invariants(poset):
         assert poset.is_down_closed(mask)
         for x in poset.maximal_of_mask(mask):
             assert poset.is_down_closed(mask & ~(1 << x))
+
+
+def _relabelled(poset, perm):
+    """``poset`` with element ``x`` renamed ``perm[x]``."""
+    return build_poset([(perm[c], perm[x]) for c, x in poset.cover_pairs()], n=poset.n)
+
+
+def _scan_cases():
+    """Small posets whose cover offsets ``parent - child`` take both signs,
+    beside a chain, an antichain and the empty poset."""
+    rnd = random.Random(15)
+    cases = [build_poset([], n=0), build_poset([], n=5),
+             build_poset([(i, i + 1) for i in range(6)])]
+    for base in (grid_poset(2, 3), grid_poset(3, 3), build_poset([(0, 2), (1, 2), (0, 3), (1, 3)]),
+                 build_poset([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 4)])):
+        for _ in range(3):
+            perm = list(range(base.n))
+            rnd.shuffle(perm)
+            cases.append(_relabelled(base, perm))
+    return cases
+
+
+@pytest.mark.parametrize("poset", _scan_cases(), ids=repr)
+def test_mask_scans_equal_their_definitions_on_every_subset(poset):
+    """``maximal_of_mask`` and ``is_down_closed`` against the member-by-member
+    definitions, on every subset, not only on ideals."""
+    for mask in range(1 << poset.n):
+        members = [x for x in range(poset.n) if mask >> x & 1]
+        maxima = tuple(x for x in members if not any(mask >> y & 1 for y in poset.parents[x]))
+        closed = all(mask >> c & 1 for x in members for c in poset.covers[x])
+        assert poset.maximal_of_mask(mask) == maxima  # ascending, as members are
+        assert poset.is_down_closed(mask) is closed
+
+
+def test_scan_cases_have_cover_offsets_of_both_signs():
+    signs = {x > c for poset in _scan_cases() for c, x in poset.cover_pairs()}
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("poset", _scan_cases(), ids=repr)
+def test_extremal_elements_are_built_once(poset):
+    assert poset.maximal_elements() == tuple(x for x in range(poset.n) if not poset.parents[x])
+    assert poset.minimal_elements() == tuple(x for x in range(poset.n) if not poset.covers[x])
+    assert poset.maximal_elements() is poset.maximal_elements()
+    assert poset.minimal_elements() is poset.minimal_elements()
