@@ -177,39 +177,44 @@ def test_zeta_row(capsys):
     assert abs(est - exact) <= 3 * err
 
 
-# sha256 of the zeta stdout below, recorded when the sampler became two
-# uniforms per trial and re-recorded when the degenerate n = 1 row's
-# stderr became 0 (no other byte moved); a change to the stream a trial
-# reads changes it
-ZETA_GOLDEN = "b5e42e62d29b8f5753c1f1efbe33c89cf57a4c5870904fb877853001e373906b"
+# sha256 of the zeta stdout of each case, recorded one digest per case when
+# the four-case digest (two uniforms per trial, the degenerate n = 1 row's
+# stderr 0) was split; a change to the stream a trial reads changes them
+ZETA_GOLDEN = {
+    (10_000, 0.5, 1, "csv"): "7521fff0c069e10b9030df6e8faf4061616171f18ebcd8527bf8bca8202840cc",
+    (2, 0.3, 7, "csv"): "0856598c7580297cef11e0f467b8137e1fcbebac67a94265648fa6ac8fa98320",
+    (1, 0.9, 3, "json"): "1fbd296614a21daed4995ee2b7059e785c7ab6cf801e005fa33221e86d19e6f2",
+    (10**6, 0.1, 42, "json"): "e447f3c3cc20dc175a467030dcc073ec86cc3404fc096798425b24d6ad3ae51b",
+}
 
 
-def test_zeta_golden_digest(capsys):
-    digest = hashlib.sha256()
-    for n, p, seed, fmt in [(10_000, 0.5, 1, "csv"), (2, 0.3, 7, "csv"),
-                            (1, 0.9, 3, "json"), (10**6, 0.1, 42, "json")]:
-        code, out, _ = run_cli(capsys, "zeta", "--n", str(n), "--p", str(p),
-                               "--reps", "50000", "--seed", str(seed), "--format", fmt)
-        assert code == 0
-        digest.update(out.encode())
-    assert digest.hexdigest() == ZETA_GOLDEN
+@pytest.mark.parametrize("n,p,seed,fmt", list(ZETA_GOLDEN))
+def test_zeta_golden_digest(capsys, n, p, seed, fmt):
+    code, out, _ = run_cli(capsys, "zeta", "--n", str(n), "--p", str(p),
+                           "--reps", "50000", "--seed", str(seed), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZETA_GOLDEN[n, p, seed, fmt]
 
 
-# sha256 of the forest-sampler stdout below, recorded before SimForest moved
-# to label intervals; a change to the forest chain or to its replica
-# streams changes it
-FOREST_SIMULATE_GOLDEN = "3480682442f42c3fd1113eea9ee437777f0f6f8c784cb6d1592109419358b238"
+# sha256 of the forest-sampler stdout of each case, recorded one digest per
+# case when the five-case digest (kept since before SimForest moved to label
+# intervals) was split; a change to the forest chain or to its replica
+# streams changes them
+FOREST_SIMULATE_GOLDEN = {
+    (7, 0.3, 5, 2000): "dfc5809a3e275bbdf12dae9765897592a52cb7c5a97e398008a3d18cbd95ee43",
+    (7, 0.8, 11, 500): "bad0589173768fa8b54ce6bbe83ba85c575b6ac4be19c1a03eeaebd59844e01e",
+    (200, 0.5, 2, 40): "8853506abbd126fb74881e79f892c7278c98f9c4052acf39e390e4e86f5b8ca7",
+    (1000, 0.3, 3, 4): "9b20a801b4783d3868d333501c5b23b0ccc59d83435dea6d85e8712235aad7c7",
+    (1000, 0.7, 9, 4): "2c9cf1669d15011fd5f37ad86cda982b4a9ef5e21cf294c20826d0b7bbae5984",
+}
 
 
-def test_forest_simulate_golden_digest(capsys):
-    digest = hashlib.sha256()
-    for n, p, seed, reps in [(7, 0.3, 5, 2000), (7, 0.8, 11, 500), (200, 0.5, 2, 40),
-                             (1000, 0.3, 3, 4), (1000, 0.7, 9, 4)]:
-        code, out, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", str(n),
-                               "--p", str(p), "--reps", str(reps), "--seed", str(seed))
-        assert code == 0
-        digest.update(out.encode())
-    assert digest.hexdigest() == FOREST_SIMULATE_GOLDEN
+@pytest.mark.parametrize("n,p,seed,reps", list(FOREST_SIMULATE_GOLDEN))
+def test_forest_simulate_golden_digest(capsys, n, p, seed, reps):
+    code, out, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", str(n),
+                           "--p", str(p), "--reps", str(reps), "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FOREST_SIMULATE_GOLDEN[n, p, seed, reps]
 
 
 # sha256 of the forest trace file below, recorded while OrderedForest still
