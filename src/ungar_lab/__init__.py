@@ -11,7 +11,6 @@ simulator.
 from .engine import (
     ChainLattice,
     ChainRun,
-    GeometricSampler,
     IdealLattice,
     McResult,
     SnLattice,
@@ -24,7 +23,6 @@ from .engine import (
     monte_carlo_expectation,
     run_chain,
     sn_absorption_samples,
-    walk_hitting_time,
 )
 from .errors import (
     BoundViolation,

@@ -15,9 +15,9 @@ triangular and solves by back-substitution; no general solver is needed.
 Each row takes one ``apply`` per selection, on a smaller selection's
 successor.
 
-Also here: the per-parameter geometric sampler, the two-sided tail bound
-for sums of geometrics, and simple/lazy random-walk hitting-time
-utilities.
+Also here: vectorized geometric draws, the two-sided tail bound for sums
+of geometrics, and the histogram of simple/lazy random-walk hitting
+times.
 """
 
 from __future__ import annotations
@@ -517,30 +517,15 @@ def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
 # -- geometric variables ---------------------------------------------------------
 
 
-class GeometricSampler:
-    """Geometric(p) on {1, 2, ...}: ``P(X = k) = (1-p)^(k-1) p``."""
-
-    def __init__(self, p: float, rng):
-        self.p = _check_p(p)
-        self.rng = rng
-
-    def sample(self) -> int:
-        if self.p == 1.0:
-            return 1
-        u = self.rng.random()
-        while u <= 0.0:  # guard the measure-zero edge
-            u = self.rng.random()
-        return _geometric_of_uniforms(self.p, [u])[0]
-
-
 def geometric_draws(p: float, rng, size: int) -> list[int]:
-    """``size`` geometric(p) values, the ones ``size`` calls of
-    :meth:`GeometricSampler.sample` give from the same ``rng`` state.
+    """``size`` geometric(p) values on {1, 2, ...},
+    ``P(X = k) = (1-p)^(k-1) p``, by inversion of uniforms.
 
     The uniforms come from one ``rng.random(size)`` call (a numpy
-    ``Generator`` draws an array from the stream it draws scalars from);
-    a ``0.0`` is dropped and replaced by the next draw, in stream order.
-    At ``p == 1`` nothing is drawn.
+    ``Generator`` draws an array from the stream it draws scalars from), so
+    the values are those of ``size`` scalar draws inverted one at a time
+    from the same ``rng`` state; a ``0.0`` is dropped and replaced by the
+    next draw, in stream order.  At ``p == 1`` nothing is drawn.
     """
     if p == 1.0:
         return [1] * size
@@ -587,42 +572,6 @@ def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> flo
 
 
 # -- random-walk hitting times ----------------------------------------------------
-
-
-def walk_hitting_time(
-    m: int,
-    rnd,
-    *,
-    q: float | None = None,
-    max_steps: int | None = None,
-) -> int:
-    """First time a walk started at 0 reaches ``m``.
-
-    With ``q`` unset the walk is the simple +-1 walk; with ``q`` in
-    (0, 1/2) each step is +1 or -1 with probability ``q`` and 0 otherwise
-    (the lazy walk).  Raises :class:`NotReached` when ``max_steps`` passes
-    without a hit; hitting times have infinite mean, so callers doing bulk
-    statistics should always cap.
-    """
-    if m == 0:
-        raise DomainError("m must be a nonzero integer")
-    if q is not None and not 0 < q < 0.5:
-        raise DomainError(f"lazy parameter q={q} outside (0, 1/2)")
-    pos = 0
-    t = 0
-    while True:
-        if max_steps is not None and t >= max_steps:
-            raise NotReached(f"walk did not hit {m} within {max_steps} steps")
-        t += 1
-        u = rnd.random()
-        if q is None:
-            pos += 1 if u < 0.5 else -1
-        elif u < q:
-            pos += 1
-        elif u < 2 * q:
-            pos -= 1
-        if pos == m:
-            return t
 
 
 def first_passage_counts(

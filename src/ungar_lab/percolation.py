@@ -23,10 +23,20 @@ with a larger window.
 Fluctuation constants for the rescaled limit and the upper-tail
 asymptotic of the limiting distribution are provided as plain formulas;
 the full limiting CDF is out of scope.
+
+The chance that the maximum of ``n`` geometric(p) variables is unique
+does not converge as ``n`` grows: it approaches the bilateral series
+:func:`upsilon` at ``x = n``, which oscillates.  The series is periodic
+in ``log x`` and is summed as its Fourier series, whose coefficients are
+values of Gamma on the line ``Re z = 1`` (the harmonic-sum Mellin
+analysis of Flajolet, Gourdon and Dumas, TCS 144, 1995).  Its limsup,
+which sets the Tamari slope, is the maximum of that trigonometric
+polynomial.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import IdealLattice, _check_p, geometric_draws, run_chain
-from .errors import CouplingViolation, DomainError, SeriesTruncationError
+from .errors import CouplingViolation, DomainError, InvariantViolation, SeriesTruncationError
 from .poset import FinitePoset
 from .rng import replica_generator
 
@@ -98,8 +108,8 @@ def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
     """Draw i.i.d. geometric(p) weights and compute the passage time.
 
     ``rng`` is a numpy ``Generator``; the ``poset.n`` weights take one
-    :func:`engine.geometric_draws` call, and equal those of ``poset.n``
-    :class:`engine.GeometricSampler` draws from the same state.
+    :func:`engine.geometric_draws` call, and equal ``poset.n`` scalar draws
+    from the same state, each inverted on its own.
     """
     p = _check_p(p)
     weights = tuple(geometric_draws(p, rng, poset.n))
@@ -301,13 +311,13 @@ def tracy_widom_tail(t: float) -> float:
 def upsilon(p: float, x: float) -> float:
     """Bilateral series ``p x sum_k (1-p)^k exp(-(1-p)^k x)`` (0 at p=1).
 
-    Truncation is certified to within ``tol = 1e-12``: the ``k -> +inf``
-    tail is geometric and the ``k -> -inf`` tail is dominated by a
-    geometric series once ``y = (1-p)^k x >= 4`` (using
-    ``y e^{-y} <= e^{-y/2}`` there), each bounded below ``tol/2``.  ``x``
-    must be positive and finite; a NaN would never close the upward tail.
+    Summed as its Fourier series in ``log x``, which has period
+    ``L = -log(1-p)``: by Poisson summation the series equals
+    ``(p/L) [1 + 2 sum_{m>=1} Re(Gamma(1 - i w_m) x^{i w_m})]`` with
+    ``w_m = 2 pi m / L``.  The terms kept are those of
+    :func:`_fourier_coefficients`, so the terms dropped add at most
+    ``1e-17`` at every positive finite ``x``.
     """
-    tol = 1e-12
     p = float(p)
     if not 0 < p <= 1:
         raise DomainError(f"p={p} outside (0, 1]")
@@ -315,51 +325,57 @@ def upsilon(p: float, x: float) -> float:
         raise DomainError(f"x must be positive and finite, got {x}")
     if p == 1.0:
         return 0.0
-    q = 1.0 - p
-    _check_upward_terms(q, x, tol)
-    total = 0.0
-    # upward: terms p x q^k e^{-q^k x} <= p x q^k; tail after K is <= x q^{K+1}
-    k = 0
-    while True:
-        y = q**k * x
-        total += p * y * math.exp(-y)
-        if x * q ** (k + 1) <= tol / 2:
-            break
-        k += 1
-    # downward: y grows by 1/q per step; once y >= 4 successive terms decay
-    # at least geometrically with ratio rho = e^{-y (1/q - 1)} / q
-    k = -1
-    while True:
-        try:
-            y = q**k * x
-        except OverflowError:
-            # from a tiny x, q**k passes the float range before y reaches 4;
-            # the series is invariant under x -> x / q, so sum it from
-            # x / q**m >= 1 instead (two factors keep each power finite)
-            m = math.ceil(math.log(x) / math.log(q))
-            return upsilon(p, x * q ** -(m // 2) * q ** (m // 2 - m))
-        term = p * y * math.exp(-y)
-        total += term
-        if y >= 4:
-            rho = math.exp(-y * (1 / q - 1)) / q
-            if rho < 0.5 and term * rho / (1 - rho) <= tol / 2:
-                break
-        k -= 1
-        if k < -(10**6):
-            raise SeriesTruncationError("downward tail would not close")
-    return total
+    period, coeffs = _fourier_coefficients(p)
+    return _trig_sum(coeffs, 2 * math.pi * (math.log(x) / period % 1.0))
 
 
-def _check_upward_terms(q: float, x: float, tol: float) -> None:
-    """Raise unless the upward sum at ``x`` stops within 10**6 terms.
+# Stirling's series for log Gamma(z): the coefficients B_2k / (2k (2k-1)) of
+# z^{1-2k}, k = 1..8; at Re z >= 12 the first term left out is below 1e-19
+# in modulus
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
 
-    It stops at the first ``k`` with ``x q^{k+1} <= tol/2``, after
-    ``ceil((log(tol/2) - log x) / log q)`` terms; at ``log q = 0``
-    (``1 - p`` rounds to 1) it never stops.
+
+def _gamma(z: complex) -> complex:
+    """Gamma at ``z`` with ``Re z > 0``: shifted to ``Re z >= 12`` by
+    ``Gamma(z) = Gamma(z + 1) / z``, then Stirling's series."""
+    shift = 1
+    while z.real < 12:
+        shift *= z
+        z += 1
+    series = sum(c * z ** -(2 * k + 1) for k, c in enumerate(_STIRLING))
+    log_gamma = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series
+    return cmath.exp(log_gamma) / shift
+
+
+def _fourier_coefficients(p: float) -> tuple[float, list[complex]]:
+    """The period ``L`` of :func:`upsilon` in ``log x`` and its coefficients.
+
+    ``coeffs[0] = p/L`` and ``coeffs[m] = 2 (p/L) Gamma(1 - i w_m)``, so
+    ``upsilon = sum_m Re(coeffs[m] e^{i m theta})`` at ``theta = w_1 log x``.
+    ``a_m = |Gamma(1 - i w_m)| = sqrt(pi w_m / sinh(pi w_m))`` is
+    log-concave in ``m`` (``a_0 = 1``), so the ratio ``r = a_m / a_{m-1}``
+    bounds every later ratio and ``2 (p/L) a_m / (1 - r)`` bounds the terms
+    from ``m`` on; they are dropped once that is at most ``1e-17``.
     """
-    log_q = math.log(q)
-    if log_q == 0 or (math.log(tol / 2) - math.log(x)) / log_q > 10**6:
-        raise SeriesTruncationError("upward tail would not close")
+    period = -math.log1p(-p)
+    mean = p / period
+    coeffs: list[complex] = [mean]
+    log_prev = 0.0
+    while True:
+        w = 2 * math.pi * len(coeffs) / period
+        # log a_m, with sinh(y) = e^y (1 - e^{-2y}) / 2 kept finite at large y
+        y = math.pi * w
+        log_a = 0.5 * (math.log(2 * y) - y - math.log1p(-math.exp(-2 * y)))
+        if 2 * mean * math.exp(log_a) / (1 - math.exp(log_a - log_prev)) <= 1e-17:
+            return period, coeffs
+        coeffs.append(2 * mean * _gamma(complex(1, -w)))
+        log_prev = log_a
+
+
+def _trig_sum(coeffs: Sequence[complex], theta: float) -> float:
+    """``sum_m Re(coeffs[m] e^{i m theta})``."""
+    return sum((c * cmath.exp(1j * m * theta)).real for m, c in enumerate(coeffs))
 
 
 def zeta_exact(p: float, n: int) -> float:
@@ -460,45 +476,57 @@ def zeta_limsup_estimate(p: float) -> float:
     """Max of the bilateral series over one multiplicative period.
 
     The series is invariant under ``x -> (1-p) x``, so the limsup of the
-    uniqueness probability is its maximum over ``x in ((1-p), 1]``,
-    located here by a geometric grid of 4096 points, all summed at once.
+    uniqueness probability is the maximum over ``theta`` of the
+    trigonometric polynomial ``S`` that :func:`upsilon` sums.  Its
+    oscillating part is tabulated on a grid of ``n`` points, spacing ``h``,
+    at least four per harmonic.  With ``D_k = sum_m m^k |coeffs[m]|``, a
+    grid cell can hold the maximum only if its larger end plus
+    ``D_2 h^2 / 8`` reaches the grid maximum; ``n`` doubles until ``S''``
+    plus ``D_3 h / 2`` is negative at both ends of every such cell, so that
+    ``S`` is concave on each.  A golden-section search then finds the
+    maximum of each of those cells.
     """
     p = _check_open_p(p)
-    q = 1.0 - p
-    xs = np.exp(np.linspace(math.log(q), 0.0, 4096))
-    return float(_upsilon_on_grid(p, xs).max())
+    _, coeffs = _fourier_coefficients(p)
+    if len(coeffs) == 1:
+        return coeffs[0]
+    m = np.arange(len(coeffs))
+    wave = np.array(coeffs)
+    wave[0] = 0.0  # the mean, added back at the end, would bury S's rounding
+    d2, d3 = (float(np.sum(m**k * np.abs(wave))) for k in (2, 3))
+    n = 4 * 2 ** len(coeffs).bit_length()
+    while True:
+        h = 2 * math.pi / n
+        # e^{i m theta_j} is the n-th root of unity e^{i h (j m mod n)}
+        grid = np.exp(1j * h * np.arange(n))[np.outer(np.arange(n), m) % n]
+        s = (grid @ wave).real
+        s2 = (grid @ (-(m**2) * wave)).real
+        upper = np.maximum(s, np.roll(s, -1)) + d2 * h * h / 8
+        cells = np.flatnonzero(upper >= s.max())
+        if np.all(np.maximum(s2, np.roll(s2, -1))[cells] + d3 * h / 2 < 0):
+            break
+        if n >= 2**16:
+            raise InvariantViolation(f"no concave bracket for the maximum at p={p}")
+        n *= 2
+    best = max(_golden_max(coeffs, j * h, (j + 1) * h) for j in cells)
+    return max(best, coeffs[0] + float(s.max()))
 
 
-def _upsilon_on_grid(p: float, xs: np.ndarray) -> np.ndarray:
-    """:func:`upsilon` at every point of ``xs``, one numpy step per ``k``.
-
-    Each point gets the terms, the order of summation and the certified
-    truncation of the scalar series: a point stops adding terms on the
-    ``k`` where :func:`upsilon` at that point breaks off.
-    """
-    tol = 1e-12
-    q = 1.0 - p
-    _check_upward_terms(q, float(xs.max()), tol)
-    total = np.zeros_like(xs)
-    live = np.ones(xs.shape, dtype=bool)
-    k = 0
-    while live.any():
-        y = q**k * xs
-        total += np.where(live, p * y * np.exp(-y), 0.0)
-        live &= xs * q ** (k + 1) > tol / 2
-        k += 1
-    live[:] = True
-    k = -1
-    while live.any():
-        y = q**k * xs
-        term = p * y * np.exp(-y)
-        total += np.where(live, term, 0.0)
-        rho = np.exp(-y * (1 / q - 1)) / q
-        live &= ~((y >= 4) & (rho < 0.5) & (term * rho / (1 - rho) <= tol / 2))
-        k -= 1
-        if k < -(10**6):
-            raise SeriesTruncationError("downward tail would not close")
-    return total
+def _golden_max(coeffs: Sequence[complex], a: float, b: float) -> float:
+    """Max of :func:`_trig_sum` on ``[a, b]``, where it is concave."""
+    g = (math.sqrt(5) - 1) / 2
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = _trig_sum(coeffs, x1), _trig_sum(coeffs, x2)
+    while b - a > 1e-9:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = _trig_sum(coeffs, x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = _trig_sum(coeffs, x1)
+    return max(f1, f2)
 
 
 # -- linear-growth coefficients ---------------------------------------------------------

@@ -19,9 +19,9 @@ preserve the canonical labeling; ``validate`` rechecks that from scratch.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 from .errors import Not312Avoiding
 from .perms import Permutation, ungar_move
@@ -389,11 +389,9 @@ def phi_inverse(forest: OrderedForest) -> Permutation:
 # -- enumeration --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+    """The ``n``-th Catalan number ``C(2n, n) / (n + 1)``."""
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def ordered_forests(n: int):

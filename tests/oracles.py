@@ -4,10 +4,12 @@ The right weak order on S_n by inversion sets, ``J(P)`` as an explicit
 poset (enumerated by ``engine.enumerate_states``, as the exact solver
 does) with its maximal chains and meets, the restriction of a forest to a
 window of labels, a vertex's descendant count, the Young diagram of a
-grid ideal's complement, and the plain Monte Carlo samplers that draw
-every variable at once (the uniqueness of a geometric maximum, grid
-passage times).  They raise the library's errors and the three below,
-which only they raise.
+grid ideal's complement, the plain Monte Carlo samplers that draw every
+variable at once (the uniqueness of a geometric maximum, grid passage
+times), the scalar samplers that draw one uniform at a time (a geometric
+variable, a random walk's hitting time), and the bilateral series of the
+uniqueness limit summed term by term.  They raise the library's errors
+and the three below, which only they raise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
-from ungar_lab.errors import CapExceeded, DomainError, UngarLabError
+from ungar_lab.errors import CapExceeded, DomainError, NotReached, UngarLabError
 from ungar_lab.percolation import _grid_passage
 from ungar_lab.perms import Permutation
 from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset
@@ -320,3 +322,113 @@ def one_shot_lpp_grid_samples(
     """Grid passage times from one ``(reps, n, m)`` draw of every weight."""
     weights = replica_generator(seed, 0).geometric(_check_p(p), size=(reps, n, m))
     return _grid_passage(weights)
+
+
+# -- scalar samplers: one uniform at a time --------------------------------------
+
+
+class GeometricSampler:
+    """Geometric(p) on {1, 2, ...}: ``P(X = k) = (1-p)^(k-1) p``, one
+    uniform ``u`` a draw, inverted as ``ceil(log(u) / log(1 - p))``."""
+
+    def __init__(self, p: float, rng):
+        self.p = _check_p(p)
+        self.rng = rng
+
+    def sample(self) -> int:
+        if self.p == 1.0:
+            return 1
+        u = self.rng.random()
+        while u <= 0.0:  # guard the measure-zero edge
+            u = self.rng.random()
+        return math.ceil(math.log(u) / math.log1p(-self.p))
+
+
+def walk_hitting_time(
+    m: int,
+    rnd,
+    *,
+    q: float | None = None,
+    max_steps: int | None = None,
+) -> int:
+    """First time a walk started at 0 reaches ``m``.
+
+    With ``q`` unset the walk is the simple +-1 walk; with ``q`` in
+    (0, 1/2) each step is +1 or -1 with probability ``q`` and 0 otherwise
+    (the lazy walk).  Raises :class:`NotReached` when ``max_steps`` passes
+    without a hit; hitting times have infinite mean, so callers doing bulk
+    statistics should always cap.
+    """
+    if m == 0:
+        raise DomainError("m must be a nonzero integer")
+    if q is not None and not 0 < q < 0.5:
+        raise DomainError(f"lazy parameter q={q} outside (0, 1/2)")
+    pos = 0
+    t = 0
+    while True:
+        if max_steps is not None and t >= max_steps:
+            raise NotReached(f"walk did not hit {m} within {max_steps} steps")
+        t += 1
+        u = rnd.random()
+        if q is None:
+            pos += 1 if u < 0.5 else -1
+        elif u < q:
+            pos += 1
+        elif u < 2 * q:
+            pos -= 1
+        if pos == m:
+            return t
+
+
+# -- the uniqueness limit, term by term --------------------------------------------
+
+
+def upsilon_series(p: float, x: float) -> float:
+    """``p x sum_k (1-p)^k exp(-(1-p)^k x)`` summed term by term, ``0 < p < 1``.
+
+    Each tail is cut below ``tol/2``, ``tol = 1e-12``: the ``k -> +inf``
+    tail is geometric, and the ``k -> -inf`` tail is dominated by a
+    geometric series once ``y = (1-p)^k x >= 4`` (``y e^{-y} <= e^{-y/2}``
+    there).  Meant for ``x`` within a few periods of 1 and ``p`` not near
+    0: the upward sum takes about ``log(x / tol) / p`` terms.
+    """
+    tol = 1e-12
+    q = 1.0 - p
+    total = 0.0
+    # upward: terms p x q^k e^{-q^k x} <= p x q^k; tail after K is <= x q^{K+1}
+    k = 0
+    while True:
+        y = q**k * x
+        total += p * y * math.exp(-y)
+        if x * q ** (k + 1) <= tol / 2:
+            break
+        k += 1
+    # downward: y grows by 1/q per step; once y >= 4 successive terms decay
+    # at least geometrically with ratio rho = e^{-y (1/q - 1)} / q
+    k = -1
+    while True:
+        y = q**k * x
+        term = p * y * math.exp(-y)
+        total += term
+        if y >= 4:
+            rho = math.exp(-y * (1 / q - 1)) / q
+            if rho < 0.5 and term * rho / (1 - rho) <= tol / 2:
+                return total
+        k -= 1
+
+
+def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Max of ``f`` on ``[a, b]`` by golden-section search (``f`` unimodal there)."""
+    g = (math.sqrt(5) - 1) / 2
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+    return max(f1, f2)

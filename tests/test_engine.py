@@ -14,7 +14,6 @@ from ungar_lab import (
     ChainLattice,
     DomainError,
     FinitePoset,
-    GeometricSampler,
     IdealLattice,
     NotReached,
     Permutation,
@@ -31,13 +30,12 @@ from ungar_lab import (
     run_chain,
     sn_absorption_samples,
     ungar_move,
-    walk_hitting_time,
 )
 from ungar_lab import engine
 from ungar_lab.rng import replica_generator, replica_random
 from ungar_lab.tamari import av_ungar_move
 
-from oracles import all_permutations
+from oracles import GeometricSampler, all_permutations, walk_hitting_time
 
 
 def step(lattice, state, p, rnd):

@@ -97,6 +97,16 @@ def test_tracer_counts_grid_mask_layers(capsys):
     assert tracer.calls["engine.pick_sites.ideal"] > tracer.calls["poset.maximal_of_mask"]
 
 
+def test_tracer_counts_upsilon_under_zeta(capsys):
+    """``zeta`` must reach ``upsilon`` through the module attribute the
+    tracer replaces, or ``percolation.upsilon`` reads 0 on ``large_n``."""
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        assert cli.main(["zeta", "--n", "1000", "--reps", "100", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert tracer.calls["percolation.upsilon"] >= 1
+
+
 def test_perfbench_checks_pass_on_sn_and_coupled_jobs(tmp_path, monkeypatch, capsys):
     jobs = _load_sibling("jobs", monkeypatch)
     checks = _load_sibling("checks", monkeypatch)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,9 +13,7 @@ from scipy import stats
 
 from ungar_lab import (
     DomainError,
-    GeometricSampler,
     IdealLattice,
-    SeriesTruncationError,
     build_poset,
     coupled_ideal_run,
     grid_poset,
@@ -37,10 +36,13 @@ from ungar_lab import percolation
 from ungar_lab.rng import replica_generator, replica_random
 
 from oracles import (
+    GeometricSampler,
+    golden_section_max,
     ideal_complement_rows,
     maximal_chains,
     one_shot_lpp_grid_samples,
     plain_zeta_estimate,
+    upsilon_series,
 )
 
 
@@ -358,8 +360,8 @@ def test_upsilon_rejects_x_that_is_not_positive_and_finite(x):
 
 
 def test_upsilon_sums_from_subnormal_x():
-    # q**k overflows on the way down from these x; the sum is invariant
-    # under x -> x / q, exactly so at q = 1/2 and powers of two
+    # the sum is invariant under x -> x / q, exactly so at q = 1/2 and
+    # powers of two
     assert upsilon(0.5, 5e-324) == pytest.approx(upsilon(0.5, 1.0), rel=1e-12)
     assert upsilon(0.5, 2.0**-1060) == pytest.approx(upsilon(0.5, 2.0**-10), rel=1e-12)
     shifted = 1e-310 * 2.0**520 * 2.0**520
@@ -369,12 +371,42 @@ def test_upsilon_sums_from_subnormal_x():
         assert zeta_liminf_lower_bound(p) <= value <= zeta_limsup_estimate(p) + 1e-9
 
 
-def test_upsilon_refuses_past_a_million_upward_terms():
-    # p = 1e-5 needs about 2.8e6 terms; at p = 1e-17, 1 - p rounds to 1
-    for p in (1e-5, 1e-17):
-        with pytest.raises(SeriesTruncationError):
-            upsilon(p, 1.0)
-    assert upsilon(1e-4, 1.0) == pytest.approx(1.0, abs=1e-4)
+def test_upsilon_at_tiny_x_is_quick_and_periodic():
+    # 1e-300 shifted into the period of log x that holds 1e-12
+    p = 0.001
+    period = -math.log1p(-p)
+    periods = math.ceil((math.log(1e-12) - math.log(1e-300)) / period)
+    shifted = math.exp(math.log(1e-300) + periods * period)
+    start = time.perf_counter()
+    value = upsilon(p, 1e-300)
+    assert time.perf_counter() - start < 0.005
+    assert abs(value - upsilon(p, shifted)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-17])
+def test_upsilon_at_small_p_is_its_mean(p):
+    # every Fourier term of the series is below 1e-17 here; at p = 1e-17,
+    # 1 - p rounds to 1 and only log1p keeps the period
+    assert abs(upsilon(p, 1.0) - p / -math.log1p(-p)) <= 1e-12
+
+
+UPSILON_PS = (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("p", UPSILON_PS)
+def test_upsilon_matches_the_term_by_term_series(p):
+    for x in (0.37, 1.0, 5.0, 1e4, 123456.7):
+        assert abs(upsilon(p, x) - upsilon_series(p, x)) <= 2e-12, x
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9, 0.99, 1 - 1e-9])
+def test_gamma_of_every_fourier_term_matches_scipy(p):
+    from scipy.special import loggamma
+
+    period, coeffs = percolation._fourier_coefficients(p)
+    for m in range(1, len(coeffs)):
+        z = complex(1, -2 * math.pi * m / period)
+        assert abs(percolation._gamma(z) / np.exp(loggamma(z)) - 1) <= 1e-13, m
 
 
 def test_zeta_trivial_and_small_n_exact():
@@ -434,16 +466,27 @@ def test_zeta_sampler_matches_plain_oracle(p, n):
     assert abs(plain - zeta_exact(p, n)) <= 3 * plain_err
 
 
-# at p = 0.93 the printed digits change if each point's truncation is not
-# the scalar series' own
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9, 0.93])
-def test_zeta_limsup_is_the_scalar_grid_max(p):
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9, 0.93, 0.99])
+def test_zeta_limsup_is_at_least_the_series_grid_max(p):
     xs = np.exp(np.linspace(math.log(1 - p), 0.0, 4096))
-    scalar = max(upsilon(p, float(x)) for x in xs)
-    assert abs(zeta_limsup_estimate(p) - scalar) <= 1e-12
-    # the CLI prints the coefficient at 12 digits: the same digits as before
-    coeff = 2 / p * (math.sqrt(scalar * (1 + scalar)) - scalar)
-    assert format(tamari_linear_coefficient(p), ".12g") == format(coeff, ".12g")
+    assert zeta_limsup_estimate(p) >= max(upsilon_series(p, float(x)) for x in xs)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
+def test_zeta_limsup_is_the_series_golden_section_max(p):
+    # the series over one period of log x, refined about its grid maximum
+    logs = np.linspace(math.log(1 - p), 0.0, 4096)
+    i = max(range(len(logs)), key=lambda j: upsilon_series(p, math.exp(logs[j])))
+    top = golden_section_max(lambda t: upsilon_series(p, math.exp(t)),
+                             logs[max(i - 1, 0)], logs[min(i + 1, len(logs) - 1)])
+    assert abs(zeta_limsup_estimate(p) - top) <= 1e-11
+
+
+def test_tamari_coefficient_near_p_one():
+    # the digits the 4096-point grid missed
+    for p, printed in [(0.8, "0.918035354791"), (0.9, "0.78887462227"),
+                       (0.99, "0.692733864416")]:
+        assert format(tamari_linear_coefficient(p), ".12g") == printed
 
 
 def test_zeta_limsup_and_coefficients():

@@ -173,6 +173,12 @@ def test_catalan_counts(n):
     assert sum(1 for _ in ordered_forests(n)) == catalan(n)
 
 
+def test_catalan_closed_form_at_large_n():
+    # the recursive definition with a cache recursed past Python's limit here
+    assert catalan(1500) == math.comb(3000, 1500) // 1501
+    assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
+
+
 def test_top_and_bottom_forests():
     # decreasing word <-> the path; identity <-> the antichain
     n = 6
