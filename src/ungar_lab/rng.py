@@ -13,13 +13,20 @@ documented hand-off point between the two worlds.  That value is computed
 here, in pure Python, by numpy's SeedSequence algorithm (its ``hashmix``
 and ``mix`` hashes over a 4-word pool), because a ``SeedSequence`` object
 costs more than a short chain run; the tests pin it against numpy.  The
-pool after the seed's words and the replica tag depends only on the seed,
-so it is cached per seed.
+pool after the seed's words and the leading spawn-key words depends only
+on the seed and those words, so it is cached per seed and tag.
+
+A named bank's bits are those of ``default_rng(SeedSequence(seed,
+spawn_key=(2, s, label))).random() < p``.  Its PCG64 start state comes
+from the same pure-Python SeedSequence and PCG64's ``set_seed``; the bits
+are drawn as raw 64-bit words on one PCG64 per bank and compared with
+an integer threshold, which is the float compare exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 
@@ -45,8 +52,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # output word i of ``generate_state`` does the same with _HASH_B.
 _HASH_A = [_INIT_A]
 _HASH_B = [_INIT_B]
-for _ in range(_POOL_SIZE):
+for _ in range(2 * _POOL_SIZE):  # a PCG64 seed is 8 words
     _HASH_B.append(_HASH_B[-1] * _MULT_B & _MASK32)
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def _hash_a(count: int) -> list[int]:
@@ -94,10 +105,15 @@ def _mix_in(pool: list[int], words: list[int], j: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """The pool of ``SeedSequence(seed, spawn_key=(1, r))`` once the seed's
-    words (padded to the pool size, as with any spawn key) and the replica
-    tag are mixed in, and the index of the next hash."""
+def _pool(seed: int, *tags: int) -> tuple[tuple[int, ...], int]:
+    """The pool of ``SeedSequence(seed, spawn_key=(*tags, ...))`` once the
+    seed's words (padded to the pool size, as with any spawn key) and the
+    one-word ``tags`` are mixed in, and the index of the next hash."""
+    if tags:
+        pool, j = _pool(seed)
+        pool = list(pool)
+        j = _mix_in(pool, list(tags), j)
+        return tuple(pool), j
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     _hash_a(_POOL_SIZE * _POOL_SIZE + 1)
@@ -108,21 +124,46 @@ def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], j))
                 j += 1
-    j = _mix_in(pool, [*words[_POOL_SIZE:], _REPLICA_TAG], j)
+    j = _mix_in(pool, words[_POOL_SIZE:], j)
     return tuple(pool), j
+
+
+def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) -> list[int]:
+    """``generate_state(n_words)`` of the SeedSequence whose pool after the
+    seed and tags is ``entry`` and whose last spawn-key entry is ``key``."""
+    pool, j = entry
+    pool = list(pool)
+    _mix_in(pool, _uint32_words(key), j)
+    out = []
+    for i in range(n_words):
+        x = (pool[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+        out.append(x ^ x >> _XSHIFT)
+    return out
 
 
 def replica_state(seed: int, replica: int) -> int:
     """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
     little-endian 128-bit integer."""
-    pool, j = _replica_pool(operator.index(seed))
-    pool = list(pool)
-    _mix_in(pool, _uint32_words(replica), j)
-    state = 0
-    for i in range(_POOL_SIZE):
-        x = (pool[i] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-        state |= (x ^ x >> _XSHIFT) << 32 * i
-    return state
+    w = _generate_state(_pool(operator.index(seed), _REPLICA_TAG), replica, _POOL_SIZE)
+    return w[0] | w[1] << 32 | w[2] << 64 | w[3] << 96
+
+
+def stream_state(seed: int, stream: str, label: int) -> tuple[int, int]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(2, s,
+    label)))`` for the stream named ``stream``."""
+    return _stream_state(
+        _pool(operator.index(seed), _STREAM_TAG, _STREAM_INDEX[stream]), label)
+
+
+def _stream_state(entry: tuple[tuple[int, ...], int], label: int) -> tuple[int, int]:
+    """PCG64 reads ``generate_state(4, uint64)`` as ``initstate = u[0]:u[1]``
+    and ``initseq = u[2]:u[3]`` (high word first), then sets ``inc = 2
+    initseq + 1`` and ``state = (inc + initstate) M + inc``."""
+    w = _generate_state(entry, label, 2 * _POOL_SIZE)
+    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    initseq = (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32
+    inc = (initseq << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def replica_generator(seed: int, replica: int = 0) -> np.random.Generator:
@@ -136,15 +177,41 @@ def replica_random(seed: int, replica: int = 0) -> random.Random:
     return random.Random(replica_state(seed, replica))
 
 
+class _Table:
+    """One stream's bits drawn so far: label ``v`` is row ``rows[v]`` and
+    step ``t`` is column ``t - 1``; rows past ``len(rows)`` are spare.
+
+    ``states`` and ``incs`` hold each row's PCG64 state after its last
+    drawn column; ``spans`` caches the row index of each label range read.
+    """
+
+    __slots__ = ("entry", "rows", "states", "incs", "bits", "spans")
+
+    def __init__(self, entry):
+        self.entry = entry
+        self.rows: dict[int, int] = {}
+        self.states: list[int] = []
+        self.incs: list[int] = []
+        self.bits = np.empty((0, 0), dtype=np.uint8)
+        self.spans: dict[range, slice | np.ndarray] = {}
+
+
 class StreamBank:
     """Lazily materialized named Bernoulli(p) streams.
 
     ``bernoulli(stream, label, t)`` exposes the i.i.d. variable indexed by
     ``(stream, label, t)`` with ``t >= 1``; distinct triples are
     independent and identical triples replay identically, both within and
-    across runs with the same seed.  Bits are produced in blocks per
-    ``(stream, label)`` pair and cached, so consultation order does not
-    matter.
+    across runs with the same seed.  ``label`` may also be a ``range`` of
+    labels, and then the call returns those labels' bits at ``t`` as one
+    ``uint8`` array.
+
+    Each stream name holds a 2-D table of the bits drawn so far, one row
+    per label and one column per step.  A new row starts from its
+    ``stream_state``; the table grows by at least ``_BLOCK`` columns at a
+    time, each row drawing on from its saved state, so consultation order
+    does not matter.  Scalar reads go through a per-``(stream, label)``
+    ``bytes`` copy of the row.
     """
 
     def __init__(self, seed: int, p: float):
@@ -152,22 +219,42 @@ class StreamBank:
             raise ValueError(f"p={p} outside (0, 1]")
         self.seed = int(seed)
         self.p = float(p)
-        # (stream, label) -> its generator and the bits drawn so far, one byte each
-        self._streams: dict[tuple[str, int], tuple[np.random.Generator, bytearray]] = {}
+        # a raw word x gives the double (x >> 11) 2^-53, so x < (ceil(p 2^53) << 11)
+        # iff that double is below p; p = 1 draws nothing
+        self._threshold = (np.uint64(math.ceil(self.p * 2.0**53) << 11)
+                           if self.p < 1 else None)
+        self._bitgen: np.random.PCG64 | None = None
+        self._tables: dict[str, _Table] = {}
+        # (stream, label) -> the row's bits as bytes, a prefix of the table row
+        self._rows: dict[tuple[str, int], bytes] = {}
 
-    def bernoulli(self, stream: str, label: int, t: int) -> bool:
+    def bernoulli(self, stream: str, label, t: int):
         if t < 1:
             raise ValueError("stream time index starts at 1")
-        entry = self._streams.get((stream, label))
-        if entry is None:
-            seq = np.random.SeedSequence(
-                self.seed, spawn_key=(_STREAM_TAG, _STREAM_INDEX[stream], label)
-            )
-            entry = self._streams[stream, label] = (np.random.default_rng(seq), bytearray())
-        gen, bits = entry
-        if len(bits) < t:
-            bits += (gen.random(max(_BLOCK, t - len(bits))) < self.p).tobytes()
-        return bits[t - 1] == 1
+        row = self._rows.get((stream, label))
+        if row is not None and t <= len(row):
+            return row[t - 1] == 1
+        table = self._tables.get(stream)
+        if table is None:
+            table = self._tables[stream] = _Table(
+                _pool(self.seed, _STREAM_TAG, _STREAM_INDEX[stream]))
+        if type(label) is range:
+            index = table.spans.get(label)
+            if index is None:
+                rows = self._add_rows(table, label)
+                start = rows[0] if rows else 0
+                index = slice(start, start + len(rows))
+                if rows != list(range(start, start + len(rows))):
+                    index = np.array(rows, dtype=np.intp)
+                table.spans[label] = index
+            if table.bits.shape[1] < t:
+                self._grow(table, t)
+            return table.bits[index, t - 1]
+        (r,) = self._add_rows(table, (label,))
+        if table.bits.shape[1] < t:
+            self._grow(table, t)
+        row = self._rows[stream, label] = table.bits[r].tobytes()
+        return row[t - 1] == 1
 
     def first_success(self, stream: str, label: int) -> int:
         """Smallest ``t`` with a 1 bit; geometric(p) by construction."""
@@ -175,3 +262,50 @@ class StreamBank:
         while not self.bernoulli(stream, label, t):
             t += 1
         return t
+
+    def _add_rows(self, table: _Table, labels) -> list[int]:
+        """The rows of ``labels``, adding (and drawing up to the table's
+        width) those not in the table yet."""
+        rows = table.rows
+        new = [v for v in dict.fromkeys(labels) if v not in rows]
+        if new:
+            start = len(rows)
+            for v in new:
+                rows[v] = len(table.states)
+                state, inc = _stream_state(table.entry, v)
+                table.states.append(state)
+                table.incs.append(inc)
+            bits = table.bits
+            if len(rows) > len(bits):
+                table.bits = np.empty((max(len(rows), 2 * len(bits)), bits.shape[1]), np.uint8)
+                table.bits[:start] = bits[:start]
+            self._draw(table, range(start, len(rows)), table.bits[start : len(rows)])
+        return [rows[v] for v in labels]
+
+    def _grow(self, table: _Table, t: int) -> None:
+        """Widen ``table`` to at least ``t`` columns, by at least ``_BLOCK``."""
+        old, nrows = table.bits, len(table.rows)
+        width = old.shape[1]
+        table.bits = np.empty((len(old), width + max(_BLOCK, t - width)), np.uint8)
+        table.bits[:nrows, :width] = old[:nrows]
+        self._draw(table, range(nrows), table.bits[:nrows, width:])
+
+    def _draw(self, table: _Table, rows: range, out: np.ndarray) -> None:
+        """Write the next ``out.shape[1]`` bits of each row in ``rows`` to
+        the matching row of ``out``, advancing its state."""
+        k = out.shape[1]
+        if self._threshold is None:
+            out.fill(1)
+            return
+        if not k:
+            return
+        if self._bitgen is None:
+            self._bitgen = np.random.PCG64(0)
+        bitgen, threshold = self._bitgen, self._threshold
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for i, r in enumerate(rows):
+            pcg["state"], pcg["inc"] = table.states[r], table.incs[r]
+            bitgen.state = full
+            np.less(bitgen.random_raw(k), threshold, out=out[i])
+            table.states[r] = bitgen.state["state"]["state"]

@@ -431,9 +431,14 @@ def algorithm1_run(
     and each skyline label ``a_j`` switches from B to B' once vertex 1
     loses ``a_{j-1}``; all remaining labels stay on B.
 
-    Each step lists the ``(stream, key)`` pair of every vertex, audits
-    the list when ``audit`` is set, then draws each bit at the step and
-    operates on the vertices it selects, in label order.
+    Phase 1 and plain mode read one ``range`` of labels per stream and
+    step, so their triples are distinct by construction; each vertex the
+    column selects is operated on, in label order, where it is a
+    non-leaf (a leaf's operation is a no-op, and leaves stay leaves).  In
+    full mode, and throughout a run with ``force_g``, each step lists the
+    ``(stream, key)`` pair of every vertex, audits the list when
+    ``audit`` is set, then draws each bit at the step and operates on
+    the vertices it selects, in label order.
 
     ``force_g`` pins ``S_{i,t}`` to ``t == force_g[i]`` for ``t <=
     force_g[i]`` (the standard conditional replay of the extremal event);
@@ -460,8 +465,10 @@ def algorithm1_run(
     unfired = n
     left1 = [0] * (n + 1)
     op_counts = np.zeros(n + 1, dtype=np.int64)
-    s_pairs = [("S", v) for v in range(1, n + 1)]
-    b_pairs = [("B", v) for v in range(1, n + 1)]
+    labels = range(1, n + 1)
+    fired = np.zeros(n, dtype=np.uint8)
+    s_pairs = [("S", v) for v in labels]
+    b_pairs = [("B", v) for v in labels]
     phase2 = None
     t = 0
     while not sim.absorbed():
@@ -470,8 +477,27 @@ def algorithm1_run(
             raise NotReached("no absorption within 10**9 steps")
         if phase2 is None and not unfired:
             phase2 = _Phase2(g, n, landmark_constant)
+        if not force_g and (phase2 is None or phase2.mode == "plain"):
+            col = draw("S", labels, t)
+            if phase2 is None:
+                newly = np.flatnonzero(col > fired)
+                if unfired < n:
+                    col = np.where(fired, draw("B", labels, t), col)
+                if newly.size:
+                    fired[newly] = 1
+                    unfired -= newly.size
+                    for i in newly.tolist():
+                        g[i + 1] = t
+            op_counts[1:] += col
+            selected = col.tobytes()
+            for v in sim.non_leaves():
+                if selected[v - 1]:
+                    c = sim.operate(v)
+                    if v == 1 and c:
+                        left1[c : c + sim.size[c]] = [t] * sim.size[c]
+            continue
         if phase2 is None:
-            pairs = [b_pairs[v - 1] if g[v] else s_pairs[v - 1] for v in range(1, n + 1)]
+            pairs = [b_pairs[v - 1] if g[v] else s_pairs[v - 1] for v in labels]
         elif phase2.mode == "plain":
             pairs = s_pairs
         else:

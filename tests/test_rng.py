@@ -1,4 +1,5 @@
-"""Replica-stream derivation: the pure-Python 128-bit hand-off is numpy's."""
+"""Stream derivation: the pure-Python replica hand-off and bank start
+states are numpy's, and so are the bank's bits."""
 
 import random
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab.rng import replica_random, replica_state
+from ungar_lab import rng
+from ungar_lab.rng import STREAM_NAMES, StreamBank, replica_random, replica_state, stream_state
 
 
 def _numpy_state(seed, replica):
@@ -46,3 +48,54 @@ def test_negative_seed_or_replica_raises_as_numpy_does(seed, replica):
         np.random.SeedSequence(seed, spawn_key=(1, replica))
     with pytest.raises(ValueError, match="expected non-negative integer"):
         replica_random(seed, replica)
+
+
+def _bank_seq(seed, stream, label):
+    return np.random.SeedSequence(seed, spawn_key=(2, STREAM_NAMES.index(stream), label))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
+def test_stream_state_is_numpys_pcg64_state(seed):
+    for stream in STREAM_NAMES:
+        for label in (1, 7, 2**32 + 3):
+            expected = np.random.PCG64(_bank_seq(seed, stream, label)).state["state"]
+            assert stream_state(seed, stream, label) == (expected["state"], expected["inc"])
+
+
+def _numpy_bits(seed, stream, label, p, k):
+    return np.random.default_rng(_bank_seq(seed, stream, label)).random(k) < p
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_bank_scalar_and_range_reads_are_numpys_bits(p):
+    k = 3 * rng._BLOCK + 40  # past three blocks
+    labels = range(5, 12)
+    expected = {(s, v): _numpy_bits(9, s, v, p, k) for s in ("S", "B") for v in labels}
+    steps = np.random.default_rng(0).permutation(np.arange(1, k + 1))
+    bank = StreamBank(9, p)
+    assert steps[:300].max() > 3 * rng._BLOCK
+    for t in steps[:300]:  # out of order
+        col = bank.bernoulli("S", labels, int(t))
+        assert col.dtype == np.uint8
+        assert col.tolist() == [int(expected["S", v][t - 1]) for v in labels]
+    for t in steps[:300]:
+        for v in (11, 5, 8):
+            assert bank.bernoulli("S", v, int(t)) == expected["S", v][t - 1]
+    # scalar reads first, so the range's rows are not contiguous in the table
+    other = StreamBank(9, p)
+    for v in (9, 6):
+        assert other.bernoulli("B", v, k) == expected["B", v][k - 1]
+    for t in (1, 2, rng._BLOCK, rng._BLOCK + 1, k):
+        col = other.bernoulli("B", labels, t)
+        assert col.tolist() == [int(expected["B", v][t - 1]) for v in labels]
+    assert other.first_success("B", 7) == int(np.argmax(expected["B", 7])) + 1
+
+
+def test_bank_range_reads_of_a_new_range_draw_only_new_rows():
+    bank = StreamBank(4, 0.5)
+    first = bank.bernoulli("S", range(1, 4), 2).copy()
+    wider = bank.bernoulli("S", range(1, 9), 2)
+    assert wider[:3].tolist() == first.tolist()
+    assert wider.tolist() == [int(_numpy_bits(4, "S", v, 0.5, 2)[1]) for v in range(1, 9)]
+    with pytest.raises(ValueError, match="starts at 1"):
+        bank.bernoulli("S", range(1, 4), 0)
