@@ -440,6 +440,9 @@ def algorithm1_run(
     ``audit`` is set, then draws each bit at the step and operates on
     the vertices it selects, in label order.
 
+    ``g_i`` is the first success of ``S_i``, also for a vertex that has
+    not fired when the chain is absorbed.
+
     ``force_g`` pins ``S_{i,t}`` to ``t == force_g[i]`` for ``t <=
     force_g[i]`` (the standard conditional replay of the extremal event);
     ``landmark_constant`` rescales the written constant 201 so the deep
@@ -518,6 +521,12 @@ def algorithm1_run(
                     left1[c : c + sim.size[c]] = [t] * sim.size[c]
 
     if phase2 is None:
+        # absorbed before every vertex fired: g_v of the rest is still the
+        # first success of S_v, as if the chain had run on
+        pinned = force_g or {}
+        for v in labels:
+            if not g[v]:
+                g[v] = pinned.get(v) or bank.first_success("S", v)
         phase2 = _Phase2(g, n, landmark_constant)
     t_disc = None
     if phase2.childlike:
