@@ -50,6 +50,9 @@ from .rng import replica_generator
 
 # the most weights or uniforms one vectorized draw materializes
 _DRAW_BLOCK = 2_000_000
+# zeta_exact sums its series this many terms at a time, up to _ZETA_MAX_TERMS
+_ZETA_BLOCK = 10**6
+_ZETA_MAX_TERMS = 10**8
 
 __all__ = [
     "LppSample",
@@ -386,7 +389,9 @@ def zeta_exact(p: float, n: int) -> float:
     ``n-1`` lie below it; for ``n >= 2`` term 1 is 0.  Each term is at
     most ``n p q^{k-1}``, so the tail after term ``K`` is at most
     ``n q^K``; the sum stops at the first ``K`` where that is below
-    ``tol = 1e-15``.
+    ``tol = 1e-15``.  Terms are summed ``_ZETA_BLOCK`` at a time, so
+    memory is flat in ``K``; past ``_ZETA_MAX_TERMS`` terms (``p`` below
+    about ``4e-7``) it raises :class:`SeriesTruncationError`.
     """
     tol = 1e-15
     p = _check_p(p)
@@ -398,10 +403,13 @@ def zeta_exact(p: float, n: int) -> float:
         return 0.0  # every variable equals 1
     q = 1.0 - p
     terms = math.ceil(math.log(tol / n) / math.log(q))
-    if terms > 10**6:
+    if terms > _ZETA_MAX_TERMS:
         raise SeriesTruncationError(f"zeta_n needs {terms} terms at p={p}")
-    qk = q ** np.arange(1, terms, dtype=float)  # q^{k-1}, k = 2..K
-    return float(np.sum(n * p * qk * np.exp((n - 1) * np.log1p(-qk))))
+    total = 0.0
+    for start in range(1, terms, _ZETA_BLOCK):
+        qk = q ** np.arange(start, min(start + _ZETA_BLOCK, terms), dtype=float)  # q^{k-1}
+        total += float(np.sum(n * p * qk * np.exp((n - 1) * np.log1p(-qk))))
+    return total
 
 
 def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, float]:

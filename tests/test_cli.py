@@ -177,6 +177,15 @@ def test_zeta_row(capsys):
     assert abs(est - exact) <= 3 * err
 
 
+def test_zeta_at_small_p_sums_millions_of_terms(capsys):
+    code, out, _ = run_cli(capsys, "zeta", "--n", "10", "--p", "1e-5", "--reps", "1000",
+                           "--seed", "1")
+    assert code == 0
+    header, values = out.strip().split("\n")
+    row = dict(zip(header.split(","), values.split(",")))
+    assert abs(float(row["zeta_exact"]) - float(row["upsilon"])) < 1e-9
+
+
 # sha256 of the zeta stdout of each case, recorded one digest per case when
 # the four-case digest (two uniforms per trial, the degenerate n = 1 row's
 # stderr 0) was split, and re-recorded when upsilon became its Fourier

@@ -14,6 +14,7 @@ from scipy import stats
 from ungar_lab import (
     DomainError,
     IdealLattice,
+    SeriesTruncationError,
     build_poset,
     coupled_ideal_run,
     grid_poset,
@@ -435,6 +436,13 @@ def test_zeta_exact_closed_forms():
     assert abs(zeta_exact(0.5, 10_000) - upsilon(0.5, 10_000)) <= 1e-7
     with pytest.raises(DomainError):
         zeta_exact(0.5, 0)
+
+
+def test_zeta_exact_sums_past_one_block_and_refuses_past_the_cap():
+    p = 1e-5  # 3.5 million terms at n = 2: four blocks
+    assert abs(zeta_exact(p, 2) - (1 - p / (2 - p))) <= 1e-9
+    with pytest.raises(SeriesTruncationError, match="terms"):
+        zeta_exact(1e-8, 2)  # 3.5e9 terms
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
