@@ -435,10 +435,9 @@ def algorithm1_run(
     step, so their triples are distinct by construction; each vertex the
     column selects is operated on, in label order, where it is a
     non-leaf (a leaf's operation is a no-op, and leaves stay leaves).  In
-    full mode, and throughout a run with ``force_g``, each step lists the
-    ``(stream, key)`` pair of every vertex, audits the list when
-    ``audit`` is set, then draws each bit at the step and operates on
-    the vertices it selects, in label order.
+    full mode each step lists the ``(stream, key)`` pair of every vertex,
+    audits the list when ``audit`` is set, then draws each bit at the
+    step and operates on the vertices it selects, in label order.
 
     ``g_i`` is the first success of ``S_i``, also for a vertex that has
     not fired when the chain is absorbed.
@@ -455,23 +454,14 @@ def algorithm1_run(
         raise DomainError("need n >= 2")
     bank = StreamBank(seed, p)
     draw = bank.bernoulli
-    if force_g:
-        forced = dict(force_g)
-
-        def draw(stream: str, key: int, t: int) -> bool:
-            if stream == "S" and t <= forced.get(key, 0):
-                return t == forced[key]
-            return bank.bernoulli(stream, key, t)
-
+    labels = range(1, n + 1)
+    pinned = np.array([force_g.get(v, 0) for v in labels]) if force_g else None
     sim = SimForest.path(n)
     g = [0] * (n + 1)
     unfired = n
+    fired = np.zeros(n, dtype=np.uint8)
     left1 = [0] * (n + 1)
     op_counts = np.zeros(n + 1, dtype=np.int64)
-    labels = range(1, n + 1)
-    fired = np.zeros(n, dtype=np.uint8)
-    s_pairs = [("S", v) for v in labels]
-    b_pairs = [("B", v) for v in labels]
     phase2 = None
     t = 0
     while not sim.absorbed():
@@ -480,53 +470,49 @@ def algorithm1_run(
             raise NotReached("no absorption within 10**9 steps")
         if phase2 is None and not unfired:
             phase2 = _Phase2(g, n, landmark_constant)
-        if not force_g and (phase2 is None or phase2.mode == "plain"):
-            col = draw("S", labels, t)
+        if phase2 is None or phase2.mode == "plain":
+            if phase2 is None and pinned is not None:
+                # a pinned vertex fires at its pin, so S is read only if some vertex is free
+                col = pinned == t
+                if not pinned.all():
+                    col = np.where(t <= pinned, col, draw("S", labels, t))
+            else:
+                col = draw("S", labels, t)
             if phase2 is None:
                 newly = np.flatnonzero(col > fired)
                 if unfired < n:
                     col = np.where(fired, draw("B", labels, t), col)
-                if newly.size:
-                    fired[newly] = 1
-                    unfired -= newly.size
-                    for i in newly.tolist():
-                        g[i + 1] = t
+                fired[newly] = 1
+                unfired -= newly.size
+                for i in newly.tolist():
+                    g[i + 1] = t
             op_counts[1:] += col
             selected = col.tobytes()
             for v in sim.non_leaves():
                 if selected[v - 1]:
                     c = sim.operate(v)
                     if v == 1 and c:
+                        # trees only split: labels [c, c + size) leave for good
                         left1[c : c + sim.size[c]] = [t] * sim.size[c]
             continue
-        if phase2 is None:
-            pairs = [b_pairs[v - 1] if g[v] else s_pairs[v - 1] for v in labels]
-        elif phase2.mode == "plain":
-            pairs = s_pairs
-        else:
-            pairs = phase2.pairs(sim, left1)
+        pairs = phase2.pairs(sim, left1)
         if audit and len(set(pairs)) != n:
             raise InvariantViolation(
                 f"step {t} consulted {len(set(pairs))} distinct triples for {n} vertices"
             )
         for v, (stream, key) in enumerate(pairs, 1):
             if draw(stream, key, t):
-                if not g[v]:
-                    g[v] = t
-                    unfired -= 1
                 op_counts[v] += 1
                 c = sim.operate(v)
                 if v == 1 and c:
-                    # trees only split: labels [c, c + size) leave for good
                     left1[c : c + sim.size[c]] = [t] * sim.size[c]
 
     if phase2 is None:
         # absorbed before every vertex fired: g_v of the rest is still the
         # first success of S_v, as if the chain had run on
-        pinned = force_g or {}
         for v in labels:
             if not g[v]:
-                g[v] = pinned.get(v) or bank.first_success("S", v)
+                g[v] = (force_g or {}).get(v) or bank.first_success("S", v)
         phase2 = _Phase2(g, n, landmark_constant)
     t_disc = None
     if phase2.childlike:
