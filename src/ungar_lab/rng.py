@@ -104,16 +104,10 @@ def _mix_in(pool: list[int], words: list[int], j: int) -> int:
     return j
 
 
-@functools.lru_cache(maxsize=64)
 def _pool(seed: int, *tags: int) -> tuple[tuple[int, ...], int]:
     """The pool of ``SeedSequence(seed, spawn_key=(*tags, ...))`` once the
     seed's words (padded to the pool size, as with any spawn key) and the
     one-word ``tags`` are mixed in, and the index of the next hash."""
-    if tags:
-        pool, j = _pool(seed)
-        pool = list(pool)
-        j = _mix_in(pool, list(tags), j)
-        return tuple(pool), j
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     _hash_a(_POOL_SIZE * _POOL_SIZE + 1)
@@ -124,8 +118,15 @@ def _pool(seed: int, *tags: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], j))
                 j += 1
-    j = _mix_in(pool, words[_POOL_SIZE:], j)
+    j = _mix_in(pool, [*words[_POOL_SIZE:], *tags], j)
     return tuple(pool), j
+
+
+@functools.lru_cache(maxsize=64)
+def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """``_pool(seed, 1)``, cached because ``replica_state`` runs once per
+    replica; a bank keeps its own streams' pools."""
+    return _pool(seed, _REPLICA_TAG)
 
 
 def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) -> list[int]:
@@ -144,7 +145,7 @@ def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) 
 def replica_state(seed: int, replica: int) -> int:
     """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
     little-endian 128-bit integer."""
-    w = _generate_state(_pool(operator.index(seed), _REPLICA_TAG), replica, _POOL_SIZE)
+    w = _generate_state(_replica_pool(operator.index(seed)), replica, _POOL_SIZE)
     return w[0] | w[1] << 32 | w[2] << 64 | w[3] << 96
 
 
