@@ -13,8 +13,8 @@ documented hand-off point between the two worlds.  That value is computed
 here, in pure Python, by numpy's SeedSequence algorithm (its ``hashmix``
 and ``mix`` hashes over a 4-word pool), because a ``SeedSequence`` object
 costs more than a short chain run; the tests pin it against numpy.  The
-pool after the seed's words and the leading spawn-key words depends only
-on the seed and those words, so it is cached per seed and tag.
+pool after the seed's words and the replica tag depends only on the seed,
+so it is cached per seed.
 
 A named bank's bits are those of ``default_rng(SeedSequence(seed,
 spawn_key=(2, s, label))).random() < p``.  Its PCG64 start state comes
@@ -57,6 +57,7 @@ for _ in range(2 * _POOL_SIZE):  # a PCG64 seed is 8 words
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -129,24 +130,24 @@ def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return _pool(seed, _REPLICA_TAG)
 
 
-def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) -> list[int]:
+def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) -> int:
     """``generate_state(n_words)`` of the SeedSequence whose pool after the
-    seed and tags is ``entry`` and whose last spawn-key entry is ``key``."""
+    seed and tags is ``entry`` and whose last spawn-key entry is ``key``, as
+    one little-endian integer."""
     pool, j = entry
     pool = list(pool)
     _mix_in(pool, _uint32_words(key), j)
-    out = []
+    state = 0
     for i in range(n_words):
         x = (pool[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-        out.append(x ^ x >> _XSHIFT)
-    return out
+        state |= (x ^ x >> _XSHIFT) << 32 * i
+    return state
 
 
 def replica_state(seed: int, replica: int) -> int:
     """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
     little-endian 128-bit integer."""
-    w = _generate_state(_replica_pool(operator.index(seed)), replica, _POOL_SIZE)
-    return w[0] | w[1] << 32 | w[2] << 64 | w[3] << 96
+    return _generate_state(_replica_pool(operator.index(seed)), replica, _POOL_SIZE)
 
 
 def stream_state(seed: int, stream: str, label: int) -> tuple[int, int]:
@@ -160,9 +161,9 @@ def _stream_state(entry: tuple[tuple[int, ...], int], label: int) -> tuple[int, 
     """PCG64 reads ``generate_state(4, uint64)`` as ``initstate = u[0]:u[1]``
     and ``initseq = u[2]:u[3]`` (high word first), then sets ``inc = 2
     initseq + 1`` and ``state = (inc + initstate) M + inc``."""
-    w = _generate_state(entry, label, 2 * _POOL_SIZE)
-    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-    initseq = (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32
+    u = _generate_state(entry, label, 2 * _POOL_SIZE)
+    initstate = (u & _MASK64) << 64 | u >> 64 & _MASK64
+    initseq = (u >> 128 & _MASK64) << 64 | u >> 192
     inc = (initseq << 1 | 1) & _MASK128
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
 
@@ -188,7 +189,7 @@ class _Table:
 
     __slots__ = ("entry", "rows", "states", "incs", "bits", "spans")
 
-    def __init__(self, entry):
+    def __init__(self, entry: tuple[tuple[int, ...], int]):
         self.entry = entry
         self.rows: dict[int, int] = {}
         self.states: list[int] = []
