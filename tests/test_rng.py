@@ -91,7 +91,7 @@ def test_bank_scalar_and_range_reads_are_numpys_bits(p):
     assert other.first_success("B", 7) == int(np.argmax(expected["B", 7])) + 1
 
 
-def test_bank_range_reads_of_a_new_range_draw_only_new_rows():
+def test_bank_wider_range_keeps_the_rows_already_drawn():
     bank = StreamBank(4, 0.5)
     first = bank.bernoulli("S", range(1, 4), 2).copy()
     wider = bank.bernoulli("S", range(1, 9), 2)
