@@ -20,7 +20,10 @@ A named bank's bits are those of ``default_rng(SeedSequence(seed,
 spawn_key=(2, s, label))).random() < p``.  Its PCG64 start state comes
 from the same pure-Python SeedSequence and PCG64's ``set_seed``; the bits
 are drawn as raw 64-bit words on one PCG64 per bank and compared with
-an integer threshold, which is the float compare exactly.
+an integer threshold, which is the float compare exactly.  Each stream
+keeps one dense read-only table of its bits, a row per label from 1 and a
+column per step, which every read indexes directly; there are no
+per-label copies.
 """
 
 from __future__ import annotations
@@ -180,40 +183,35 @@ def replica_random(seed: int, replica: int = 0) -> random.Random:
 
 
 class _Table:
-    """One stream's bits drawn so far: label ``v`` is row ``rows[v]`` and
-    step ``t`` is column ``t - 1``; rows past ``len(rows)`` are spare.
+    """One stream's bits drawn so far, label ``v`` in row ``v - 1`` and step
+    ``t`` in column ``t - 1``, and each row's PCG64 ``states`` (after its
+    last drawn column) and ``incs``.  ``bits`` is replaced, never written."""
 
-    ``states`` and ``incs`` hold each row's PCG64 state after its last
-    drawn column; ``spans`` caches the row index of each label range read.
-    """
-
-    __slots__ = ("entry", "rows", "states", "incs", "bits", "spans")
+    __slots__ = ("entry", "states", "incs", "bits")
 
     def __init__(self, entry: tuple[tuple[int, ...], int]):
         self.entry = entry
-        self.rows: dict[int, int] = {}
         self.states: list[int] = []
         self.incs: list[int] = []
         self.bits = np.empty((0, 0), dtype=np.uint8)
-        self.spans: dict[range, slice | np.ndarray] = {}
 
 
 class StreamBank:
     """Lazily materialized named Bernoulli(p) streams.
 
-    ``bernoulli(stream, label, t)`` exposes the i.i.d. variable indexed by
-    ``(stream, label, t)`` with ``t >= 1``; distinct triples are
-    independent and identical triples replay identically, both within and
-    across runs with the same seed.  ``label`` may also be a ``range`` of
-    labels, and then the call returns those labels' bits at ``t`` as one
-    ``uint8`` array.
+    ``bernoulli(stream, label, t)`` is the i.i.d. variable indexed by
+    ``(stream, label, t)``, labels and steps counted from 1, as a
+    ``bool``; distinct triples are independent and identical triples
+    replay identically, both within and across runs with the same seed.
+    ``label`` may also be an ascending ``range`` of labels, and then the
+    call returns those labels' bits at ``t`` as one read-only ``uint8``
+    array.
 
-    Each stream name holds a 2-D table of the bits drawn so far, one row
-    per label and one column per step.  A new row starts from its
-    ``stream_state``; the table grows by at least ``_BLOCK`` columns at a
-    time, each row drawing on from its saved state, so consultation order
-    does not matter.  Scalar reads go through a per-``(stream, label)``
-    ``bytes`` copy of the row.
+    Each stream name holds one dense 2-D table, with a row for every label
+    up to the largest read: a range read is a slice of one column and a
+    scalar read one element.  A new row starts from its ``stream_state``;
+    the table grows by at least ``_BLOCK`` columns at a time, each row
+    drawing on from its saved state, so consultation order does not matter.
     """
 
     def __init__(self, seed: int, p: float):
@@ -221,42 +219,23 @@ class StreamBank:
             raise ValueError(f"p={p} outside (0, 1]")
         self.seed = int(seed)
         self.p = float(p)
-        # a raw word x gives the double (x >> 11) 2^-53, so x < (ceil(p 2^53) << 11)
-        # iff that double is below p; p = 1 draws nothing
-        self._threshold = (np.uint64(math.ceil(self.p * 2.0**53) << 11)
-                           if self.p < 1 else None)
+        # a raw word x gives the double (x >> 11) 2^-53, which is below p iff
+        # x <= (ceil(p 2^53) << 11) - 1; at p = 1 that is every word
+        self._threshold = np.uint64((math.ceil(self.p * 2.0**53) << 11) - 1)
         self._bitgen: np.random.PCG64 | None = None
         self._tables: dict[str, _Table] = {}
-        # (stream, label) -> the row's bits as bytes, a prefix of the table row
-        self._rows: dict[tuple[str, int], bytes] = {}
 
     def bernoulli(self, stream: str, label, t: int):
         if t < 1:
             raise ValueError("stream time index starts at 1")
-        row = self._rows.get((stream, label))
-        if row is not None and t <= len(row):
-            return row[t - 1] == 1
-        table = self._tables.get(stream)
-        if table is None:
-            table = self._tables[stream] = _Table(
-                _pool(self.seed, _STREAM_TAG, _STREAM_INDEX[stream]))
         if type(label) is range:
-            index = table.spans.get(label)
-            if index is None:
-                rows = self._add_rows(table, label)
-                start = rows[0] if rows else 0
-                index = slice(start, start + len(rows))
-                if rows != list(range(start, start + len(rows))):
-                    index = np.array(rows, dtype=np.intp)
-                table.spans[label] = index
-            if table.bits.shape[1] < t:
-                self._grow(table, t)
-            return table.bits[index, t - 1]
-        (r,) = self._add_rows(table, (label,))
-        if table.bits.shape[1] < t:
-            self._grow(table, t)
-        row = self._rows[stream, label] = table.bits[r].tobytes()
-        return row[t - 1] == 1
+            if label.start < 1 or label.step < 0:
+                raise ValueError("a label range must ascend from label 1 or above")
+            bits = self._bits(stream, label[-1] if label else 0, t)
+            return bits[label.start - 1 : label.stop - 1 : label.step, t - 1]
+        if label < 1:
+            raise ValueError("stream labels start at 1")
+        return self._bits(stream, label, t).item(label - 1, t - 1) == 1
 
     def first_success(self, stream: str, label: int) -> int:
         """Smallest ``t`` with a 1 bit; geometric(p) by construction."""
@@ -265,40 +244,34 @@ class StreamBank:
             t += 1
         return t
 
-    def _add_rows(self, table: _Table, labels) -> list[int]:
-        """The rows of ``labels``, adding (and drawing up to the table's
-        width) those not in the table yet."""
-        rows = table.rows
-        new = [v for v in dict.fromkeys(labels) if v not in rows]
-        if new:
-            start = len(rows)
-            for v in new:
-                rows[v] = len(table.states)
-                state, inc = _stream_state(table.entry, v)
-                table.states.append(state)
-                table.incs.append(inc)
-            bits = table.bits
-            if len(rows) > len(bits):
-                table.bits = np.empty((max(len(rows), 2 * len(bits)), bits.shape[1]), np.uint8)
-                table.bits[:start] = bits[:start]
-            self._draw(table, range(start, len(rows)), table.bits[start : len(rows)])
-        return [rows[v] for v in labels]
-
-    def _grow(self, table: _Table, t: int) -> None:
-        """Widen ``table`` to at least ``t`` columns, by at least ``_BLOCK``."""
-        old, nrows = table.bits, len(table.rows)
-        width = old.shape[1]
-        table.bits = np.empty((len(old), width + max(_BLOCK, t - width)), np.uint8)
-        table.bits[:nrows, :width] = old[:nrows]
-        self._draw(table, range(nrows), table.bits[:nrows, width:])
+    def _bits(self, stream: str, nrows: int, t: int) -> np.ndarray:
+        """The table of ``stream``, replaced first by one with at least
+        ``nrows`` rows and ``t`` columns if it is smaller."""
+        table = self._tables.get(stream)
+        if table is None:
+            table = self._tables[stream] = _Table(
+                _pool(self.seed, _STREAM_TAG, _STREAM_INDEX[stream]))
+        old = table.bits
+        rows, width = old.shape
+        if nrows <= rows and t <= width:
+            return old
+        for v in range(rows + 1, nrows + 1):
+            state, inc = _stream_state(table.entry, v)
+            table.states.append(state)
+            table.incs.append(inc)
+        if t > width:
+            width += max(_BLOCK, t - width)
+        bits = table.bits = np.empty((len(table.states), width), np.uint8)
+        bits[:rows, : old.shape[1]] = old
+        self._draw(table, range(rows), bits[:rows, old.shape[1] :])
+        self._draw(table, range(rows, len(bits)), bits[rows:])
+        bits.flags.writeable = False
+        return bits
 
     def _draw(self, table: _Table, rows: range, out: np.ndarray) -> None:
         """Write the next ``out.shape[1]`` bits of each row in ``rows`` to
         the matching row of ``out``, advancing its state."""
         k = out.shape[1]
-        if self._threshold is None:
-            out.fill(1)
-            return
         if not k:
             return
         if self._bitgen is None:
@@ -309,5 +282,5 @@ class StreamBank:
         for i, r in enumerate(rows):
             pcg["state"], pcg["inc"] = table.states[r], table.incs[r]
             bitgen.state = full
-            np.less(bitgen.random_raw(k), threshold, out=out[i])
+            np.less_equal(bitgen.random_raw(k), threshold, out=out[i])
             table.states[r] = bitgen.state["state"]["state"]

@@ -349,10 +349,9 @@ class Algorithm1Result:
 class _Phase2:
     """The skyline of ``g`` and, in full mode, the routing tables.
 
-    Built once, when every vertex has fired (or at absorption).  ``pairs``
-    gives the ``(stream, key)`` pair each vertex consults at a full-mode
-    step; ``left1[v]`` is the step at which label ``v`` left vertex 1's
-    tree, 0 while it is still there.
+    Built once, when every vertex has fired (or at absorption).
+    ``column`` gives the bits of a full-mode step; ``left1[v]`` is the step
+    at which label ``v`` left vertex 1's tree, 0 while it is still there.
     """
 
     def __init__(self, g: list[int], n: int, landmark_constant: float):
@@ -372,18 +371,15 @@ class _Phase2:
         a = skl.top
         iK1, iK2 = sumsel[K1 - 1], sumsel[K2 - 1]
         evens = range(K1 + 2, K2 + 1, 2)
-
-        def first_pair(i: int) -> tuple[str, int]:
-            if i <= iK1:
-                return "D", i
-            if i <= iK2:
-                # the even landmark window [i_{j-2} + 1, i_j] holding i
-                return "Dp", next(j for j in evens if i <= sumsel[j - 1])
-            return "Ddag", 1
-
-        # vertex 1's pair, indexed by its smallest skyline column still in
-        # its tree minus 2 (the last entry: no column is)
-        self.first = [first_pair(i) for i in range(2, len(a) + 2)]
+        # vertex 1's pair, indexed by its smallest skyline column i still in
+        # its tree minus 2 (the last entry: no column is); D' is keyed by the
+        # even landmark window [i_{j-2} + 1, i_j] holding i
+        self.first = [
+            ("D", i) if i <= iK1
+            else ("Dp", next(j for j in evens if i <= sumsel[j - 1])) if i <= iK2
+            else ("Ddag", 1)
+            for i in range(2, len(a) + 2)
+        ]
         # landmark windows [a_{i_j}, a_{i_{j-2}} - 1] of the summary, even j
         self.windows = [(j, a[sumsel[j - 1] - 1], a[sumsel[j - 3] - 1] - 1) for j in evens]
         # skyline label a_j, 3 <= j <= i_{K1}, reads B' once a_{j-1} leaves
@@ -391,21 +387,31 @@ class _Phase2:
         for j in range(3, iK1 + 1):
             self.b_prime_after[a[j - 1]] = a[j - 2]
 
-    def pairs(self, sim: SimForest, left1: list[int]) -> list[tuple[str, int]]:
-        labels = self.skyline.top[1:]
-        k = next((k for k, v in enumerate(labels) if not left1[v]), len(labels))
+    def column(self, sim: SimForest, left1: list[int], draw, t: int,
+               audit: bool) -> np.ndarray:
+        """The full-mode bits of step ``t``, vertex ``v`` at index ``v - 1``,
+        as a fresh array; with ``audit`` set, raises
+        :class:`InvariantViolation` unless the ``n`` triples are distinct."""
+        labels = range(1, sim.n + 1)
+        on_bp = [left1[u] > 0 for u in self.b_prime_after[1:]]
+        col = np.where(on_bp, draw("Bp", labels, t), draw("B", labels, t))
+        skl = self.skyline.top[1:]
+        k = next((k for k, v in enumerate(skl) if not left1[v]), len(skl))
+        keys = {1: self.first[k]}
         # each landmark window routes its largest rooted non-leaf to C
-        c_key = {}
         for j, lo, hi in self.windows:
             for v in range(hi - 1, lo - 1, -1):
                 if sim.last_child[v] and sim.parent[v] < lo:
-                    c_key[v] = j
+                    keys[v] = ("C", j)
                     break
-        bp = self.b_prime_after
-        return [self.first[k]] + [
-            ("C", c_key[v]) if v in c_key else ("Bp", v) if left1[bp[v]] else ("B", v)
-            for v in range(2, sim.n + 1)
-        ]
+        for v, (stream, key) in keys.items():
+            col[v - 1] = draw(stream, key, t)
+        if audit:
+            triples = {keys.get(v) or ("Bp" if on_bp[v - 1] else "B", v) for v in labels}
+            if len(triples) != sim.n:
+                raise InvariantViolation(
+                    f"step {t} consulted {len(triples)} distinct triples for {sim.n} vertices")
+        return col
 
 
 def algorithm1_run(
@@ -431,13 +437,13 @@ def algorithm1_run(
     and each skyline label ``a_j`` switches from B to B' once vertex 1
     loses ``a_{j-1}``; all remaining labels stay on B.
 
-    Phase 1 and plain mode read one ``range`` of labels per stream and
-    step, so their triples are distinct by construction; each vertex the
-    column selects is operated on, in label order, where it is a
-    non-leaf (a leaf's operation is a no-op, and leaves stay leaves).  In
-    full mode each step lists the ``(stream, key)`` pair of every vertex,
-    audits the list when ``audit`` is set, then draws each bit at the
-    step and operates on the vertices it selects, in label order.
+    Each step builds one column of bits, one per vertex, and operates in
+    label order on each vertex it selects that is a non-leaf (a leaf's
+    operation is a no-op, and leaves stay leaves).  Phase 1 and plain mode
+    read one ``range`` of labels per stream, so their triples are distinct
+    by construction.  Full mode starts from the B column, takes B' where
+    it applies and writes in the scalar D/D'/D† and C bits; with ``audit``
+    set, it checks that the step's ``n`` triples are distinct.
 
     ``g_i`` is the first success of ``S_i``, also for a vertex that has
     not fired when the chain is absorbed.
@@ -470,41 +476,32 @@ def algorithm1_run(
             raise NotReached("no absorption within 10**9 steps")
         if phase2 is None and not unfired:
             phase2 = _Phase2(g, n, landmark_constant)
-        if phase2 is None or phase2.mode == "plain":
-            if phase2 is None and pinned is not None:
+        if phase2 is None:
+            if pinned is not None:
                 # a pinned vertex fires at its pin, so S is read only if some vertex is free
                 col = pinned == t
                 if not pinned.all():
                     col = np.where(t <= pinned, col, draw("S", labels, t))
             else:
                 col = draw("S", labels, t)
-            if phase2 is None:
-                newly = np.flatnonzero(col > fired)
-                if unfired < n:
-                    col = np.where(fired, draw("B", labels, t), col)
-                fired[newly] = 1
-                unfired -= newly.size
-                for i in newly.tolist():
-                    g[i + 1] = t
-            op_counts[1:] += col
-            selected = col.tobytes()
-            for v in sim.non_leaves():
-                if selected[v - 1]:
-                    c = sim.operate(v)
-                    if v == 1 and c:
-                        # trees only split: labels [c, c + size) leave for good
-                        left1[c : c + sim.size[c]] = [t] * sim.size[c]
-            continue
-        pairs = phase2.pairs(sim, left1)
-        if audit and len(set(pairs)) != n:
-            raise InvariantViolation(
-                f"step {t} consulted {len(set(pairs))} distinct triples for {n} vertices"
-            )
-        for v, (stream, key) in enumerate(pairs, 1):
-            if draw(stream, key, t):
-                op_counts[v] += 1
+            newly = np.flatnonzero(col > fired)
+            if unfired < n:
+                col = np.where(fired, draw("B", labels, t), col)
+            fired[newly] = 1
+            unfired -= newly.size
+            for i in newly.tolist():
+                g[i + 1] = t
+        elif phase2.mode == "plain":
+            col = draw("S", labels, t)
+        else:
+            col = phase2.column(sim, left1, draw, t, audit)
+        op_counts[1:] += col
+        selected = col.tobytes()
+        for v in sim.non_leaves():
+            if selected[v - 1]:
                 c = sim.operate(v)
                 if v == 1 and c:
+                    # trees only split: labels [c, c + size) leave for good
                     left1[c : c + sim.size[c]] = [t] * sim.size[c]
 
     if phase2 is None:

@@ -81,7 +81,7 @@ def test_bank_scalar_and_range_reads_are_numpys_bits(p):
     for t in steps[:300]:
         for v in (11, 5, 8):
             assert bank.bernoulli("S", v, int(t)) == expected["S", v][t - 1]
-    # scalar reads first, so the range's rows are not contiguous in the table
+    # scalar reads first: they draw rows 1-9, and the range read adds rows 10 and 11
     other = StreamBank(9, p)
     for v in (9, 6):
         assert other.bernoulli("B", v, k) == expected["B", v][k - 1]
@@ -99,3 +99,29 @@ def test_bank_wider_range_keeps_the_rows_already_drawn():
     assert wider.tolist() == [int(_numpy_bits(4, "S", v, 0.5, 2)[1]) for v in range(1, 9)]
     with pytest.raises(ValueError, match="starts at 1"):
         bank.bernoulli("S", range(1, 4), 0)
+
+
+@pytest.mark.parametrize("label", [0, -1, range(0, 3)])
+def test_bank_labels_start_at_1(label):
+    bank = StreamBank(4, 0.5)
+    with pytest.raises(ValueError, match="label"):
+        bank.bernoulli("S", label, 1)
+
+
+def test_bank_scalar_read_is_a_bool():
+    bank = StreamBank(4, 0.5)
+    bits = [bank.bernoulli("S", 2, t) for t in range(1, 40)]
+    assert {type(b) for b in bits} == {bool}
+    assert bits == _numpy_bits(4, "S", 2, 0.5, 39).tolist()
+
+
+def test_bank_columns_are_read_only():
+    bank = StreamBank(4, 0.5)
+    col = bank.bernoulli("B", range(1, 6), 3)
+    with pytest.raises(ValueError, match="read-only"):
+        col[0] = 1 - col[0]
+    with pytest.raises(ValueError, match="read-only"):
+        col += 1
+    expected = [int(_numpy_bits(4, "B", v, 0.5, 3)[2]) for v in range(1, 6)]
+    assert bank.bernoulli("B", range(1, 6), 3).tolist() == expected
+    assert [bank.bernoulli("B", v, 3) for v in range(1, 6)] == [bool(b) for b in expected]

@@ -13,6 +13,7 @@ from scipy import stats
 from ungar_lab import (
     BoundViolation,
     DomainError,
+    InvariantViolation,
     TamariForestLattice,
     TwoRowedArray,
     algorithm1_run,
@@ -32,6 +33,7 @@ from ungar_lab import (
 from ungar_lab.cli import main
 from ungar_lab.rng import StreamBank, replica_generator, replica_random
 from ungar_lab.skyline import (
+    _Phase2,
     event_interval_probability,
     sample_g,
     sample_g_conditional,
@@ -351,6 +353,24 @@ def test_algorithm1_full_mode_reachable_with_hooks():
     assert res.skyline.as_lists() == [[1, 59, 15, 4, 2], [9, 8, 7, 6, 5]]
     ts = res.t_disconnect
     assert ts[0] >= 1 and all(b - a >= 1 for a, b in zip(ts, ts[1:]))
+
+
+def test_algorithm1_full_mode_audit_catches_a_shared_triple(monkeypatch):
+    # route vertex 1 to the triple ("B", n), which vertex n reads at every
+    # full-mode step (n is never a skyline label a_j with j >= 3, nor in a
+    # landmark window)
+    init = _Phase2.__init__
+
+    def shared_init(self, g, n, landmark_constant):
+        init(self, g, n, landmark_constant)
+        if self.mode == "full":
+            self.first = [("B", n)] * len(self.first)
+
+    monkeypatch.setattr(_Phase2, "__init__", shared_init)
+    with pytest.raises(InvariantViolation, match="distinct triples"):
+        _forced_full_mode_run(31, audit=True)
+    res = _forced_full_mode_run(31)
+    assert res.mode == "full" and res.audit_ok is None
 
 
 def test_algorithm1_full_mode_marginal_law():
