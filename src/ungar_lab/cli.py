@@ -3,8 +3,9 @@
 Every subcommand is deterministic given its flags and seed (flag
 ``--seed``, falling back to the ``UNGAR_LAB_SEED`` environment variable,
 then 0).  Output is CSV or JSON with floats at 12 significant digits and
-'.' decimals.  Exit codes: 0 success, 2 configuration error, 3 cap
-exceeded, 4 internal invariant violation.  A subcommand takes only the
+'.' decimals.  Exit codes: 0 success, 2 configuration error (also an
+integer flag too large for a float or an index), 3 cap exceeded, 4
+internal invariant violation.  A subcommand takes only the
 flags its handler reads (``_COMMANDS``); any other flag exits with 2.
 """
 
@@ -458,7 +459,7 @@ def main(argv=None) -> int:
     try:
         _validate_common(args)
         args.func(args)
-    except (ConfigError, DomainError, OSError, ValueError) as exc:
+    except (ConfigError, DomainError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

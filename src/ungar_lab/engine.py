@@ -16,8 +16,7 @@ Each row takes one ``apply`` per selection, on a smaller selection's
 successor.
 
 Also here: vectorized geometric draws, the two-sided tail bound for sums
-of geometrics, and the histogram of simple/lazy random-walk hitting
-times.
+of geometrics, and the histogram of simple random-walk hitting times.
 """
 
 from __future__ import annotations
@@ -28,12 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NotReached,
-    SingularSystem,
-    StateExplosion,
-)
+from .errors import DomainError, SingularSystem, StateExplosion
 from .perms import Permutation, ungar_move
 from .poset import DEFAULT_STATE_CAP, FinitePoset
 from .rng import replica_generator, replica_random
@@ -255,36 +249,22 @@ class ChainLattice:
 class ChainRun:
     """One seeded trajectory; states/picks are recorded on request."""
 
-    backend: str
-    p: float
-    start: object
     absorption: int
     states: tuple | None = None
     picks: tuple | None = None
 
 
 def run_chain(
-    lattice,
-    p: float,
-    rnd,
-    *,
-    start=None,
-    record_states: bool = False,
-    record_picks: bool = False,
-    max_steps: int | None = None,
+    lattice, p: float, rnd, *, record_states: bool = False, record_picks: bool = False
 ) -> ChainRun:
-    """Run one trajectory from ``start`` (default: top) to absorption."""
+    """Run one trajectory from ``lattice.top()`` to absorption."""
     p = _check_p(p)
-    if start is None:
-        start = lattice.top()
-    state = start
+    state = lattice.top()
     bottom = lattice.bottom()
     states = [state] if record_states else None
     picks = [] if record_picks else None
     t = 0
     while state != bottom:
-        if max_steps is not None and t >= max_steps:
-            raise NotReached(f"no absorption within {max_steps} steps")
         sites = lattice.pick_sites(state)
         selected = [s for s in sites if rnd.random() < p]
         state = lattice.apply(state, selected)
@@ -294,9 +274,6 @@ def run_chain(
         if record_picks:
             picks.append(tuple(selected))
     return ChainRun(
-        backend=lattice.name,
-        p=p,
-        start=start,
         absorption=t,
         states=tuple(states) if states is not None else None,
         picks=tuple(picks) if picks is not None else None,
@@ -574,16 +551,12 @@ def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> flo
 # -- random-walk hitting times ----------------------------------------------------
 
 
-def first_passage_counts(
-    m: int, horizon: int, reps: int, seed: int, *, q: float | None = None
-) -> np.ndarray:
-    """Vectorized histogram: ``out[t]`` counts walks with hitting time t.
+def first_passage_counts(m: int, horizon: int, reps: int, seed: int) -> np.ndarray:
+    """Vectorized histogram: ``out[t]`` counts simple walks with hitting time t.
 
     ``out`` has length ``horizon + 1``; index 0 counts walks that had not
     hit ``m`` by the horizon (censored).
     """
-    if q is not None and not 0 < q < 0.5:
-        raise DomainError(f"lazy parameter q={q} outside (0, 1/2)")
     rng = replica_generator(seed, 0)
     out = np.zeros(horizon + 1, dtype=np.int64)
     chunk = max(1, min(reps, 2_000_000 // max(1, horizon)))
@@ -591,13 +564,7 @@ def first_passage_counts(
     while left > 0:
         b = min(chunk, left)
         left -= b
-        u = rng.random((b, horizon))
-        if q is None:
-            steps = np.where(u < 0.5, 1, -1).astype(np.int32)
-        else:
-            steps = np.zeros((b, horizon), dtype=np.int32)
-            steps[u < q] = 1
-            steps[(u >= q) & (u < 2 * q)] = -1
+        steps = np.where(rng.random((b, horizon)) < 0.5, 1, -1).astype(np.int32)
         walk = steps.cumsum(axis=1)
         hit = walk == m
         any_hit = hit.any(axis=1)

@@ -80,23 +80,15 @@ __all__ = [
 
 @dataclass
 class LppSample:
-    """Weights, per-element passage values, and the total passage time."""
+    """Weights and the total passage time."""
 
-    poset: FinitePoset
-    p: float
     weights: tuple[int, ...]
-    passage: tuple[int, ...]
     total: int
 
 
 def max_chain_weight(poset: FinitePoset, weights: Sequence[int]) -> int:
-    """``max over maximal chains C of sum_{x in C} weights[x]`` by DP; 0 on
-    the empty poset."""
-    passage = _passage_values(poset, weights)
-    return max((passage[x] for x in poset.maximal_elements()), default=0)
-
-
-def _passage_values(poset: FinitePoset, weights: Sequence[int]) -> list[int]:
+    """``max over maximal chains C of sum_{x in C} weights[x]`` by one DP
+    sweep in topological order; 0 on the empty poset."""
     passage = [0] * poset.n
     for x in poset.topo_order():
         best = 0
@@ -104,7 +96,7 @@ def _passage_values(poset: FinitePoset, weights: Sequence[int]) -> list[int]:
             if passage[c] > best:
                 best = passage[c]
         passage[x] = weights[x] + best
-    return passage
+    return max((passage[x] for x in poset.maximal_elements()), default=0)
 
 
 def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
@@ -116,27 +108,18 @@ def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
     """
     p = _check_p(p)
     weights = tuple(geometric_draws(p, rng, poset.n))
-    passage = _passage_values(poset, weights)
-    total = max((passage[x] for x in poset.maximal_elements()), default=0)
-    return LppSample(
-        poset=poset, p=p, weights=weights, passage=tuple(passage), total=total
-    )
+    return LppSample(weights=weights, total=max_chain_weight(poset, weights))
 
 
 @dataclass
 class CoupledIdealRun:
     """An ideal-chain run with its coupled per-element maximal-step counts."""
 
-    poset: FinitePoset
-    p: float
     absorption: int
     weights: tuple[int, ...]
-    masks: tuple[int, ...] | None = None
 
 
-def coupled_ideal_run(
-    poset: FinitePoset, p: float, rnd, *, record_states: bool = False
-) -> CoupledIdealRun:
+def coupled_ideal_run(poset: FinitePoset, p: float, rnd) -> CoupledIdealRun:
     """Run the ideal chain from the full ideal, extracting coupled weights.
 
     ``weights[x]`` counts the steps on which ``x`` was a maximal element
@@ -155,13 +138,7 @@ def coupled_ideal_run(
         raise CouplingViolation(
             f"absorption {t} != max-chain weight {total}; engine bug"
         )
-    return CoupledIdealRun(
-        poset=poset,
-        p=run.p,
-        absorption=t,
-        weights=tuple(counts),
-        masks=run.states if record_states else None,
-    )
+    return CoupledIdealRun(absorption=t, weights=tuple(counts))
 
 
 # -- multicorner growth ------------------------------------------------------------
@@ -173,10 +150,9 @@ def tasep_trajectory(
     p: float,
     rnd,
     *,
-    steps: int | None = None,
     bit_fn: Callable[[int, int, int], bool] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Clipped diagram after each step, until full (or ``steps`` moves).
+    """Clipped diagram after each step, until full.
 
     The diagram starts empty and each external corner is added with
     independent probability ``p`` per step.  Only the first ``n`` rows and
@@ -191,7 +167,7 @@ def tasep_trajectory(
     lam = [0] * n
     out = [tuple(lam)]
     t = 0
-    while lam[-1] < m and (steps is None or t < steps):
+    while lam[-1] < m:
         t += 1
         old = lam[:]
         for i in range(n):
@@ -301,11 +277,19 @@ def tracy_widom_tail(t: float) -> float:
 
     This approximates one minus the limiting CDF for large positive ``t``;
     it is an asymptotic, not a distribution function, and is intended for
-    tail diagnostics only.
+    tail diagnostics only.  ``t^{3/2}`` is ``t * sqrt(t)``, which is
+    ``inf`` where ``t**1.5`` would raise, so a huge ``t`` gives ``0.0``.
+    Below about ``t = 1e-207`` the value exceeds the float range, and such
+    a ``t`` raises :class:`DomainError` as ``t <= 0`` does.
     """
     if t <= 0:
         raise DomainError(f"tail asymptotic needs t > 0, got {t}")
-    return math.exp(-4.0 * t**1.5 / 3.0) / (32.0 * math.pi * t**1.5)
+    t32 = t * math.sqrt(t)
+    scale = 32.0 * math.pi * t32
+    value = math.exp(-4.0 * t32 / 3.0) / scale if scale else math.inf
+    if value == math.inf:
+        raise DomainError(f"tail asymptotic at t={t} exceeds the float range")
+    return value
 
 
 # -- uniqueness of the geometric maximum ------------------------------------------------

@@ -193,9 +193,13 @@ class FinitePoset:
 
         Raises ``ValueError`` unless the document is an object whose ``n``
         is a non-negative integer and whose ``covers`` is a list of integer
-        pairs; the ``type(v) is int`` tests reject JSON ``true`` and ``2.0``.
+        pairs; the ``type(v) is int`` tests reject JSON ``true`` and ``2.0``,
+        and a document nested too deeply for the parser raises it too.
         """
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("poset JSON is nested too deeply") from None
         if not isinstance(data, dict) or "n" not in data or "covers" not in data:
             raise ValueError('poset JSON must be an object with "n" and "covers"')
         n, covers = data["n"], data["covers"]

@@ -15,18 +15,19 @@ summary length between ``log n/log log n - 3`` and
 
 ``algorithm1_run`` simulates the forest chain from the maximal element
 using seven named Bernoulli(p) streams.  Every vertex consults exactly
-one fresh ``(stream, label, step)`` triple per step, so each vertex is
-operated on with independent probability ``p`` and the run is a faithful
-simulation of the chain; the stream *names* encode which geometry the
-proof wants to read off.  On a childlike run the diagnostic ``t``
-(``Algorithm1Result.t_disconnect``) lists, for each skyline label
-``a_2, ..., a_l``, the step at which that label left vertex 1's tree,
-minus ``g_1 - 1``.  The landmark indices ``2*ceil(201 loglog n)``
-and ``2*ceil(201 (loglog n)^3)`` as written only exist for astronomically
-large ``n``; when the summary is too short the run falls back to the
-plain S-stream rule and is flagged ``degenerate``.  The landmark constant
-and a conditional pin of the ``g`` values are exposed as keyword hooks so
-the deep branches are exercisable in tests at feasible sizes.
+one fresh ``(stream, label, step)`` triple per step (full mode checks
+this on every step), so each vertex is operated on with independent
+probability ``p`` and the run is a faithful simulation of the chain; the
+stream *names* encode which geometry the proof wants to read off.  On a
+childlike run the diagnostic ``t`` (``Algorithm1Result.t_disconnect``)
+lists, for each skyline label ``a_2, ..., a_l``, the step at which that
+label left vertex 1's tree, minus ``g_1 - 1``.  The landmark indices
+``2*ceil(201 loglog n)`` and ``2*ceil(201 (loglog n)^3)`` as written only
+exist for astronomically large ``n``; when the summary is too short the
+run falls back to the plain S-stream rule and is flagged ``degenerate``.
+The landmark constant and a conditional pin of the ``g`` values are
+exposed as keyword hooks so the deep branches are exercisable in tests at
+feasible sizes.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ class TwoRowedArray:
 
     def __len__(self) -> int:
         return len(self.top)
-
-    def column(self, k: int) -> tuple[int, int]:
-        """1-based column access."""
-        return self.top[k - 1], self.bottom[k - 1]
 
     def as_lists(self) -> list[list[int]]:
         return [list(self.top), list(self.bottom)]
@@ -309,11 +306,7 @@ def good_frequency(
 
 @dataclass
 class Algorithm1Result:
-    """Diagnostics of one multi-stream run.
-
-    A failed audit raises :class:`InvariantViolation`, so ``audit_ok`` is
-    ``True`` for an audited run and ``None`` otherwise.
-    """
+    """Diagnostics of one multi-stream run."""
 
     n: int
     p: float
@@ -329,7 +322,6 @@ class Algorithm1Result:
     absorption: int
     op_counts: np.ndarray
     steps: int
-    audit_ok: bool | None
 
     def to_jsonable(self) -> dict:
         return {
@@ -387,11 +379,10 @@ class _Phase2:
         for j in range(3, iK1 + 1):
             self.b_prime_after[a[j - 1]] = a[j - 2]
 
-    def column(self, sim: SimForest, left1: list[int], draw, t: int,
-               audit: bool) -> np.ndarray:
+    def column(self, sim: SimForest, left1: list[int], draw, t: int) -> np.ndarray:
         """The full-mode bits of step ``t``, vertex ``v`` at index ``v - 1``,
-        as a fresh array; with ``audit`` set, raises
-        :class:`InvariantViolation` unless the ``n`` triples are distinct."""
+        as a fresh array; raises :class:`InvariantViolation` unless the
+        step's ``n`` triples are distinct."""
         labels = range(1, sim.n + 1)
         on_bp = [left1[u] > 0 for u in self.b_prime_after[1:]]
         col = np.where(on_bp, draw("Bp", labels, t), draw("B", labels, t))
@@ -406,11 +397,10 @@ class _Phase2:
                     break
         for v, (stream, key) in keys.items():
             col[v - 1] = draw(stream, key, t)
-        if audit:
-            triples = {keys.get(v) or ("Bp" if on_bp[v - 1] else "B", v) for v in labels}
-            if len(triples) != sim.n:
-                raise InvariantViolation(
-                    f"step {t} consulted {len(triples)} distinct triples for {sim.n} vertices")
+        triples = {keys.get(v) or ("Bp" if on_bp[v - 1] else "B", v) for v in labels}
+        if len(triples) != sim.n:
+            raise InvariantViolation(
+                f"step {t} consulted {len(triples)} distinct triples for {sim.n} vertices")
         return col
 
 
@@ -421,7 +411,6 @@ def algorithm1_run(
     *,
     landmark_constant: float = 201.0,
     force_g: Mapping[int, int] | None = None,
-    audit: bool = False,
 ) -> Algorithm1Result:
     """Simulate the forest chain from the path using named streams.
 
@@ -442,8 +431,8 @@ def algorithm1_run(
     operation is a no-op, and leaves stay leaves).  Phase 1 and plain mode
     read one ``range`` of labels per stream, so their triples are distinct
     by construction.  Full mode starts from the B column, takes B' where
-    it applies and writes in the scalar D/D'/D† and C bits; with ``audit``
-    set, it checks that the step's ``n`` triples are distinct.
+    it applies, writes in the scalar D/D'/D† and C bits, and raises
+    :class:`InvariantViolation` unless the step's ``n`` triples are distinct.
 
     ``g_i`` is the first success of ``S_i``, also for a vertex that has
     not fired when the chain is absorbed.
@@ -494,7 +483,7 @@ def algorithm1_run(
         elif phase2.mode == "plain":
             col = draw("S", labels, t)
         else:
-            col = phase2.column(sim, left1, draw, t, audit)
+            col = phase2.column(sim, left1, draw, t)
         op_counts[1:] += col
         selected = col.tobytes()
         for v in sim.non_leaves():
@@ -529,5 +518,4 @@ def algorithm1_run(
         absorption=t,
         op_counts=op_counts,
         steps=t,
-        audit_ok=True if audit else None,
     )

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import shlex
+import sys
 import time
 import warnings
 from argparse import Namespace
@@ -372,6 +373,7 @@ _POSET_DOCS = {
     "float-n": '{"n": 2.5, "covers": []}',
     "short-cover": '{"n": 2, "covers": [[0]]}',
     "string-cover": '{"n": 2, "covers": [[0, "1"]]}',
+    "deep": "[" * 10**5 + "]" * 10**5,  # deeper than the parser's recursion limit
 }
 _VALID_POSETS = ("grid-2x2", "empty")
 _MALFORMED_POSETS = tuple(name for name in _POSET_DOCS if name not in _VALID_POSETS)
@@ -447,6 +449,37 @@ def test_fluctuation_rejects_tail_before_sampling(capsys, monkeypatch):
                                  "--reps", "3000", "--tail", tail)
         assert (code, out) == (2, "")
         assert "tail asymptotic needs t > 0" in err
+
+
+@pytest.mark.parametrize("base, flag", [
+    (("bounds", "--what", "tw-tail"), "--t"),
+    (("fluctuation", "--rows", "2", "--cols", "2", "--reps", "2"), "--tail"),
+])
+def test_tail_asymptotic_at_extreme_t(capsys, base, flag):
+    # t^{3/2} overflows to inf at 1e300, where the tail is 0; at 1e-300 the
+    # tail exceeds the float range, which is a configuration error
+    code, out, err = run_cli(capsys, *base, "--format", "json", flag, "1e300")
+    assert code == 0, err
+    [row] = json.loads(out)
+    assert float(row.get("value", row.get("tail_asymptotic"))) == 0.0
+    code, out, err = run_cli(capsys, *base, flag, "1e-300")
+    assert (code, out) == (2, "")
+    assert err == "error: tail asymptotic at t=1e-300 exceeds the float range\n"
+
+
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--n", _HUGE),
+    ("skyline", "--n", _HUGE),
+    ("bounds", "--what", "rescale", "--rows", _HUGE, "--cols", "1"),
+    ("bounds", "--what", "geom-upper", "--k", _HUGE, "--t", "1"),
+], ids=lambda argv: "-".join(argv[:3]))
+def test_oversized_integer_flag_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
 
 
 def test_exit_code_config_error(capsys):
@@ -765,6 +798,11 @@ _VALUES = {
 _SIZE_READS = {"sn": ("--n",), "tamari": ("--n",), "tamari-av": ("--n",),
                "grid": ("--rows", "--cols"), "ideal": ("--poset",)}
 _NON_FINITE = ("nan", "inf")
+# positive floats from 1e-300 to 1e300, and integers up to 10**400, past
+# what a float holds
+_WIDE_FLOATS = (st.floats(1e-300, 1e300).map(repr)
+                | st.integers(-300, 300).map(lambda e: f"1e{e}"))
+_WIDE_INTS = st.integers(0, 5) | st.integers(0, 10**400)
 
 
 @st.composite
@@ -776,20 +814,24 @@ def small_argv(draw):
             ["f", "geom-upper", "geom-lower", "tw-tail", "rescale",
              "sn-coefficient", "tamari-coefficient"]
         ))]
-        for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6", *_NON_FINITE])),
-                             ("--k", st.integers(0, 5)),
-                             ("--t", st.sampled_from(["-1", "0.5", "4", *_NON_FINITE])),
+        for flag, values in (("--x", st.sampled_from(["0.5", "20", "1e6", *_NON_FINITE])
+                              | _WIDE_FLOATS),
+                             ("--k", _WIDE_INTS),
+                             ("--t", st.sampled_from(["-1", "0.5", "4", *_NON_FINITE])
+                              | _WIDE_FLOATS),
                              ("--c1", st.sampled_from(["1", "10", *_NON_FINITE]))):
             value = draw(st.none() | values)
             if value is not None:
                 argv += [flag, str(value)]
     if command == "fluctuation" and draw(st.booleans()):
-        argv += ["--tail", draw(st.sampled_from(["1.5", *_NON_FINITE]))]
+        argv += ["--tail", draw(st.sampled_from(["1.5", *_NON_FINITE]) | _WIDE_FLOATS)]
     for flag in _READS[command]:
         values = _VALUES[flag]
         if (command, flag) == ("lpp", "--lattice"):
             # lpp tells only grid (read the shape) from the rest (read --poset)
             values = st.sampled_from(["grid", "ideal"])
+        if (command, flag) == ("zeta", "--n"):
+            values = values | _WIDE_INTS
         argv += [flag, str(draw(values))]
         if flag == "--lattice":
             for size_flag in _SIZE_READS[argv[-1]]:
@@ -817,5 +859,10 @@ def test_small_flags_exit_codes_and_replay(poset_files, argv):
         assert code == 2, argv
     if (any(flag.get(f) in _NON_FINITE for f in _FLOAT_CASES)
             or flag.get("--poset") in [f"poset:{name}" for name in _MALFORMED_POSETS]):
+        assert code == 2 and out == "", argv
+    # zeta reads --n, and the geometric bounds --k, as a float
+    read = {"zeta": "--n", "geom-upper": "--k", "geom-lower": "--k"}.get(
+        flag.get("--what", argv[0]))
+    if read and int(flag.get(read, 0)) > sys.float_info.max:
         assert code == 2 and out == "", argv
     assert _run_quiet(argv) == (code, out), argv

@@ -22,6 +22,7 @@ from ungar_lab import (
     lpp_sample,
     max_chain_weight,
     rescaling_constants,
+    run_chain,
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
@@ -248,8 +249,8 @@ def test_complement_is_young_diagram_every_step():
     grid = grid_poset(3, 4)
     rnd = replica_random(12, 0)
     for _ in range(100):
-        run = coupled_ideal_run(grid, 0.5, rnd, record_states=True)
-        shapes = [ideal_complement_rows(3, 4, mask) for mask in run.masks]
+        run = run_chain(IdealLattice(grid), 0.5, rnd, record_states=True)
+        shapes = [ideal_complement_rows(3, 4, mask) for mask in run.states]
         assert shapes[0] == (0, 0, 0)
         assert shapes[-1] == (4, 4, 4)
         for a, b in zip(shapes, shapes[1:]):
@@ -296,11 +297,11 @@ def test_tasep_window_independence():
 
     rnd = replica_random(17, 0)
     for seed in range(10):
-        small = tasep_trajectory(3, 3, 0.5, rnd, steps=40, bit_fn=coin(seed))
-        big = tasep_trajectory(7, 9, 0.5, rnd, steps=40, bit_fn=coin(seed))
-        for lam_small, lam_big in zip(small, big):
-            clipped = tuple(min(x, 3) for x in lam_big[:3])
-            assert clipped == lam_small
+        small = tasep_trajectory(3, 3, 0.5, rnd, bit_fn=coin(seed))
+        big = tasep_trajectory(7, 9, 0.5, rnd, bit_fn=coin(seed))
+        # the window stays full once it fills, while the big diagram grows on
+        clipped = [tuple(min(x, 3) for x in lam[:3]) for lam in big]
+        assert clipped == small + [small[-1]] * (len(big) - len(small))
 
 
 def test_rescaling_constants_values():
@@ -335,6 +336,16 @@ def test_tracy_widom_tail_values():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
         tracy_widom_tail(0.0)
+
+
+def test_tracy_widom_tail_at_the_ends_of_the_float_range():
+    # t ** 1.5 raises OverflowError above about 3e205; the tail there is 0
+    assert [tracy_widom_tail(t) for t in (1e206, 1e300, 1.7e308)] == [0.0] * 3
+    # at 1e-206 the tail is still a float; from 1e-207 down it is not
+    assert 1e306 < tracy_widom_tail(1e-206) < math.inf
+    for t in (1e-207, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            tracy_widom_tail(t)
 
 
 def test_lln_toward_phi_small():
@@ -511,8 +522,17 @@ def test_zeta_limsup_and_coefficients():
 def test_survival_dominance_for_sub_ideals():
     # started from any smaller ideal, the chain absorbs stochastically
     # no later than from the full ideal
-    from ungar_lab import run_chain
     from oracles import order_ideals
+
+    class StartedAt(IdealLattice):
+        """The ideal chain on J(grid) started from ``mask``."""
+
+        def __init__(self, poset, mask):
+            super().__init__(poset)
+            self.mask = mask
+
+        def top(self):
+            return self.mask
 
     grid = grid_poset(2, 3)
     lattice = IdealLattice(grid)
@@ -524,12 +544,10 @@ def test_survival_dominance_for_sub_ideals():
     for mask in order_ideals(grid).ideal_masks:
         if mask in (0, grid.full_mask()):
             continue
+        started = StartedAt(grid, mask)
         sub_rnd = replica_random(42 + mask, 0)
         sub = np.array(
-            [
-                run_chain(lattice, 0.5, sub_rnd, start=mask).absorption
-                for _ in range(reps // 4)
-            ]
+            [run_chain(started, 0.5, sub_rnd).absorption for _ in range(reps // 4)]
         )
         for t in range(1, int(full.max()) + 1):
             left = (sub >= t).mean()

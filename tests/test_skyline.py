@@ -274,9 +274,8 @@ def test_algorithm1_matches_naive_distribution_small():
     assert pvalue > 0.001
 
 
-def test_algorithm1_g_values_and_audit():
-    res = algorithm1_run(6, 0.5, 123, audit=True)
-    assert res.audit_ok
+def test_algorithm1_g_values():
+    res = algorithm1_run(6, 0.5, 123)
     bank = StreamBank(123, 0.5)
     for i, gi in enumerate(res.g, start=1):
         assert bank.first_success("S", i) == gi
@@ -310,13 +309,11 @@ def test_algorithm1_disconnect_times_on_childlike_runs():
     assert found > 20
 
 
-def _forced_full_mode_run(seed, audit=False):
+def _forced_full_mode_run(seed):
     n = 60
     force = {v: 1 for v in range(1, n + 1)}
     force.update({1: 9, 59: 8, 15: 7, 4: 6, 2: 5})
-    return algorithm1_run(
-        n, 0.5, seed, landmark_constant=0.5, force_g=force, audit=audit
-    )
+    return algorithm1_run(n, 0.5, seed, landmark_constant=0.5, force_g=force)
 
 
 # sha256 of the records below, recorded at commit fe7f056; any change to the
@@ -335,7 +332,7 @@ def test_algorithm1_golden_digest(capsys):
     ]
     assert any(res.degenerate for res in runs)
     assert any(res.childlike and not res.degenerate for res in runs)
-    runs += [_forced_full_mode_run(seed, audit=True) for seed in range(60)]
+    runs += [_forced_full_mode_run(seed) for seed in range(60)]
     digest = hashlib.sha256()
     for res in runs:
         record = res.to_jsonable()
@@ -347,9 +344,8 @@ def test_algorithm1_golden_digest(capsys):
 
 
 def test_algorithm1_full_mode_reachable_with_hooks():
-    res = _forced_full_mode_run(31, audit=True)
+    res = _forced_full_mode_run(31)
     assert res.mode == "full" and res.good and not res.degenerate
-    assert res.audit_ok
     assert res.skyline.as_lists() == [[1, 59, 15, 4, 2], [9, 8, 7, 6, 5]]
     ts = res.t_disconnect
     assert ts[0] >= 1 and all(b - a >= 1 for a, b in zip(ts, ts[1:]))
@@ -368,9 +364,7 @@ def test_algorithm1_full_mode_audit_catches_a_shared_triple(monkeypatch):
 
     monkeypatch.setattr(_Phase2, "__init__", shared_init)
     with pytest.raises(InvariantViolation, match="distinct triples"):
-        _forced_full_mode_run(31, audit=True)
-    res = _forced_full_mode_run(31)
-    assert res.mode == "full" and res.audit_ok is None
+        _forced_full_mode_run(31)
 
 
 def test_algorithm1_full_mode_marginal_law():
@@ -378,7 +372,7 @@ def test_algorithm1_full_mode_marginal_law():
     ops = np.zeros(n + 1, dtype=np.int64)
     steps = 0
     for seed in range(60):
-        res = _forced_full_mode_run(seed, audit=True)
+        res = _forced_full_mode_run(seed)
         assert res.mode == "full"
         # conditioning pins the S-bits of the forced prefix, so count only
         # the unconditioned regime: steps after every g_i has passed
