@@ -465,6 +465,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a size no cap refuses, such as skyline --n 10**11
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4

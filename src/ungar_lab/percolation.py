@@ -392,7 +392,10 @@ def zeta_exact(p: float, n: int) -> float:
     total = 0.0
     for start in range(1, terms, _ZETA_BLOCK):
         qk = q ** np.arange(start, min(start + _ZETA_BLOCK, terms), dtype=float)  # q^{k-1}
-        total += float(np.sum(n * p * qk * np.exp((n - 1) * np.log1p(-qk))))
+        # for n near the largest float, (n - 1) log1p(-q^{k-1}) overflows to
+        # -inf where the term is below the smallest float, and exp gives its 0
+        with np.errstate(over="ignore"):
+            total += float(np.sum(n * p * qk * np.exp((n - 1) * np.log1p(-qk))))
     return total
 
 

@@ -17,13 +17,16 @@ pool after the seed's words and the replica tag depends only on the seed,
 so it is cached per seed.
 
 A named bank's bits are those of ``default_rng(SeedSequence(seed,
-spawn_key=(2, s, label))).random() < p``.  Its PCG64 start state comes
-from the same pure-Python SeedSequence and PCG64's ``set_seed``; the bits
-are drawn as raw 64-bit words on one PCG64 per bank and compared with
-an integer threshold, which is the float compare exactly.  Each stream
-keeps one dense read-only table of its bits, a row per label from 1 and a
-column per step, which every read indexes directly; there are no
-per-label copies.
+spawn_key=(2, s, label))).random() < p``.  The PCG64 start states of a
+whole range of labels come from one pass of the same SeedSequence hashes
+over ``uint32`` numpy arrays, then PCG64's ``set_seed`` per label in
+Python integers; the tests pin them against numpy.  The bits are drawn as
+raw 64-bit words on one PCG64 per bank and compared with an integer
+threshold, which is the float compare exactly; a row's saved state then
+moves on by the LCG's affine jump over the words drawn, so it is never
+read back.  Each stream keeps one dense read-only table of its bits, a
+row per label from 1 and a column per step, which every read indexes
+directly; there are no per-label copies.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _STREAM_TAG = 2
 STREAM_NAMES = ("S", "B", "Bp", "C", "D", "Dp", "Ddag")
 _STREAM_INDEX = {name: k for k, name in enumerate(STREAM_NAMES)}
 _BLOCK = 512
+_DRAW_ROWS = 256  # rows of raw words held at once by StreamBank._draw
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -57,10 +61,11 @@ _HASH_A = [_INIT_A]
 _HASH_B = [_INIT_B]
 for _ in range(2 * _POOL_SIZE):  # a PCG64 seed is 8 words
     _HASH_B.append(_HASH_B[-1] * _MULT_B & _MASK32)
+_HASH_B_WORDS = np.array(_HASH_B[:-1], np.uint32)
+_HASH_B_NEXT = np.array(_HASH_B[1:], np.uint32)
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -133,42 +138,86 @@ def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return _pool(seed, _REPLICA_TAG)
 
 
-def _generate_state(entry: tuple[tuple[int, ...], int], key: int, n_words: int) -> int:
-    """``generate_state(n_words)`` of the SeedSequence whose pool after the
-    seed and tags is ``entry`` and whose last spawn-key entry is ``key``, as
-    one little-endian integer."""
-    pool, j = entry
-    pool = list(pool)
-    _mix_in(pool, _uint32_words(key), j)
-    state = 0
-    for i in range(n_words):
-        x = (pool[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-        state |= (x ^ x >> _XSHIFT) << 32 * i
-    return state
-
-
 def replica_state(seed: int, replica: int) -> int:
     """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
     little-endian 128-bit integer."""
-    return _generate_state(_replica_pool(operator.index(seed)), replica, _POOL_SIZE)
+    pool, j = _replica_pool(operator.index(seed))
+    pool = list(pool)
+    _mix_in(pool, _uint32_words(replica), j)
+    state = 0
+    for i in range(_POOL_SIZE):
+        x = (pool[i] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+        state |= (x ^ x >> _XSHIFT) << 32 * i
+    return state
 
 
 def stream_state(seed: int, stream: str, label: int) -> tuple[int, int]:
     """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(2, s,
     label)))`` for the stream named ``stream``."""
-    return _stream_state(
-        _pool(operator.index(seed), _STREAM_TAG, _STREAM_INDEX[stream]), label)
+    entry = _pool(operator.index(seed), _STREAM_TAG, _STREAM_INDEX[stream])
+    label = operator.index(label)
+    (state,), (inc,) = _stream_states(entry, label, label + 1)
+    return state, inc
 
 
-def _stream_state(entry: tuple[tuple[int, ...], int], label: int) -> tuple[int, int]:
-    """PCG64 reads ``generate_state(4, uint64)`` as ``initstate = u[0]:u[1]``
-    and ``initseq = u[2]:u[3]`` (high word first), then sets ``inc = 2
-    initseq + 1`` and ``state = (inc + initstate) M + inc``."""
-    u = _generate_state(entry, label, 2 * _POOL_SIZE)
-    initstate = (u & _MASK64) << 64 | u >> 64 & _MASK64
-    initseq = (u >> 128 & _MASK64) << 64 | u >> 192
-    inc = (initseq << 1 | 1) & _MASK128
-    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+def _stream_states(entry: tuple[tuple[int, ...], int], lo: int, hi: int
+                   ) -> tuple[list[int], list[int]]:
+    """``stream_state``'s ``(states, incs)`` for every label of ``range(lo,
+    hi)``, given the pool ``entry`` of the seed and the stream's tags.
+
+    SeedSequence's hashes are the same uint32 arithmetic for every label,
+    so they run over the whole range at once: the label words mix into an
+    ``(N, 4)`` pool and ``generate_state(8)`` is an ``(N, 8)`` array, in
+    ``uint32`` arrays, whose products wrap mod 2^32 as the hashes need.
+    Labels with more 32-bit words take more hashes, so the range is cut
+    where the word count grows.  PCG64 then reads the words as four
+    ``uint64`` (joined arithmetically, so byte order does not matter):
+    ``initstate = u[0]:u[1]`` and ``initseq = u[2]:u[3]``, high word
+    first, and sets ``inc = 2 initseq + 1`` and ``state = (inc +
+    initstate) M + inc``, in Python integers.
+    """
+    states: list[int] = []
+    incs: list[int] = []
+    pool0, j = entry
+    while lo < hi:
+        n_words = len(_uint32_words(lo))
+        stop = min(hi, 1 << 32 * n_words)
+        labels = np.arange(lo, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+        end = j + _POOL_SIZE * n_words
+        hash_a = np.array(_hash_a(end + 1)[j : end + 1], np.uint32)
+        pool = np.array(pool0, np.uint32)  # broadcast to (N, 4) by the first mix
+        for w in range(n_words):
+            i = _POOL_SIZE * w
+            # pool[:, c] = _mix(pool[:, c], _hashmix(word, j + i + c)) for each c
+            word = (labels >> 32 * w & _MASK32).astype(np.uint32)[:, None]
+            h = (word ^ hash_a[i : i + _POOL_SIZE]) * hash_a[i + 1 : i + _POOL_SIZE + 1]
+            m = _MIX_MULT_L * pool - _MIX_MULT_R * (h ^ h >> _XSHIFT)
+            pool = m ^ m >> _XSHIFT
+        x = (np.concatenate((pool, pool), axis=1) ^ _HASH_B_WORDS) * _HASH_B_NEXT
+        x ^= x >> _XSHIFT
+        x = x.astype(np.uint64)
+        for a, b, c, d in (x[:, 0::2] | x[:, 1::2] << 32).tolist():
+            inc = (c << 65 | d << 1 | 1) & _MASK128
+            states.append(((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128)
+            incs.append(inc)
+        lo = stop
+    return states, incs
+
+
+def _pcg_jump(k: int) -> tuple[int, int]:
+    """``(A, C)`` with a PCG64 state ``s`` of increment ``inc`` at ``A s + C
+    inc`` after ``k`` steps: ``A = M^k`` and ``C = 1 + M + ... + M^(k-1)``,
+    by squaring (Brown, "Random number generation with arbitrary strides")."""
+    mult, plus = 1, 0
+    cur_mult, cur_plus = _PCG_MULT, 1
+    while k:
+        if k & 1:
+            mult = mult * cur_mult & _MASK128
+            plus = (plus * cur_mult + cur_plus) & _MASK128
+        cur_plus = (cur_mult + 1) * cur_plus & _MASK128
+        cur_mult = cur_mult * cur_mult & _MASK128
+        k >>= 1
+    return mult, plus
 
 
 def replica_generator(seed: int, replica: int = 0) -> np.random.Generator:
@@ -209,8 +258,9 @@ class StreamBank:
 
     Each stream name holds one dense 2-D table, with a row for every label
     up to the largest read: a range read is a slice of one column and a
-    scalar read one element.  A new row starts from its ``stream_state``;
-    the table grows by at least ``_BLOCK`` columns at a time, each row
+    scalar read one element.  New rows start from their ``stream_state``,
+    derived for all the added labels in one ``_stream_states`` call; the
+    table grows by at least ``_BLOCK`` columns at a time, each row
     drawing on from its saved state, so consultation order does not matter.
     """
 
@@ -255,10 +305,9 @@ class StreamBank:
         rows, width = old.shape
         if nrows <= rows and t <= width:
             return old
-        for v in range(rows + 1, nrows + 1):
-            state, inc = _stream_state(table.entry, v)
-            table.states.append(state)
-            table.incs.append(inc)
+        states, incs = _stream_states(table.entry, rows + 1, nrows + 1)
+        table.states += states
+        table.incs += incs
         if t > width:
             width += max(_BLOCK, t - width)
         bits = table.bits = np.empty((len(table.states), width), np.uint8)
@@ -270,17 +319,24 @@ class StreamBank:
 
     def _draw(self, table: _Table, rows: range, out: np.ndarray) -> None:
         """Write the next ``out.shape[1]`` bits of each row in ``rows`` to
-        the matching row of ``out``, advancing its state."""
+        the matching row of ``out``, advancing its state by the jump of that
+        many words rather than reading it back from the PCG64."""
         k = out.shape[1]
-        if not k:
+        if not k or not rows:
             return
         if self._bitgen is None:
             self._bitgen = np.random.PCG64(0)
-        bitgen, threshold = self._bitgen, self._threshold
+        bitgen = self._bitgen
+        mult, plus = _pcg_jump(k)
         pcg = {"state": 0, "inc": 0}
         full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        for i, r in enumerate(rows):
-            pcg["state"], pcg["inc"] = table.states[r], table.incs[r]
-            bitgen.state = full
-            np.less_equal(bitgen.random_raw(k), threshold, out=out[i])
-            table.states[r] = bitgen.state["state"]["state"]
+        raw = np.empty((min(len(rows), _DRAW_ROWS), k), np.uint64)
+        for lo in range(0, len(rows), _DRAW_ROWS):
+            chunk = rows[lo : lo + _DRAW_ROWS]
+            for i, r in enumerate(chunk):
+                state = pcg["state"] = table.states[r]
+                inc = pcg["inc"] = table.incs[r]
+                bitgen.state = full
+                raw[i] = bitgen.random_raw(k)
+                table.states[r] = (mult * state + plus * inc) & _MASK128
+            np.less_equal(raw[: len(chunk)], self._threshold, out=out[lo : lo + len(chunk)])

@@ -187,6 +187,17 @@ def test_zeta_at_small_p_sums_millions_of_terms(capsys):
     assert abs(float(row["zeta_exact"]) - float(row["upsilon"])) < 1e-9
 
 
+def test_zeta_at_n_near_the_float_range_prints_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "zeta", "--n", "17" + "0" * 307, "--p", "0.3",
+                                 "--reps", "20")
+    assert (code, err) == (0, "")
+    header, values = out.strip().split("\n")
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["zeta_exact"] == row["upsilon"] == "0.8411019756"
+
+
 # sha256 of the zeta stdout of each case, recorded one digest per case when
 # the four-case digest (two uniforms per trial, the degenerate n = 1 row's
 # stderr 0) was split, and re-recorded when upsilon became its Fourier
@@ -480,6 +491,17 @@ def test_oversized_integer_flag_is_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 745. GiB"])
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, message):
+    def exhaust(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(_COMMANDS, "skyline", (exhaust, *_COMMANDS["skyline"][1:]))
+    code, out, err = run_cli(capsys, "skyline", "--n", "100000000000")
+    assert (code, out) == (3, "")
+    assert err == f"error: out of memory{': ' + message if message else ''}\n"
 
 
 def test_exit_code_config_error(capsys):

@@ -62,6 +62,25 @@ def test_stream_state_is_numpys_pcg64_state(seed):
             assert stream_state(seed, stream, label) == (expected["state"], expected["inc"])
 
 
+def _numpy_pcg_state(seed, stream, label, words=0):
+    """numpy's PCG64 ``(state, inc)`` for a bank row after ``words`` raw words."""
+    bitgen = np.random.PCG64(_bank_seq(seed, stream, label))
+    bitgen.random_raw(words)
+    state = bitgen.state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**130])
+def test_batched_stream_states_are_numpys_pcg64_states(seed):
+    for stream in STREAM_NAMES:
+        entry = rng._pool(seed, 2, STREAM_NAMES.index(stream))
+        for labels in (range(1, 300), range(2**32 - 2, 2**32 + 2), range(2**64 - 1, 2**64 + 1)):
+            states, incs = rng._stream_states(entry, labels.start, labels.stop)
+            expected = [_numpy_pcg_state(seed, stream, v) for v in labels]
+            assert list(zip(states, incs)) == expected, (stream, labels)
+    assert rng._stream_states(entry, 5, 5) == ([], [])
+
+
 def _numpy_bits(seed, stream, label, p, k):
     return np.random.default_rng(_bank_seq(seed, stream, label)).random(k) < p
 
@@ -99,6 +118,33 @@ def test_bank_wider_range_keeps_the_rows_already_drawn():
     assert wider.tolist() == [int(_numpy_bits(4, "S", v, 0.5, 2)[1]) for v in range(1, 9)]
     with pytest.raises(ValueError, match="starts at 1"):
         bank.bernoulli("S", range(1, 4), 0)
+
+
+def test_bank_table_grown_in_two_pieces_keeps_its_first_rows():
+    bank = StreamBank(6, 0.3)
+    first = bank.bernoulli("C", range(1, 40), 7).copy()
+    bank.bernoulli("C", range(1, 300), 7)
+    table = bank._tables["C"]
+    whole = StreamBank(6, 0.3)
+    whole.bernoulli("C", range(1, 300), 7)
+    assert table.bits[:39, 6].tolist() == first.tolist()
+    assert table.states == whole._tables["C"].states
+    assert table.incs == whole._tables["C"].incs
+    assert np.array_equal(table.bits, whole._tables["C"].bits)
+
+
+def test_bank_saved_states_after_a_wide_growth_are_numpys():
+    bank = StreamBank(11, 0.5)
+    bank.bernoulli("D", range(1, 5), 2)  # one block
+    table = bank._tables["D"]
+    # a growth of 2 blocks and 40 columns to t, then one of a block past it
+    for t, width in ((3 * rng._BLOCK + 40,) * 2, (3 * rng._BLOCK + 41, 4 * rng._BLOCK + 40)):
+        bank.bernoulli("D", range(1, 9), t)
+        assert table.bits.shape[1] == width
+        for v in range(1, 9):
+            assert (table.states[v - 1], table.incs[v - 1]) == _numpy_pcg_state(11, "D", v, width)
+        assert table.bits[:, -1].tolist() == [
+            int(_numpy_bits(11, "D", v, 0.5, width)[-1]) for v in range(1, 9)]
 
 
 @pytest.mark.parametrize("label", [0, -1, range(0, 3)])
