@@ -445,11 +445,13 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
 
 
 def empirical_survival(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(t, P(sample >= t))`` for integer-valued samples."""
+    """Pairs ``(t, P(sample >= t))`` for non-negative integer samples, up to
+    one past the largest; the tail counts are exact, so each value is
+    ``(samples >= t).mean()``."""
     samples = np.asarray(samples)
     ts = np.arange(0, samples.max() + 2)
-    surv = np.array([(samples >= t).mean() for t in ts])
-    return ts, surv
+    tails = np.bincount(samples, minlength=len(ts))[::-1].cumsum()[::-1]
+    return ts, tails / len(samples)
 
 
 def _sort_runs(word: np.ndarray, sel: np.ndarray) -> np.ndarray:

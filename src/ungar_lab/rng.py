@@ -8,25 +8,19 @@ addressable by structured coordinates and replay bit-for-bit:
 * named Bernoulli banks:  ``SeedSequence(seed, spawn_key=(STREAM_TAG, s, label))``
 
 Replica streams feed either a ``numpy`` generator (vectorized paths) or a
-``random.Random`` (scalar chain loops); the 128-bit state draw is the
-documented hand-off point between the two worlds.  That value is computed
-here, in pure Python, by numpy's SeedSequence algorithm (its ``hashmix``
-and ``mix`` hashes over a 4-word pool), because a ``SeedSequence`` object
-costs more than a short chain run; the tests pin it against numpy.  The
-pool after the seed's words and the replica tag depends only on the seed,
-so it is cached per seed.
+``random.Random`` (scalar chain loops) seeded with the 128-bit
+``generate_state(4)``, the documented hand-off between the two.  That
+state and a bank row's PCG64 start state come from one batched copy of
+SeedSequence's hash (O'Neill's seed_seq_fe), run from numpy's own pool of
+the seed and the leading tags over a range of replicas or labels at once;
+replica states are made ``_REPLICA_BLOCK`` at a time and a few blocks are
+cached.  The tests pin both against numpy.
 
 A named bank's bits are those of ``default_rng(SeedSequence(seed,
-spawn_key=(2, s, label))).random() < p``.  The PCG64 start states of a
-whole range of labels come from one pass of the same SeedSequence hashes
-over ``uint32`` numpy arrays, then PCG64's ``set_seed`` per label in
-Python integers; the tests pin them against numpy.  The bits are drawn as
-raw 64-bit words on one PCG64 per bank and compared with an integer
-threshold, which is the float compare exactly; a row's saved state then
-moves on by the LCG's affine jump over the words drawn, so it is never
-read back.  Each stream keeps one dense read-only table of its bits, a
-row per label from 1 and a column per step, which every read indexes
-directly; there are no per-label copies.
+spawn_key=(2, s, label))).random() < p``, drawn as raw 64-bit words on
+one PCG64 per bank and compared with an integer threshold, which is the
+float compare exactly; a row's saved state then moves on by the LCG's
+affine jump over the words drawn, so it is never read back.
 """
 
 from __future__ import annotations
@@ -45,6 +39,7 @@ STREAM_NAMES = ("S", "B", "Bp", "C", "D", "Dp", "Ddag")
 _STREAM_INDEX = {name: k for k, name in enumerate(STREAM_NAMES)}
 _BLOCK = 512
 _DRAW_ROWS = 256  # rows of raw words held at once by StreamBank._draw
+_REPLICA_BLOCK = 256  # replica states made at once; divides 2^32
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -58,11 +53,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # xors its input with _HASH_A[j] and multiplies by _HASH_A[j + 1], and
 # output word i of ``generate_state`` does the same with _HASH_B.
 _HASH_A = [_INIT_A]
-_HASH_B = [_INIT_B]
-for _ in range(2 * _POOL_SIZE):  # a PCG64 seed is 8 words
-    _HASH_B.append(_HASH_B[-1] * _MULT_B & _MASK32)
-_HASH_B_WORDS = np.array(_HASH_B[:-1], np.uint32)
-_HASH_B_NEXT = np.array(_HASH_B[1:], np.uint32)
+_HASH_B = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(2 * _POOL_SIZE + 1)],
+                   np.uint32)  # a PCG64 seed is 8 words
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -76,131 +68,84 @@ def _hash_a(count: int) -> list[int]:
     return _HASH_A
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of ``value``; 0 is one word, as in numpy."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value: int, j: int) -> int:
-    """The ``j``-th ``hashmix`` of a SeedSequence."""
-    h = (value ^ _HASH_A[j]) * _HASH_A[j + 1] & _MASK32
-    return h ^ h >> _XSHIFT
-
-
-def _mix(x: int, y: int) -> int:
-    m = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return m ^ m >> _XSHIFT
-
-
-def _mix_in(pool: list[int], words: list[int], j: int) -> int:
-    """Mix each word into every pool word, as SeedSequence mixes the entropy
-    past the pool size, from hash ``j`` on; returns the next hash index."""
-    hash_a = _hash_a(j + _POOL_SIZE * len(words) + 1)
-    for w in words:
-        for i in range(_POOL_SIZE):  # _mix(pool[i], _hashmix(w, j)), inlined
-            h = (w ^ hash_a[j]) * hash_a[j + 1] & _MASK32
-            m = (_MIX_MULT_L * pool[i] - _MIX_MULT_R * (h ^ h >> _XSHIFT)) & _MASK32
-            pool[i] = m ^ m >> _XSHIFT
-            j += 1
-    return j
-
-
 def _pool(seed: int, *tags: int) -> tuple[tuple[int, ...], int]:
     """The pool of ``SeedSequence(seed, spawn_key=(*tags, ...))`` once the
-    seed's words (padded to the pool size, as with any spawn key) and the
-    one-word ``tags`` are mixed in, and the index of the next hash."""
-    words = _uint32_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    _hash_a(_POOL_SIZE * _POOL_SIZE + 1)
-    pool = [_hashmix(words[j], j) for j in range(_POOL_SIZE)]
-    j = _POOL_SIZE
-    for src in range(_POOL_SIZE):  # every pool word into every other
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], j))
-                j += 1
-    j = _mix_in(pool, [*words[_POOL_SIZE:], *tags], j)
-    return tuple(pool), j
+    seed's words (padded to the pool size) and the one-word ``tags`` are
+    mixed in, and the index of the next hash.  numpy mixes the entropy in
+    word by word, so that is the pool of ``SeedSequence(seed, spawn_key=tags)``,
+    and each word takes ``_POOL_SIZE`` hashes."""
+    pool = np.random.SeedSequence(seed, spawn_key=tags).pool
+    n_entropy = max(_POOL_SIZE, -(-seed.bit_length() // 32)) + len(tags)
+    return tuple(pool.tolist()), _POOL_SIZE * n_entropy
 
 
-@functools.lru_cache(maxsize=64)
-def _replica_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """``_pool(seed, 1)``, cached because ``replica_state`` runs once per
-    replica; a bank keeps its own streams' pools."""
-    return _pool(seed, _REPLICA_TAG)
+def _generate(entry: tuple[tuple[int, ...], int], lo: int, hi: int, n_out: int
+              ) -> list[list[int]]:
+    """``generate_state(n_out)`` of the SeedSequence whose spawn key ends in
+    ``v``, for every ``v`` of ``range(lo, hi)``, given the pool ``entry`` of
+    the seed and the other tags: per ``v``, a row of 64-bit words, output
+    word ``2i`` low and ``2i + 1`` high (joined arithmetically).
 
-
-def replica_state(seed: int, replica: int) -> int:
-    """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
-    little-endian 128-bit integer."""
-    pool, j = _replica_pool(operator.index(seed))
-    pool = list(pool)
-    _mix_in(pool, _uint32_words(replica), j)
-    state = 0
-    for i in range(_POOL_SIZE):
-        x = (pool[i] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-        state |= (x ^ x >> _XSHIFT) << 32 * i
-    return state
-
-
-def stream_state(seed: int, stream: str, label: int) -> tuple[int, int]:
-    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(2, s,
-    label)))`` for the stream named ``stream``."""
-    entry = _pool(operator.index(seed), _STREAM_TAG, _STREAM_INDEX[stream])
-    label = operator.index(label)
-    (state,), (inc,) = _stream_states(entry, label, label + 1)
-    return state, inc
-
-
-def _stream_states(entry: tuple[tuple[int, ...], int], lo: int, hi: int
-                   ) -> tuple[list[int], list[int]]:
-    """``stream_state``'s ``(states, incs)`` for every label of ``range(lo,
-    hi)``, given the pool ``entry`` of the seed and the stream's tags.
-
-    SeedSequence's hashes are the same uint32 arithmetic for every label,
-    so they run over the whole range at once: the label words mix into an
-    ``(N, 4)`` pool and ``generate_state(8)`` is an ``(N, 8)`` array, in
-    ``uint32`` arrays, whose products wrap mod 2^32 as the hashes need.
-    Labels with more 32-bit words take more hashes, so the range is cut
-    where the word count grows.  PCG64 then reads the words as four
-    ``uint64`` (joined arithmetically, so byte order does not matter):
-    ``initstate = u[0]:u[1]`` and ``initseq = u[2]:u[3]``, high word
-    first, and sets ``inc = 2 initseq + 1`` and ``state = (inc +
-    initstate) M + inc``, in Python integers.
+    The hashes are the same uint32 arithmetic for every ``v``, so they run
+    over the range at once in ``uint32`` arrays, whose products wrap mod
+    2^32 as the hashes need: ``v``'s words mix into an ``(N, 4)`` pool.  A
+    longer ``v`` takes more hashes, so the range is cut where it grows.
     """
-    states: list[int] = []
-    incs: list[int] = []
+    if lo < 0:
+        raise ValueError("expected non-negative integer")  # numpy's message
+    rows = []
     pool0, j = entry
     while lo < hi:
-        n_words = len(_uint32_words(lo))
+        n_words = max(1, -(-lo.bit_length() // 32))  # numpy gives 0 one word
         stop = min(hi, 1 << 32 * n_words)
-        labels = np.arange(lo, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+        values = np.arange(lo, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
         end = j + _POOL_SIZE * n_words
         hash_a = np.array(_hash_a(end + 1)[j : end + 1], np.uint32)
         pool = np.array(pool0, np.uint32)  # broadcast to (N, 4) by the first mix
         for w in range(n_words):
             i = _POOL_SIZE * w
-            # pool[:, c] = _mix(pool[:, c], _hashmix(word, j + i + c)) for each c
-            word = (labels >> 32 * w & _MASK32).astype(np.uint32)[:, None]
+            # pool[:, c] = mix(pool[:, c], hashmix(word, j + i + c)) for each c
+            word = (values >> 32 * w & _MASK32).astype(np.uint32)[:, None]
             h = (word ^ hash_a[i : i + _POOL_SIZE]) * hash_a[i + 1 : i + _POOL_SIZE + 1]
             m = _MIX_MULT_L * pool - _MIX_MULT_R * (h ^ h >> _XSHIFT)
             pool = m ^ m >> _XSHIFT
-        x = (np.concatenate((pool, pool), axis=1) ^ _HASH_B_WORDS) * _HASH_B_NEXT
+        x = np.concatenate((pool,) * (n_out // _POOL_SIZE), axis=1) ^ _HASH_B[:n_out]
+        x *= _HASH_B[1 : n_out + 1]
         x ^= x >> _XSHIFT
         x = x.astype(np.uint64)
-        for a, b, c, d in (x[:, 0::2] | x[:, 1::2] << 32).tolist():
-            inc = (c << 65 | d << 1 | 1) & _MASK128
-            states.append(((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128)
-            incs.append(inc)
+        rows += (x[:, 0::2] | x[:, 1::2] << 32).tolist()
         lo = stop
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _replica_block(seed: int, block: int) -> list[int]:
+    """``replica_state`` of replicas ``block * _REPLICA_BLOCK`` on, for one
+    block; the range never crosses a word-count edge."""
+    lo = block * _REPLICA_BLOCK
+    rows = _generate(_pool(seed, _REPLICA_TAG), lo, lo + _REPLICA_BLOCK, _POOL_SIZE)
+    return [a | b << 64 for a, b in rows]
+
+
+def replica_state(seed: int, replica: int) -> int:
+    """``SeedSequence(seed, spawn_key=(1, replica)).generate_state(4)`` as one
+    little-endian 128-bit integer."""
+    block, i = divmod(operator.index(replica), _REPLICA_BLOCK)
+    return _replica_block(operator.index(seed), block)[i]
+
+
+def _stream_states(entry: tuple[tuple[int, ...], int], lo: int, hi: int
+                   ) -> tuple[list[int], list[int]]:
+    """The lists ``states`` and ``incs`` of ``PCG64(SeedSequence(seed,
+    spawn_key=(2, s, label)))`` for the labels of ``range(lo, hi)``, given
+    the pool ``entry`` of the seed and the stream's tags.  PCG64 reads
+    ``generate_state(8)`` as ``uint64`` words ``a, b, c, d`` and sets ``inc
+    = 2 (c:d) + 1`` and ``state = (inc + (a:b)) M + inc``."""
+    states, incs = [], []
+    for a, b, c, d in _generate(entry, lo, hi, 2 * _POOL_SIZE):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append(((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128)
+        incs.append(inc)
     return states, incs
 
 
@@ -258,7 +203,7 @@ class StreamBank:
 
     Each stream name holds one dense 2-D table, with a row for every label
     up to the largest read: a range read is a slice of one column and a
-    scalar read one element.  New rows start from their ``stream_state``,
+    scalar read one element.  New rows start from their PCG64 states,
     derived for all the added labels in one ``_stream_states`` call; the
     table grows by at least ``_BLOCK`` columns at a time, each row
     drawing on from its saved state, so consultation order does not matter.

@@ -259,6 +259,18 @@ def test_monte_carlo_reproducible():
     assert c.mean != a.mean  # different stream
 
 
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(3).geometric(0.2, size=500) - 1,
+    np.array([4]),
+    np.full(7, 2),
+])
+def test_empirical_survival_is_the_tail_mean_at_every_t(samples):
+    ts, surv = engine.empirical_survival(samples)
+    assert ts.tolist() == list(range(samples.max() + 2))
+    assert surv.tolist() == [(samples >= t).mean() for t in ts]
+    assert surv[0] == 1.0 and surv[-1] == 0.0
+
+
 @st.composite
 def layered_posets(draw):
     """Random graded posets whose covers join consecutive layers only, so

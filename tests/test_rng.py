@@ -1,7 +1,8 @@
-"""Stream derivation: the pure-Python replica hand-off and bank start
-states are numpy's, and so are the bank's bits."""
+"""Stream derivation: the batched replica hand-off and bank start states
+are numpy's, and so are the bank's bits."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ungar_lab import rng
-from ungar_lab.rng import STREAM_NAMES, StreamBank, replica_random, replica_state, stream_state
+from ungar_lab.rng import STREAM_NAMES, StreamBank, replica_random, replica_state
 
 
 def _numpy_state(seed, replica):
@@ -20,7 +21,8 @@ def _numpy_state(seed, replica):
 # one to five 32-bit words of seed, one to thirteen of replica
 SEEDS = [0, 1, 2, 5, 2**31, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 5, 2**128 - 1, 2**128,
          2**130 + 3]
-REPLICAS = [0, 1, 2, 99, 2**32 - 1, 2**32, 2**64 + 1, 2**70, 2**400 + 3]
+REPLICAS = [0, 1, 2, 99, rng._REPLICA_BLOCK - 1, rng._REPLICA_BLOCK, rng._REPLICA_BLOCK + 1,
+            2**32 - 1, 2**32, 2**64 + 1, 2**70, 2**400 + 3]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -30,11 +32,35 @@ def test_replica_random_state_is_numpys(seed):
         assert replica_random(seed, replica).getstate() == expected.getstate(), replica
 
 
-# more seeds than the per-seed pool cache holds, so entries are evicted and rebuilt
+# more seeds than the replica block cache holds, so blocks are evicted and rebuilt
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**140), st.integers(0, 2**80))
 def test_replica_state_is_numpys_on_drawn_pairs(seed, replica):
     assert replica_state(seed, replica) == _numpy_state(seed, replica)
+
+
+def test_replica_states_read_out_of_order_are_numpys():
+    block = rng._REPLICA_BLOCK
+    pairs = [(seed, r) for seed in (3, 2**40 + 1) for r in range(0, 3 * block, 7)]
+    random.Random(0).shuffle(pairs)  # the two seeds' three blocks interleave
+    rng._replica_block.cache_clear()
+    for k, (seed, r) in enumerate(pairs):
+        if k == len(pairs) // 2:
+            rng._replica_block.cache_clear()
+        assert replica_state(seed, r) == _numpy_state(seed, r), (seed, r)
+
+
+def test_replica_block_cache_stays_small_over_many_replicas():
+    replica_random(5, 0)  # numpy's lazy imports, outside the trace
+    rng._replica_block.cache_clear()
+    tracemalloc.start()
+    try:
+        for r in range(200_000):
+            replica_random(5, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_replica_state_is_numpys_on_python_and_numpy_ints():
@@ -59,7 +85,9 @@ def test_stream_state_is_numpys_pcg64_state(seed):
     for stream in STREAM_NAMES:
         for label in (1, 7, 2**32 + 3):
             expected = np.random.PCG64(_bank_seq(seed, stream, label)).state["state"]
-            assert stream_state(seed, stream, label) == (expected["state"], expected["inc"])
+            entry = rng._pool(seed, 2, STREAM_NAMES.index(stream))
+            states, incs = rng._stream_states(entry, label, label + 1)
+            assert (*states, *incs) == (expected["state"], expected["inc"])
 
 
 def _numpy_pcg_state(seed, stream, label, words=0):
