@@ -240,11 +240,13 @@ def cmd_simulate(args) -> None:
 
 
 def _stateify(state):
+    """A trace state as JSON: a permutation as a list, an ideal as its int
+    mask, a forest as its parent and children lists."""
     if isinstance(state, tuple):
         return list(state)
     if isinstance(state, int):
         return state
-    return json.loads(state.to_json()) if hasattr(state, "to_json") else repr(state)
+    return json.loads(state.to_json())
 
 
 def cmd_lpp(args) -> None:

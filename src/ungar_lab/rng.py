@@ -232,12 +232,25 @@ class StreamBank:
             raise ValueError("stream labels start at 1")
         return self._bits(stream, label, t).item(label - 1, t - 1) == 1
 
-    def first_success(self, stream: str, label: int) -> int:
-        """Smallest ``t`` with a 1 bit; geometric(p) by construction."""
-        t = 1
-        while not self.bernoulli(stream, label, t):
-            t += 1
-        return t
+    def first_success(self, stream: str, label):
+        """The smallest ``t`` with ``bernoulli(stream, label, t)`` true,
+        geometric(p) by construction; for a ``range`` of labels, those
+        labels' first successes as one ``int64`` array.  Each is a row-wise
+        ``argmax`` of the table, grown by ``_BLOCK`` columns until every
+        row read holds a 1."""
+        if type(label) is not range:
+            if label < 1:
+                raise ValueError("stream labels start at 1")
+            return int(self.first_success(stream, range(label, label + 1))[0])
+        if label.start < 1 or label.step < 0:
+            raise ValueError("a label range must ascend from label 1 or above")
+        nrows = label[-1] if label else 0
+        rows = slice(label.start - 1, label.stop - 1, label.step)
+        # as bool, argmax stops at a row's first 1
+        bits = self._bits(stream, nrows, 1)[rows].view(bool)
+        while not bits.any(axis=1).all():
+            bits = self._bits(stream, nrows, bits.shape[1] + 1)[rows].view(bool)
+        return bits.argmax(axis=1).astype(np.int64) + 1
 
     def _bits(self, stream: str, nrows: int, t: int) -> np.ndarray:
         """The table of ``stream``, replaced first by one with at least

@@ -319,7 +319,6 @@ class Algorithm1Result:
     degenerate: bool
     mode: str
     t_disconnect: tuple[int, ...] | None
-    absorption: int
     op_counts: np.ndarray
     steps: int
 
@@ -334,16 +333,16 @@ class Algorithm1Result:
             "good": self.good,
             "degenerate": self.degenerate,
             "t": list(self.t_disconnect) if self.t_disconnect else None,
-            "absorption": self.absorption,
+            "absorption": self.steps,
         }
 
 
 class _Phase2:
     """The skyline of ``g`` and, in full mode, the routing tables.
 
-    Built once, when every vertex has fired (or at absorption).
-    ``column`` gives the bits of a full-mode step; ``left1[v]`` is the step
-    at which label ``v`` left vertex 1's tree, 0 while it is still there.
+    Built from ``g`` before the first step.  ``column`` gives the bits of
+    a full-mode step; ``left1[v]`` is the step at which label ``v`` left
+    vertex 1's tree, 0 while it is still there.
     """
 
     def __init__(self, g: list[int], n: int, landmark_constant: float):
@@ -414,31 +413,31 @@ def algorithm1_run(
 ) -> Algorithm1Result:
     """Simulate the forest chain from the path using named streams.
 
-    Phase 1 (some vertex has not fired): a vertex consults its S stream
-    until its first success at step ``g_i`` and its B stream afterwards.
-    Once every vertex has fired, the skyline of ``g`` is computed; if it
-    is not good (or the landmark summary indices do not exist, the
-    ``degenerate`` case) every vertex consults its S stream.  Otherwise
-    vertex 1 consults D keyed by the smallest skyline index still in its
-    tree (D' keyed by the even landmark window past the first block, and
-    a single fallback stream beyond), each landmark window of summary
-    labels routes its largest rooted non-leaf to the window's C stream,
-    and each skyline label ``a_j`` switches from B to B' once vertex 1
-    loses ``a_{j-1}``; all remaining labels stay on B.
+    ``g_i``, the first success of ``S_i``, is read off the S table before
+    the first step, so the mode is fixed before the chain moves.  Until
+    step ``max(g)``, vertex ``i``'s bit is its S bit: 0 before ``g_i`` and 1
+    at ``g_i``; after ``g_i`` it reads its B stream.  From step ``max(g) +
+    1`` on, if the skyline of ``g`` is not good (or the landmark summary
+    indices do not exist, the ``degenerate`` case) every vertex consults
+    its S stream.  Otherwise vertex 1 consults D keyed by the smallest
+    skyline index still in its tree (D' keyed by the even landmark window
+    past the first block, and a single fallback stream beyond), each
+    landmark window of summary labels routes its largest rooted non-leaf
+    to the window's C stream, and each skyline label ``a_j`` switches from
+    B to B' once vertex 1 loses ``a_{j-1}``; all remaining labels stay on B.
 
     Each step builds one column of bits, one per vertex, and operates in
     label order on each vertex it selects that is a non-leaf (a leaf's
-    operation is a no-op, and leaves stay leaves).  Phase 1 and plain mode
-    read one ``range`` of labels per stream, so their triples are distinct
-    by construction.  Full mode starts from the B column, takes B' where
-    it applies, writes in the scalar D/D'/D† and C bits, and raises
-    :class:`InvariantViolation` unless the step's ``n`` triples are distinct.
+    operation is a no-op, and leaves stay leaves).  Steps up to ``max(g)``
+    and plain mode read one ``range`` of labels per stream, so their
+    triples are distinct by construction.  Full mode starts from the B
+    column, takes B' where it applies, writes in the scalar D/D'/D† and C
+    bits, and raises :class:`InvariantViolation` unless the step's ``n``
+    triples are distinct.
 
-    ``g_i`` is the first success of ``S_i``, also for a vertex that has
-    not fired when the chain is absorbed.
-
-    ``force_g`` pins ``S_{i,t}`` to ``t == force_g[i]`` for ``t <=
-    force_g[i]`` (the standard conditional replay of the extremal event);
+    ``force_g`` pins ``g_i`` to a positive ``force_g[i]``, so ``S_{i,t}``
+    reads ``t == force_g[i]`` for ``t <= force_g[i]`` (the standard
+    conditional replay of the extremal event);
     ``landmark_constant`` rescales the written constant 201 so the deep
     branches can be reached at test sizes.  Both default to the verbatim
     behavior.  A run still unabsorbed after 10^9 steps raises
@@ -447,39 +446,30 @@ def algorithm1_run(
     p = _check_p(p)
     if n < 2:
         raise DomainError("need n >= 2")
+    sim = SimForest.path(n)
     bank = StreamBank(seed, p)
     draw = bank.bernoulli
     labels = range(1, n + 1)
-    pinned = np.array([force_g.get(v, 0) for v in labels]) if force_g else None
-    sim = SimForest.path(n)
-    g = [0] * (n + 1)
-    unfired = n
-    fired = np.zeros(n, dtype=np.uint8)
+    g = bank.first_success("S", labels)
+    for v, pin in (force_g or {}).items():
+        if 1 <= v <= n and pin > 0:
+            g[v - 1] = pin
+    fires = g.tolist()
+    phase2 = _Phase2([0, *fires], n, landmark_constant)
+    first_fire, last_fire = min(fires), max(fires)
     left1 = [0] * (n + 1)
     op_counts = np.zeros(n + 1, dtype=np.int64)
-    phase2 = None
     t = 0
     while not sim.absorbed():
         t += 1
         if t > 10**9:
             raise NotReached("no absorption within 10**9 steps")
-        if phase2 is None and not unfired:
-            phase2 = _Phase2(g, n, landmark_constant)
-        if phase2 is None:
-            if pinned is not None:
-                # a pinned vertex fires at its pin, so S is read only if some vertex is free
-                col = pinned == t
-                if not pinned.all():
-                    col = np.where(t <= pinned, col, draw("S", labels, t))
-            else:
-                col = draw("S", labels, t)
-            newly = np.flatnonzero(col > fired)
-            if unfired < n:
-                col = np.where(fired, draw("B", labels, t), col)
-            fired[newly] = 1
-            unfired -= newly.size
-            for i in newly.tolist():
-                g[i + 1] = t
+        if t <= last_fire:
+            # S is 0 before g_v and 1 at g_v; B takes over after it, so no
+            # B bit is read until some vertex has fired
+            col = g == t
+            if t > first_fire:
+                col = col | ((g < t) & draw("B", labels, t))
         elif phase2.mode == "plain":
             col = draw("S", labels, t)
         else:
@@ -493,21 +483,14 @@ def algorithm1_run(
                     # trees only split: labels [c, c + size) leave for good
                     left1[c : c + sim.size[c]] = [t] * sim.size[c]
 
-    if phase2 is None:
-        # absorbed before every vertex fired: g_v of the rest is still the
-        # first success of S_v, as if the chain had run on
-        for v in labels:
-            if not g[v]:
-                g[v] = (force_g or {}).get(v) or bank.first_success("S", v)
-        phase2 = _Phase2(g, n, landmark_constant)
     t_disc = None
     if phase2.childlike:
-        t_disc = tuple(left1[v] - (g[1] - 1) for v in phase2.skyline.top[1:])
+        t_disc = tuple(left1[v] - (fires[0] - 1) for v in phase2.skyline.top[1:])
     return Algorithm1Result(
         n=n,
         p=p,
         seed=seed,
-        g=tuple(g[1:]),
+        g=tuple(fires),
         skyline=phase2.skyline,
         childlike=phase2.childlike,
         summary=phase2.summary,
@@ -515,7 +498,6 @@ def algorithm1_run(
         degenerate=phase2.degenerate,
         mode=phase2.mode,
         t_disconnect=t_disc,
-        absorption=t,
         op_counts=op_counts,
         steps=t,
     )

@@ -260,7 +260,7 @@ def test_criterion_10_algorithm1_validity():
     stream_samples = np.empty(reps, dtype=np.int64)
     for seed in range(reps):
         res = algorithm1_run(n, p, 1000 + seed)
-        stream_samples[seed] = res.absorption
+        stream_samples[seed] = res.steps
         ops += res.op_counts
         steps += res.steps
     chain_samples = monte_carlo_expectation(

@@ -275,6 +275,24 @@ def test_lpp_poset_golden_digest(capsys):
     assert digest.hexdigest() == LPP_POSET_GOLDEN
 
 
+@pytest.mark.parametrize("lattice, size, bottom", [
+    ("sn", ("--n", "4"), [1, 2, 3, 4]),
+    ("tamari", ("--n", "5"), {"n": 5, "parent": [0] * 5, "children": [[]] * 5}),
+    ("tamari-av", ("--n", "5"), [1, 2, 3, 4, 5]),
+    ("grid", ("--rows", "3", "--cols", "4"), 0),
+    ("ideal", ("--poset", str(POSET_FIXTURE)), 0),
+])
+def test_simulate_trace_is_one_line_per_step_down_to_the_bottom(tmp_path, capsys,
+                                                                lattice, size, bottom):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--lattice", lattice, *size, "--p", "0.5",
+                         "--reps", "1", "--seed", "7", "--trace", str(trace))
+    assert code == 0
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [step["step"] for step in steps] == list(range(1, len(steps) + 1))
+    assert steps[-1]["state"] == bottom
+
+
 def test_bounds_values(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--what", "tw-tail", "--t", "4")
     assert code == 0

@@ -138,6 +138,29 @@ def test_bank_scalar_and_range_reads_are_numpys_bits(p):
     assert other.first_success("B", 7) == int(np.argmax(expected["B", 7])) + 1
 
 
+@pytest.mark.parametrize("p", [0.002, 0.3])
+def test_bank_first_success_of_a_range_is_numpys_first_one(p):
+    k = 10 * rng._BLOCK
+    latest = 0
+    for labels in (range(1, 13), range(4, 13), range(3, 13, 4)):
+        bits = [_numpy_bits(5, "S", v, p, k) for v in labels]
+        assert all(row.any() for row in bits)
+        expected = [int(np.argmax(row)) + 1 for row in bits]
+        first = StreamBank(5, p).first_success("S", labels)
+        assert first.dtype == np.int64
+        assert first.tolist() == expected
+        assert [StreamBank(5, p).first_success("S", v) for v in labels] == expected
+        latest = max(latest, *expected)
+    if p < 0.01:
+        assert latest > rng._BLOCK  # the table grew past its first block
+
+
+@pytest.mark.parametrize("labels", [0, range(0, 3), range(5, 1, -1)])
+def test_bank_first_success_rejects_labels_below_1_and_descending_ranges(labels):
+    with pytest.raises(ValueError, match="label"):
+        StreamBank(4, 0.5).first_success("S", labels)
+
+
 def test_bank_wider_range_keeps_the_rows_already_drawn():
     bank = StreamBank(4, 0.5)
     first = bank.bernoulli("S", range(1, 4), 2).copy()

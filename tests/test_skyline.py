@@ -266,7 +266,7 @@ def test_algorithm1_marginal_law():
 
 
 def test_algorithm1_matches_naive_distribution_small():
-    samples_a = np.array([algorithm1_run(4, 0.5, seed).absorption for seed in range(3_000)])
+    samples_a = np.array([algorithm1_run(4, 0.5, seed).steps for seed in range(3_000)])
     samples_n = monte_carlo_expectation(
         TamariForestLattice(4), 0.5, reps=3_000, seed=8
     ).samples
@@ -279,7 +279,7 @@ def test_algorithm1_g_values():
     bank = StreamBank(123, 0.5)
     for i, gi in enumerate(res.g, start=1):
         assert bank.first_success("S", i) == gi
-    assert res.absorption >= max(res.g)
+    assert res.steps >= max(res.g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -291,7 +291,7 @@ def test_algorithm1_g_is_the_first_s_success_even_when_unfired(n):
         bank = StreamBank(seed, 0.5)
         g = [bank.first_success("S", i) for i in range(1, n + 1)]
         assert list(res.g) == g, seed
-        unfired += max(g) > res.absorption
+        unfired += max(g) > res.steps
     assert unfired > 0
 
 
@@ -351,6 +351,13 @@ def test_algorithm1_full_mode_reachable_with_hooks():
     assert ts[0] >= 1 and all(b - a >= 1 for a, b in zip(ts, ts[1:]))
 
 
+def test_algorithm1_force_g_pins_only_positive_pins_on_labels_1_to_n():
+    plain = algorithm1_run(6, 0.5, 3)
+    ignored = algorithm1_run(6, 0.5, 3, force_g={0: 4, 7: 2, 2: 0})
+    assert ignored.to_jsonable() == plain.to_jsonable()
+    assert algorithm1_run(6, 0.5, 3, force_g={3: 9}).g == plain.g[:2] + (9,) + plain.g[3:]
+
+
 def test_algorithm1_full_mode_audit_catches_a_shared_triple(monkeypatch):
     # route vertex 1 to the triple ("B", n), which vertex n reads at every
     # full-mode step (n is never a skyline label a_j with j >= 3, nor in a
@@ -374,12 +381,9 @@ def test_algorithm1_full_mode_marginal_law():
     for seed in range(60):
         res = _forced_full_mode_run(seed)
         assert res.mode == "full"
-        # conditioning pins the S-bits of the forced prefix, so count only
-        # the unconditioned regime: steps after every g_i has passed
-        start = max(res.g)
-        ops += res.op_counts  # includes pre-phase; checked loosely below
+        # every step counts, the pinned ones up to max(g) included
+        ops += res.op_counts
         steps += res.steps
-        del start
     freq = ops[1:].sum() / (steps * n)
     # forced g-values bias a handful of early bits; the overall rate must
     # still sit within a generous band around p
@@ -440,7 +444,7 @@ def test_full_mode_matches_conditioned_naive_distribution():
             n, p, 5_000 + seed, landmark_constant=0.5, force_g=force
         )
         assert res.mode == "full"
-        stream[seed] = res.absorption
+        stream[seed] = res.steps
     rnd = replica_random(5_001, 0)
     naive = np.array(
         [conditioned_naive_run(n, p, force, rnd) for _ in range(reps)]
