@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .poset import FinitePoset, grid_poset
 from .rng import replica_random, replica_state
+from .tamari import catalan
 
 
 def _fmt(x) -> str:
@@ -81,9 +81,18 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _seed(args) -> int:
+    """``--seed``, else ``UNGAR_LAB_SEED``, else 0; ConfigError unless an int >= 0."""
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("UNGAR_LAB_SEED", "0"))
+        source, text = "--seed", args.seed
+    else:
+        source, text = "UNGAR_LAB_SEED", os.environ.get("UNGAR_LAB_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source}={text}: expected non-negative integer")
+    return seed
 
 
 def _validate_common(args) -> None:
@@ -111,11 +120,6 @@ def _poset(args, missing: str) -> FinitePoset:
         return FinitePoset.from_json(fh.read())
 
 
-def _catalans(n: int):
-    """Catalan(0), ..., Catalan(n)."""
-    return itertools.accumulate(range(n), lambda c, k: c * (4 * k + 2) // (k + 2), initial=1)
-
-
 def _grid_ideal_counts(rows: int, cols: int):
     """C(a + k, k) for k = 0..b, with a >= b the sides; the last is C(rows + cols, rows)."""
     a, b = max(rows, cols), min(rows, cols)
@@ -129,11 +133,11 @@ def _grid_ideal_counts(rows: int, cols: int):
 # table cannot tell which one is read.
 _LATTICES = {
     "sn": (("--n",), engine.SnLattice, percolation.sn_linear_coefficient,
-           lambda a: itertools.accumulate(range(1, a.n + 1), operator.mul, initial=1)),
+           lambda a: map(math.factorial, range(a.n + 1))),
     "tamari": (("--n",), engine.TamariForestLattice, percolation.tamari_linear_coefficient,
-               lambda a: _catalans(a.n)),
+               lambda a: map(catalan, range(a.n + 1))),
     "tamari-av": (("--n",), engine.TamariAvLattice, percolation.tamari_linear_coefficient,
-                  lambda a: _catalans(a.n)),
+                  lambda a: map(catalan, range(a.n + 1))),
     "grid": (("--rows", "--cols"), None, None, lambda a: _grid_ideal_counts(a.rows, a.cols)),
     "ideal": (("--poset",), None, None, None),
 }
@@ -227,8 +231,7 @@ def cmd_simulate(args) -> None:
                 fh.write(f"{tt},{_fmt(float(ss))}\n")
     if args.trace:
         rnd = replica_random(seed, 0)
-        run = engine.run_chain(lattice, args.p, rnd, record_states=True,
-                               record_picks=True)
+        run = engine.run_chain(lattice, args.p, rnd, record=True)
         with open(args.trace, "w") as fh:
             for step, (state, picks) in enumerate(
                 zip(run.states[1:], run.picks), start=1

@@ -48,16 +48,6 @@ def _check_p(p: float) -> float:
 # -- backends -----------------------------------------------------------------
 
 
-def _descent_sites(self, word) -> tuple[int, ...]:
-    """Ascending descent positions of a one-line word: the S_n and 312 sites.
-
-    Built from a list, not a generator: ``tuple(genexpr)`` grows its tuple
-    by resizing, and the interpreter's tuple freelists keep the resized
-    blocks, so memory crept up with the step count.
-    """
-    return tuple([i for i in range(1, len(word)) if word[i - 1] > word[i]])
-
-
 class SnLattice:
     """Weak order on S_n; sites are descent positions."""
 
@@ -73,7 +63,8 @@ class SnLattice:
     def bottom(self) -> Permutation:
         return self._bottom
 
-    pick_sites = _descent_sites
+    def pick_sites(self, state: Permutation) -> tuple[int, ...]:
+        return state.descents()
 
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return ungar_move(state, selected)
@@ -94,7 +85,8 @@ class TamariAvLattice:
     def bottom(self) -> Permutation:
         return self._bottom
 
-    pick_sites = _descent_sites
+    def pick_sites(self, state: Permutation) -> tuple[int, ...]:
+        return state.descents()
 
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return av_ungar_move(state, selected)
@@ -247,37 +239,34 @@ class ChainLattice:
 
 @dataclass
 class ChainRun:
-    """One seeded trajectory; states/picks are recorded on request."""
+    """One seeded trajectory.  With ``record``, ``states`` holds the top and
+    the state after every step, and ``picks`` the sites each step selected."""
 
     absorption: int
     states: tuple | None = None
     picks: tuple | None = None
 
 
-def run_chain(
-    lattice, p: float, rnd, *, record_states: bool = False, record_picks: bool = False
-) -> ChainRun:
-    """Run one trajectory from ``lattice.top()`` to absorption."""
+def run_chain(lattice, p: float, rnd, *, record: bool = False) -> ChainRun:
+    """Run one trajectory from ``lattice.top()`` to absorption, recording
+    its states and picks if ``record``."""
     p = _check_p(p)
     state = lattice.top()
     bottom = lattice.bottom()
-    states = [state] if record_states else None
-    picks = [] if record_picks else None
+    states = [state]
+    picks = []
     t = 0
     while state != bottom:
         sites = lattice.pick_sites(state)
         selected = [s for s in sites if rnd.random() < p]
         state = lattice.apply(state, selected)
         t += 1
-        if record_states:
+        if record:
             states.append(state)
-        if record_picks:
             picks.append(tuple(selected))
-    return ChainRun(
-        absorption=t,
-        states=tuple(states) if states is not None else None,
-        picks=tuple(picks) if picks is not None else None,
-    )
+    if not record:
+        return ChainRun(absorption=t)
+    return ChainRun(absorption=t, states=tuple(states), picks=tuple(picks))
 
 
 # -- exact expectations ---------------------------------------------------------

@@ -127,7 +127,7 @@ def coupled_ideal_run(poset: FinitePoset, p: float, rnd) -> CoupledIdealRun:
     sum of these counts on this very run.
     """
     lattice = IdealLattice(poset)
-    run = run_chain(lattice, p, rnd, record_states=True)
+    run = run_chain(lattice, p, rnd, record=True)
     counts = [0] * poset.n
     for mask in run.states[:-1]:
         for x in lattice.pick_sites(mask):

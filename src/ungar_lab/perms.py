@@ -47,11 +47,14 @@ class Permutation(tuple):
     def n(self) -> int:
         return len(self)
 
-    def descents(self) -> frozenset[int]:
-        """Positions ``i`` in ``1..n-1`` with ``sigma(i) > sigma(i+1)``."""
-        return frozenset(
-            i + 1 for i in range(len(self) - 1) if self[i] > self[i + 1]
-        )
+    def descents(self) -> tuple[int, ...]:
+        """Ascending positions ``i`` in ``1..n-1`` with ``sigma(i) > sigma(i+1)``.
+
+        Built from a list, not a generator: ``tuple(genexpr)`` grows its tuple
+        by resizing, and the interpreter's tuple freelists keep the resized
+        blocks, so memory crept up with the step count.
+        """
+        return tuple([i for i in range(1, len(self)) if self[i - 1] > self[i]])
 
     def inversions(self) -> int:
         return sum(
@@ -107,7 +110,7 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
         if not (0 < i < n and sigma[i - 1] > sigma[i]):
             raise InvalidSelection(
                 f"selection {sorted(set(chosen))} not contained in descents "
-                f"{sorted(sigma.descents())}"
+                f"{list(sigma.descents())}"
             )
         if i > end + 1:  # a new run; a repeated position extends nothing
             if end > 0:
@@ -151,7 +154,7 @@ def project_pi_k(sigma: Permutation, k: int) -> tuple[str, int]:
 def sorted_prefix_time(run, k: int) -> int:
     """First step index after which values ``<= k`` sit in positions ``<= k``.
 
-    ``run`` is a :class:`~ungar_lab.engine.ChainRun` with recorded states
+    ``run`` is a :class:`~ungar_lab.engine.ChainRun` run with ``record=True``
     (or any sequence of permutations); index 0 is the initial state.  Once
     the prefix condition holds it persists, since no descent can cross the
     boundary afterwards.  Raises :class:`NotReached` if the trajectory was

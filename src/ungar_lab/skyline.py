@@ -25,16 +25,16 @@ label left vertex 1's tree, minus ``g_1 - 1``.  The landmark indices
 ``2*ceil(201 loglog n)`` and ``2*ceil(201 (loglog n)^3)`` as written only
 exist for astronomically large ``n``; when the summary is too short the
 run falls back to the plain S-stream rule and is flagged ``degenerate``.
-The landmark constant and a conditional pin of the ``g`` values are
-exposed as keyword hooks so the deep branches are exercisable in tests at
-feasible sizes.
+The landmark constant and the first-fire vector ``g`` (the conditional
+replay of the extremal event, from ``sample_g_conditional``) are keyword
+arguments, so the deep branches are exercisable in tests at feasible sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -409,7 +409,7 @@ def algorithm1_run(
     seed: int,
     *,
     landmark_constant: float = 201.0,
-    force_g: Mapping[int, int] | None = None,
+    g: Sequence[int] | None = None,
 ) -> Algorithm1Result:
     """Simulate the forest chain from the path using named streams.
 
@@ -435,9 +435,10 @@ def algorithm1_run(
     bits, and raises :class:`InvariantViolation` unless the step's ``n``
     triples are distinct.
 
-    ``force_g`` pins ``g_i`` to a positive ``force_g[i]``, so ``S_{i,t}``
-    reads ``t == force_g[i]`` for ``t <= force_g[i]`` (the standard
-    conditional replay of the extremal event);
+    A given ``g`` (``n`` times of at least 1, such as the conditional replay
+    ``sample_g_conditional(n, p, m, rng)`` of the extremal event) is used in
+    place of the S first successes, which are then not drawn; plain mode
+    still reads S after ``max(g)``.
     ``landmark_constant`` rescales the written constant 201 so the deep
     branches can be reached at test sizes.  Both default to the verbatim
     behavior.  A run still unabsorbed after 10^9 steps raises
@@ -450,10 +451,9 @@ def algorithm1_run(
     bank = StreamBank(seed, p)
     draw = bank.bernoulli
     labels = range(1, n + 1)
-    g = bank.first_success("S", labels)
-    for v, pin in (force_g or {}).items():
-        if 1 <= v <= n and pin > 0:
-            g[v - 1] = pin
+    g = bank.first_success("S", labels) if g is None else np.array(g, dtype=np.int64)
+    if g.shape != (n,) or (g < 1).any():
+        raise DomainError(f"g must hold n={n} first-fire times of at least 1")
     fires = g.tolist()
     phase2 = _Phase2([0, *fires], n, landmark_constant)
     first_fire, last_fire = min(fires), max(fires)

@@ -318,7 +318,7 @@ def covers_av312(sigma: Permutation) -> list[Permutation]:
     per descent and no repeats.
     """
     sigma = require_av312(sigma)
-    return [project_down(sigma.swap(i)) for i in sorted(sigma.descents())]
+    return [project_down(sigma.swap(i)) for i in sigma.descents()]
 
 
 def av_ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:

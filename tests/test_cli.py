@@ -809,6 +809,35 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert (code, out) == (2, "") and "expected non-negative integer" in err
 
 
+_SEEDED = {
+    "simulate": ("--lattice", "sn", "--n", "3", "--reps", "2"),
+    "lpp": ("--lattice", "grid", "--rows", "2", "--cols", "2", "--reps", "2"),
+    "tasep": ("--rows", "2", "--cols", "2", "--reps", "2"),
+    "fluctuation": ("--rows", "2", "--cols", "2", "--reps", "2"),
+    "skyline": ("--n", "3", "--reps", "2"),
+    "zeta": ("--n", "3", "--reps", "2"),
+}
+
+
+def test_seeded_table_lists_every_subcommand_with_a_seed():
+    assert set(_SEEDED) == {name for name, (_, _, flags) in _COMMANDS.items()
+                            if "--seed" in flags}
+
+
+@pytest.mark.parametrize("command", list(_SEEDED))
+@pytest.mark.parametrize("source,value", [("--seed", "-5"), ("UNGAR_LAB_SEED", "-5"),
+                                          ("UNGAR_LAB_SEED", "abc")])
+def test_a_bad_seed_is_a_config_error_naming_its_source(capsys, monkeypatch, command,
+                                                        source, value):
+    argv = (command, *_SEEDED[command])
+    if source == "--seed":
+        argv += ("--seed", value)
+    else:
+        monkeypatch.setenv(source, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {source}={value}: expected non-negative integer\n")
+
+
 # the flags each subcommand reads, and a strategy for each flag's value;
 # after --lattice come the size flags that lattice reads (_SIZE_READS);
 # float flags also draw non-finite values, and --poset a _POSET_DOCS file

@@ -167,7 +167,7 @@ def test_step_distribution_matches_subset_aggregation(make, p):
 
 def test_run_chain_records():
     rnd = replica_random(1, 0)
-    run = run_chain(SnLattice(4), 0.6, rnd, record_states=True, record_picks=True)
+    run = run_chain(SnLattice(4), 0.6, rnd, record=True)
     assert run.states[0] == Permutation.decreasing(4)
     assert run.states[-1] == Permutation.identity(4)
     assert len(run.picks) == run.absorption
@@ -181,7 +181,7 @@ def test_run_chain_builds_the_top_once():
             CountingSn.tops += 1
             return super().top()
 
-    run = run_chain(CountingSn(5), 0.5, replica_random(3, 0), record_states=True)
+    run = run_chain(CountingSn(5), 0.5, replica_random(3, 0), record=True)
     assert CountingSn.tops == 1 and run.states[0] == Permutation.decreasing(5)
 
 
@@ -190,7 +190,7 @@ def test_word_lattice_ends_are_built_once_and_survive_runs(cls):
     lattice = cls(6)
     top, bottom = lattice.top(), lattice.bottom()
     for r in range(100):
-        run = run_chain(lattice, 0.5, replica_random(7, r), record_states=True)
+        run = run_chain(lattice, 0.5, replica_random(7, r), record=True)
         assert run.states[0] is top and run.absorption > 0
     assert lattice.top() is top and lattice.bottom() is bottom
     assert top == Permutation.decreasing(6) and bottom == Permutation.identity(6)

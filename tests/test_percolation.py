@@ -249,7 +249,7 @@ def test_complement_is_young_diagram_every_step():
     grid = grid_poset(3, 4)
     rnd = replica_random(12, 0)
     for _ in range(100):
-        run = run_chain(IdealLattice(grid), 0.5, rnd, record_states=True)
+        run = run_chain(IdealLattice(grid), 0.5, rnd, record=True)
         shapes = [ideal_complement_rows(3, 4, mask) for mask in run.states]
         assert shapes[0] == (0, 0, 0)
         assert shapes[-1] == (4, 4, 4)

@@ -313,7 +313,8 @@ def _forced_full_mode_run(seed):
     n = 60
     force = {v: 1 for v in range(1, n + 1)}
     force.update({1: 9, 59: 8, 15: 7, 4: 6, 2: 5})
-    return algorithm1_run(n, 0.5, seed, landmark_constant=0.5, force_g=force)
+    return algorithm1_run(n, 0.5, seed, landmark_constant=0.5,
+                          g=[force[v] for v in range(1, n + 1)])
 
 
 # sha256 of the records below, recorded at commit fe7f056; any change to the
@@ -351,11 +352,34 @@ def test_algorithm1_full_mode_reachable_with_hooks():
     assert ts[0] >= 1 and all(b - a >= 1 for a, b in zip(ts, ts[1:]))
 
 
-def test_algorithm1_force_g_pins_only_positive_pins_on_labels_1_to_n():
+def test_algorithm1_given_its_own_g_replays_the_run():
     plain = algorithm1_run(6, 0.5, 3)
-    ignored = algorithm1_run(6, 0.5, 3, force_g={0: 4, 7: 2, 2: 0})
-    assert ignored.to_jsonable() == plain.to_jsonable()
-    assert algorithm1_run(6, 0.5, 3, force_g={3: 9}).g == plain.g[:2] + (9,) + plain.g[3:]
+    assert algorithm1_run(6, 0.5, 3, g=plain.g).to_jsonable() == plain.to_jsonable()
+
+
+@pytest.mark.parametrize("g", [[1] * 5, [1] * 7, [2, 1, 0, 1, 1, 1], [2, 1, -1, 1, 1, 1]])
+def test_algorithm1_rejects_a_g_of_the_wrong_length_or_below_1(g):
+    with pytest.raises(DomainError, match="first-fire times"):
+        algorithm1_run(6, 0.5, 3, g=g)
+
+
+def test_algorithm1_given_g_draws_no_s_first_success(monkeypatch):
+    def refuse(self, stream, label):
+        raise AssertionError(f"first_success({stream!r}) drawn")
+
+    monkeypatch.setattr(StreamBank, "first_success", refuse)
+    res = _forced_full_mode_run(31)
+    assert res.mode == "full" and res.steps > max(res.g)
+    with pytest.raises(AssertionError, match="drawn"):
+        algorithm1_run(6, 0.5, 3)
+
+
+def test_algorithm1_replays_a_conditionally_sampled_g():
+    n, p, m = 40, 0.5, 7
+    rng = replica_generator(4, 0)
+    for _ in range(20):
+        res = algorithm1_run(n, p, 9, g=sample_g_conditional(n, p, m, rng))
+        assert res.g[0] == m and max(res.g[1:]) < m and res.childlike
 
 
 def test_algorithm1_full_mode_audit_catches_a_shared_triple(monkeypatch):
@@ -441,7 +465,8 @@ def test_full_mode_matches_conditioned_naive_distribution():
     stream = np.empty(reps, dtype=np.int64)
     for seed in range(reps):
         res = algorithm1_run(
-            n, p, 5_000 + seed, landmark_constant=0.5, force_g=force
+            n, p, 5_000 + seed, landmark_constant=0.5,
+            g=[force[v] for v in range(1, n + 1)],
         )
         assert res.mode == "full"
         stream[seed] = res.steps
