@@ -50,6 +50,13 @@ from .rng import replica_generator
 
 # the most weights or uniforms one vectorized draw materializes
 _DRAW_BLOCK = 2_000_000
+# Generator.geometric searches partial sums at p >= this (numpy's own
+# constant, the double nearest 1/3) and inverts an exponential below it
+_SEARCH_MIN_P = 0.333333333333333333333333
+# above this p numpy's search mostly ends at its first sum and is the faster
+_SEARCH_MAX_P = 0.85
+# uniforms mapped per pass of _geometric_array: 128 KB per float buffer
+_FILL_CHUNK = 16_384
 # zeta_exact sums its series this many terms at a time, up to _ZETA_MAX_TERMS
 _ZETA_BLOCK = 10**6
 _ZETA_MAX_TERMS = 10**8
@@ -186,20 +193,29 @@ def tasep_trajectory(
 def tasep_absorption_samples(
     n: int, m: int, p: float, reps: int, seed: int
 ) -> np.ndarray:
-    """Vectorized window-fill times across replicas."""
+    """Vectorized window-fill times across replicas.
+
+    Each step draws one ``(reps, n)`` block of uniforms into the same
+    buffer; row ``i`` grows where its coin lands and ``prev > lam``, with
+    ``prev`` the row above (``m`` above row 0).  ``prev <= m`` always, so
+    ``prev > lam`` already implies ``lam < m``.
+    """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
     lam = np.zeros((reps, n), dtype=np.int32)
+    prev = np.full((reps, n), m, dtype=np.int32)
+    u = np.empty((reps, n))
+    coin = np.empty((reps, n), dtype=bool)
+    grow = np.empty((reps, n), dtype=bool)
     absorbed = np.zeros(reps, dtype=np.int64)
     done = np.zeros(reps, dtype=bool)
     t = 0
     while not done.all():
         t += 1
-        prev = np.concatenate(
-            [np.full((reps, 1), m, dtype=np.int32), lam[:, :-1]], axis=1
-        )
-        addable = (lam < m) & (prev > lam)
-        grow = addable & (rng.random((reps, n)) < p)
+        prev[:, 1:] = lam[:, :-1]
+        np.greater(prev, lam, out=grow)
+        np.less(rng.random(out=u), p, out=coin)
+        grow &= coin
         lam += grow
         now_done = lam[:, -1] >= m
         absorbed[~done & now_done] = t
@@ -217,6 +233,10 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     a block of replicas at a time, at most ``_DRAW_BLOCK`` weights (one
     replica if its grid is larger), so memory does not grow with ``reps``;
     the draws are those of one ``geometric(size=(reps, n, m))`` call.
+    Each block comes from :func:`_geometric_array`, which reads numpy's
+    search-branch weights (``1/3 <= p <= _SEARCH_MAX_P``) off its table of
+    partial sums, one ``rng.random`` uniform each, and leaves every other
+    ``p`` to ``rng.geometric``.
     """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
@@ -224,8 +244,84 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     out = np.empty(reps, dtype=np.int64)
     for start in range(0, reps, block):
         b = min(block, reps - start)
-        out[start : start + b] = _grid_passage(rng.geometric(p, size=(b, n, m)))
+        out[start : start + b] = _grid_passage(_geometric_array(rng, p, (b, n, m)))
     return out
+
+
+def _geometric_array(rng, p: float, shape: tuple[int, ...]) -> np.ndarray:
+    """What ``rng.geometric(p, size=shape)`` returns, drawn as it draws.
+
+    At ``_SEARCH_MIN_P <= p <= _SEARCH_MAX_P`` numpy draws each weight by
+    its search loop: one uniform ``u`` from ``next_double``, the function
+    ``rng.random`` reads, and the least ``X`` with ``u <= cum[X - 1]``
+    (:func:`_search_table`).  Here the uniforms come from ``rng.random``,
+    ``_FILL_CHUNK`` at a time, and each is looked up in the bucket table:
+    ``X = base + (u > limit)`` at the bucket of ``u``.  Where numpy's sums
+    stop below the largest uniform ``1 - 2^-53`` (``p = 0.35`` and
+    ``p = 0.7``, for two), its loop never ends on a uniform above the last
+    sum; such a uniform gives ``len(cum) + 1`` here.  Any other ``p`` is
+    drawn by ``rng.geometric`` itself.
+    """
+    table = _search_table(p) if _SEARCH_MIN_P <= p <= _SEARCH_MAX_P else None
+    if table is None:
+        return rng.geometric(p, size=shape)
+    shift, base, limit = table
+    out = np.empty(shape, dtype=np.int64)
+    flat = out.reshape(-1)
+    u = np.empty(_FILL_CHUNK)
+    v = np.empty(_FILL_CHUNK)
+    bucket = np.empty(_FILL_CHUNK, dtype=np.int64)
+    above = np.empty(_FILL_CHUNK, dtype=bool)
+    for start in range(0, flat.size, _FILL_CHUNK):
+        k = min(_FILL_CHUNK, flat.size - start)
+        weights, uk, vk, bk, ak = flat[start : start + k], u[:k], v[:k], bucket[:k], above[:k]
+        rng.random(out=uk)
+        np.subtract(1.0, uk, out=vk)
+        np.right_shift(vk.view(np.int64), shift, out=bk)
+        # every bucket is in range: "clip" only skips take's bounds check
+        np.take(limit, bk, out=vk, mode="clip")
+        np.greater(uk, vk, out=ak)
+        np.take(base, bk, out=weights, mode="clip")
+        weights += ak
+    return out
+
+
+def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """numpy's partial sums at ``p`` as a bucket table ``(shift, base, limit)``.
+
+    ``cum[k] = p + p q + ... + p q^k`` (``q = 1 - p``), summed in the order
+    numpy's search loop sums, up to the last sum that changes; ``2.0`` ends
+    it.  A uniform from ``next_double`` is ``j / 2^53``, so ``v = 1 - u`` is
+    exact, and the bits of ``v`` shifted right by ``shift`` (its exponent
+    and leading mantissa bits) give its bucket.  The fewest mantissa bits
+    are kept for which the uniforms of every bucket take at most two
+    weights, ``base`` and ``base + 1``, the second where
+    ``u > limit = cum[base - 1]``.  ``None`` if four bits do not suffice.
+    """
+    q = 1.0 - p
+    prod = total = p
+    sums = [total]
+    while total + prod * q != total:
+        prod *= q
+        total += prod
+        sums.append(total)
+    cum = np.array(sums + [2.0])
+    top = 2.0**53
+    for bits in range(5):
+        shift = 52 - bits
+        first = int(np.float64(1 / top).view(np.int64)) >> shift
+        last = int(np.float64(1.0).view(np.int64)) >> shift
+        edges = (np.arange(first, last + 2, dtype=np.int64) << shift).view(np.float64)
+        # the j = 2^53 (1 - u) of each bucket run from j_lo to j_hi
+        j_lo = np.maximum(np.ceil(edges[:-1] * top), 1.0)
+        j_hi = np.minimum(np.ceil(edges[1:] * top) - 1.0, top)
+        lowest = np.searchsorted(cum, (top - j_hi) / top) + 1
+        highest = np.searchsorted(cum, (top - j_lo) / top) + 1
+        if np.all((highest - lowest <= 1) | (j_lo > j_hi)):
+            base = np.zeros(last + 1, dtype=np.int64)
+            base[first:] = lowest
+            return shift, base, cum[base - 1]
+    return None
 
 
 def _grid_passage(weights: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ window of labels, a vertex's descendant count, the Young diagram of a
 grid ideal's complement, the plain Monte Carlo samplers that draw every
 variable at once (the uniqueness of a geometric maximum, grid passage
 times), the scalar samplers that draw one uniform at a time (a geometric
-variable, a random walk's hitting time), and the bilateral series of the
-uniqueness limit summed term by term.  They raise the library's errors
-and the three below, which only they raise.
+variable, numpy's search for one, a random walk's hitting time), and the
+bilateral series of the uniqueness limit summed term by term.  They
+raise the library's errors and the three below, which only they raise.
 """
 
 from __future__ import annotations
@@ -343,6 +343,20 @@ class GeometricSampler:
             u = self.rng.random()
         return math.ceil(math.log(u) / math.log1p(-self.p))
 
+
+def numpy_geometric_search(p: float, u: float) -> int | None:
+    """numpy's ``random_geometric_search`` on the uniform ``u``, line by line:
+    the least ``X`` with ``u <= p + p q + ... + p q^(X-1)``, summed as numpy
+    sums it (``q = 1 - p``).  ``None`` where the sum stops growing below
+    ``u``, so that numpy's loop never ends."""
+    x, total, prod, q = 1, p, p, 1.0 - p
+    while u > total:
+        prod *= q
+        if total + prod == total:
+            return None
+        total += prod
+        x += 1
+    return x
 
 def walk_hitting_time(
     m: int,

@@ -275,6 +275,30 @@ def test_lpp_poset_golden_digest(capsys):
     assert digest.hexdigest() == LPP_POSET_GOLDEN
 
 
+# sha256 of the stdout of each grid-family command below, recorded while
+# lpp_grid_samples drew its weights with Generator.geometric and
+# tasep_absorption_samples concatenated a fresh prev row each step; p = 0.2
+# is numpy's inversion branch, p = 0.5 its search branch.  A change to a
+# weight or coin stream, or to the passage sweep, changes them
+GRID_FAMILY_GOLDEN = {
+    "lpp --lattice grid --rows 30 --cols 30 --p 0.5 --reps 5000 --seed 3":
+        "9823bae699cf2bf9cf73fcbc4f454d23da8b99c11d54c017bf47080ec47d2fb9",
+    "fluctuation --rows 50 --cols 50 --p 0.5 --reps 2000 --tail 2.0 --seed 5":
+        "554bfa3a5f206b23a349f726adb08c6a018117dca3a9119e1e910f918f9f71bf",
+    "tasep --rows 30 --cols 30 --p 0.5 --reps 5000 --seed 7":
+        "be11b684e476a2ee294f19871e8fe1096f350932c42298e11321deed352396ed",
+    "lpp --lattice grid --rows 12 --cols 9 --p 0.2 --reps 4000 --seed 13":
+        "10b9bb1d890b358871320b627d7c13511f45efa6e6114c929a90ebe0fa125cbd",
+}
+
+
+@pytest.mark.parametrize("command", list(GRID_FAMILY_GOLDEN))
+def test_grid_family_golden_digest(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_FAMILY_GOLDEN[command]
+
+
 @pytest.mark.parametrize("lattice, size, bottom", [
     ("sn", ("--n", "4"), [1, 2, 3, 4]),
     ("tamari", ("--n", "5"), {"n": 5, "parent": [0] * 5, "children": [[]] * 5}),

@@ -42,6 +42,7 @@ from oracles import (
     golden_section_max,
     ideal_complement_rows,
     maximal_chains,
+    numpy_geometric_search,
     one_shot_lpp_grid_samples,
     plain_zeta_estimate,
     upsilon_series,
@@ -112,13 +113,17 @@ def test_lpp_passage_equals_chain_enumeration():
 
 class ListedStream:
     """A stand-in generator whose stream is ``values``: ``random()`` gives
-    the next value and ``random(k)`` the next ``k`` as an array."""
+    the next value, ``random(k)`` the next ``k`` as an array and
+    ``random(out=a)`` the next ``len(a)`` written into ``a``."""
 
     def __init__(self, values):
         self.values = list(values)
         self.drawn = 0
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[:] = self.random(len(out))
+            return out
         start = self.drawn
         self.drawn += 1 if size is None else size
         assert self.drawn <= len(self.values), "stream exhausted"
@@ -185,6 +190,12 @@ def test_lpp_grid_samples_memory_is_flat_in_reps():
     (3, 7, 0.1, 200_000, None),  # p < 1/3: numpy draws by inversion
     (6, 5, 0.9, 40, 100),  # three replicas a block, the last one alone
     (4, 4, 0.3, 5, 7),  # a grid larger than the block: one replica each
+    # either side of numpy's switch to its search and of the table's range
+    (5, 6, math.nextafter(1 / 3, 0), 30_000, 200_000),
+    (5, 6, 1 / 3, 30_000, 200_000),
+    (5, 6, math.nextafter(percolation._SEARCH_MAX_P, 0), 30_000, 200_000),
+    (5, 6, math.nextafter(percolation._SEARCH_MAX_P, 1), 30_000, 200_000),
+    (5, 6, 1.0, 300, 1_000),
 ])
 def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
     if block is not None:
@@ -192,6 +203,48 @@ def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
     assert reps > max(1, percolation._DRAW_BLOCK // (n * m))  # several blocks
     got = lpp_grid_samples(n, m, p, reps, seed=11)
     assert np.array_equal(got, one_shot_lpp_grid_samples(n, m, p, reps, seed=11))
+
+
+@pytest.mark.parametrize("p", [
+    0.2, math.nextafter(1 / 3, 0), 1 / 3, 0.35, 0.5, 0.55, 0.7,
+    percolation._SEARCH_MAX_P, math.nextafter(percolation._SEARCH_MAX_P, 1), 0.9, 1.0,
+])
+def test_geometric_array_equals_generator_geometric(p):
+    """Same weights and the same stream left behind, across several chunks."""
+    drawn, read = replica_generator(17, 0), replica_generator(17, 0)
+    shape = (3, percolation._FILL_CHUNK + 5, 7)
+    assert np.array_equal(percolation._geometric_array(read, p, shape),
+                          drawn.geometric(p, size=shape))
+    assert read.random() == drawn.random()
+
+
+def search_table_sums(p):
+    """numpy's partial sums ``p, p + p q, ...`` up to the last that grows."""
+    sums, prod, q = [p], p, 1.0 - p
+    while sums[-1] + prod * q != sums[-1]:
+        prod *= q
+        sums.append(sums[-1] + prod)
+    return sums
+
+
+@pytest.mark.parametrize("p", [1 / 3, 0.35, 0.5, 0.55, 0.7])
+def test_search_weights_of_boundary_uniforms_equal_numpys_loop(p):
+    """0, the largest uniform, every partial sum and its 3-ulp neighbours
+    map as numpy's loop maps them; where that loop never ends (above the
+    last sum at p = 0.35 and 0.7) the weight is ``len(sums) + 1``."""
+    sums = search_table_sums(p)
+    uniforms = [0.0, 1 - 2**-53]
+    for c in sums:
+        below = above = c
+        for _ in range(3):
+            below, above = math.nextafter(below, 0), math.nextafter(above, 1)
+            uniforms += [below, above]
+        uniforms.append(c)
+    uniforms = [u for u in uniforms if u < 1.0]
+    got = percolation._geometric_array(ListedStream(uniforms), p, (len(uniforms),))
+    expected = [numpy_geometric_search(p, u) for u in uniforms]
+    assert (None in expected) == (p in (0.35, 0.7))
+    assert got.tolist() == [len(sums) + 1 if x is None else x for x in expected]
 
 
 def test_coupling_identity_on_grids_and_random_posets():
