@@ -53,8 +53,6 @@ _DRAW_BLOCK = 2_000_000
 # Generator.geometric searches partial sums at p >= this (numpy's own
 # constant, the double nearest 1/3) and inverts an exponential below it
 _SEARCH_MIN_P = 0.333333333333333333333333
-# above this p numpy's search mostly ends at its first sum and is the faster
-_SEARCH_MAX_P = 0.85
 # uniforms mapped per pass of _geometric_array: 128 KB per float buffer
 _FILL_CHUNK = 16_384
 # zeta_exact sums its series this many terms at a time, up to _ZETA_MAX_TERMS
@@ -234,9 +232,9 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     replica if its grid is larger), so memory does not grow with ``reps``;
     the draws are those of one ``geometric(size=(reps, n, m))`` call.
     Each block comes from :func:`_geometric_array`, which reads numpy's
-    search-branch weights (``1/3 <= p <= _SEARCH_MAX_P``) off its table of
-    partial sums, one ``rng.random`` uniform each, and leaves every other
-    ``p`` to ``rng.geometric``.
+    search-branch weights (``1/3 <= p < 1``) off its table of partial sums,
+    one ``rng.random`` uniform each, and leaves ``p < 1/3`` and ``p = 1``
+    to ``rng.geometric``.
     """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
@@ -251,21 +249,22 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
 def _geometric_array(rng, p: float, shape: tuple[int, ...]) -> np.ndarray:
     """What ``rng.geometric(p, size=shape)`` returns, drawn as it draws.
 
-    At ``_SEARCH_MIN_P <= p <= _SEARCH_MAX_P`` numpy draws each weight by
-    its search loop: one uniform ``u`` from ``next_double``, the function
-    ``rng.random`` reads, and the least ``X`` with ``u <= cum[X - 1]``
+    At ``p >= _SEARCH_MIN_P`` numpy draws each weight by its search loop:
+    one uniform ``u`` from ``next_double``, the function ``rng.random``
+    reads, and the least ``X`` with ``u <= cum[X - 1]``
     (:func:`_search_table`).  Here the uniforms come from ``rng.random``,
     ``_FILL_CHUNK`` at a time, and each is looked up in the bucket table:
     ``X = base + (u > limit)`` at the bucket of ``u``.  Where numpy's sums
     stop below the largest uniform ``1 - 2^-53`` (``p = 0.35`` and
     ``p = 0.7``, for two), its loop never ends on a uniform above the last
-    sum; such a uniform gives ``len(cum) + 1`` here.  Any other ``p`` is
-    drawn by ``rng.geometric`` itself.
+    sum; such a uniform gives ``len(cum) + 1`` here.  ``rng.geometric``
+    draws the weights itself below ``_SEARCH_MIN_P``, where numpy inverts
+    an exponential, and at ``p = 1``, where its loop never iterates and
+    costs only the uniforms, the least the table can cost.
     """
-    table = _search_table(p) if _SEARCH_MIN_P <= p <= _SEARCH_MAX_P else None
-    if table is None:
+    if p < _SEARCH_MIN_P or p == 1.0:
         return rng.geometric(p, size=shape)
-    shift, base, limit = table
+    shift, base, limit = _search_table(p)
     out = np.empty(shape, dtype=np.int64)
     flat = out.reshape(-1)
     u = np.empty(_FILL_CHUNK)
@@ -286,7 +285,7 @@ def _geometric_array(rng, p: float, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray] | None:
+def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
     """numpy's partial sums at ``p`` as a bucket table ``(shift, base, limit)``.
 
     ``cum[k] = p + p q + ... + p q^k`` (``q = 1 - p``), summed in the order
@@ -296,7 +295,11 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray] | None:
     and leading mantissa bits) give its bucket.  The fewest mantissa bits
     are kept for which the uniforms of every bucket take at most two
     weights, ``base`` and ``base + 1``, the second where
-    ``u > limit = cum[base - 1]``.  ``None`` if four bits do not suffice.
+    ``u > limit = cum[base - 1]``.  Consecutive ``1 - cum[k]`` differ by
+    the factor ``1/q >= 1.5`` and a bucket of one mantissa bit spans at
+    most 1.5, so at every ``p >= 1/3`` one bit suffices up to rounding;
+    a sweep of ``p`` found two at most, and four not sufficing is a
+    defect.
     """
     q = 1.0 - p
     prod = total = p
@@ -321,7 +324,7 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray] | None:
             base = np.zeros(last + 1, dtype=np.int64)
             base[first:] = lowest
             return shift, base, cum[base - 1]
-    return None
+    raise InvariantViolation(f"no bucket width up to 4 bits separates the sums at p={p}")
 
 
 def _grid_passage(weights: np.ndarray) -> np.ndarray:

@@ -358,6 +358,7 @@ def numpy_geometric_search(p: float, u: float) -> int | None:
         x += 1
     return x
 
+
 def walk_hitting_time(
     m: int,
     rnd,

@@ -193,8 +193,8 @@ def test_lpp_grid_samples_memory_is_flat_in_reps():
     # either side of numpy's switch to its search and of the table's range
     (5, 6, math.nextafter(1 / 3, 0), 30_000, 200_000),
     (5, 6, 1 / 3, 30_000, 200_000),
-    (5, 6, math.nextafter(percolation._SEARCH_MAX_P, 0), 30_000, 200_000),
-    (5, 6, math.nextafter(percolation._SEARCH_MAX_P, 1), 30_000, 200_000),
+    (5, 6, 0.9, 30_000, 200_000),
+    (5, 6, math.nextafter(1.0, 0), 30_000, 200_000),
     (5, 6, 1.0, 300, 1_000),
 ])
 def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
@@ -207,7 +207,7 @@ def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
 
 @pytest.mark.parametrize("p", [
     0.2, math.nextafter(1 / 3, 0), 1 / 3, 0.35, 0.5, 0.55, 0.7,
-    percolation._SEARCH_MAX_P, math.nextafter(percolation._SEARCH_MAX_P, 1), 0.9, 1.0,
+    0.8, 0.9, 0.95, 0.99, math.nextafter(1.0, 0), 1.0,
 ])
 def test_geometric_array_equals_generator_geometric(p):
     """Same weights and the same stream left behind, across several chunks."""
@@ -227,7 +227,7 @@ def search_table_sums(p):
     return sums
 
 
-@pytest.mark.parametrize("p", [1 / 3, 0.35, 0.5, 0.55, 0.7])
+@pytest.mark.parametrize("p", [1 / 3, 0.35, 0.5, 0.55, 0.7, 0.9, 0.99])
 def test_search_weights_of_boundary_uniforms_equal_numpys_loop(p):
     """0, the largest uniform, every partial sum and its 3-ulp neighbours
     map as numpy's loop maps them; where that loop never ends (above the
@@ -245,6 +245,13 @@ def test_search_weights_of_boundary_uniforms_equal_numpys_loop(p):
     expected = [numpy_geometric_search(p, u) for u in uniforms]
     assert (None in expected) == (p in (0.35, 0.7))
     assert got.tolist() == [len(sums) + 1 if x is None else x for x in expected]
+
+
+def test_search_table_buckets_need_at_most_two_bits():
+    """Across ``[1/3, 1)`` each bucket of at most two mantissa bits holds
+    at most one partial sum, well inside the four that are tried."""
+    ps = [*np.linspace(1 / 3, 1, 2001)[:-1], math.nextafter(1.0, 0)]
+    assert max(52 - percolation._search_table(float(p))[0] for p in ps) <= 2
 
 
 def test_coupling_identity_on_grids_and_random_posets():
