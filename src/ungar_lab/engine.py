@@ -12,8 +12,10 @@ The exact solver uses that surface and nothing else.  A depth-first
 post-order over single-site moves lists every state after each state it
 can move to, so the linear system ``E(x) = 1 + sum_y P(x->y) E(y)`` is
 triangular and solves by back-substitution; no general solver is needed.
-Each row takes one ``apply`` per selection, on a smaller selection's
-successor.
+The solve works on state numbers: a selection's successor is one move of
+its highest run of adjacent sites from the successor of the rest, and a
+one-site move is applied once per (state, site) and then read from a
+table of state numbers.  The residual audit applies its moves afresh.
 
 Also here: vectorized geometric draws, the two-sided tail bound for sums
 of geometrics, and the histogram of simple random-walk hitting times.
@@ -22,6 +24,7 @@ of geometrics, and the histogram of simple random-walk hitting times.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -303,27 +306,52 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
     return order
 
 
-def _transitions(lattice, x, sites, p: float, q: float):
-    """``(weight, successor)`` for every nonempty selection of ``sites``.
+def _selections(sites, p: float, q: float) -> list[tuple[int, int, int, float]]:
+    """``(rest, lo, hi, weight)`` for every nonempty selection of ``sites``.
 
     Selections come in increasing bitmask order (bit ``i`` selects
-    ``sites[i]``).  The successor of ``bitsel`` is one ``apply`` of its
-    highest run of adjacent sites (``sites[k] == sites[k-1] + 1``) on the
-    successor of the rest, whose bitmask is smaller.  A block reversal
-    touches only its run's positions, so the lower runs' entries and the
-    run's descents survive; the other backends act one site at a time in
-    increasing order.  So a state costs one ``apply`` per selection.
+    ``sites[i]``).  Selection ``bitsel`` is the run ``sites[lo : hi + 1]``,
+    its highest run of adjacent sites (``sites[k] == sites[k-1] + 1``),
+    added to the smaller selection ``rest``; ``weight`` is
+    ``p^|bitsel| q^(s - |bitsel|)``.  The list depends on ``sites`` only
+    through its length and its adjacent pairs.
     """
     s = len(sites)
     weight = [p ** k * q ** (s - k) for k in range(s + 1)]
-    succ = [x]
+    plan = []
     for bitsel in range(1, 1 << s):
         hi = lo = bitsel.bit_length() - 1
         while lo and bitsel >> (lo - 1) & 1 and sites[lo] == sites[lo - 1] + 1:
             lo -= 1
-        y = lattice.apply(succ[bitsel & ((1 << lo) - 1)], sites[lo : hi + 1])
+        plan.append((bitsel & ((1 << lo) - 1), lo, hi, weight[bitsel.bit_count()]))
+    return plan
+
+
+def _transitions(lattice, x, sites, p: float, q: float):
+    """``(weight, successor)`` for every nonempty selection of ``sites``,
+    in the order of :func:`_selections`.
+
+    The successor of a selection is one ``apply`` of its highest run on the
+    successor of the rest.  A block reversal touches only its run's
+    positions, so the lower runs' entries and the run's descents survive;
+    the other backends act one site at a time in increasing order.  Every
+    move is applied afresh, one ``apply`` per selection, so the residual
+    audit does not read the solver's table.
+    """
+    succ = [x]
+    for rest, lo, hi, w in _selections(sites, p, q):
+        y = lattice.apply(succ[rest], sites[lo : hi + 1])
         succ.append(y)
-        yield weight[bitsel.bit_count()], y
+        yield w, y
+
+
+def _audited(states: list) -> list:
+    """64 states spread evenly over ``states``, the first and the last
+    (the top) included; all of them when there are at most 64."""
+    n = len(states)
+    if n <= 64:
+        return states
+    return [states[k * (n - 1) // 63] for k in range(64)]
 
 
 def exact_expected_absorption(
@@ -334,18 +362,33 @@ def exact_expected_absorption(
     ``E(x) (1 - (1-p)^s) = 1 + sum over nonempty selections T of
     p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in the order of
     :func:`enumerate_states`, so every right-hand side is already known.
-    A residual check at 1e-10 guards the triangularity assumption.
+
+    States are numbered in that order by one dict, which is returned as
+    the ``{state: E}`` map once the values, held in a list, are solved.
+    A selection's successor number is reached as in :func:`_transitions`.
+    Where the highest run is one site, it comes from a flat ``array('i')``
+    table at ``base * stride + site`` (``stride`` is one past the largest
+    site), filled on first use by one ``apply`` and one lookup; a longer
+    run is applied each time, since block reversals do not compose site
+    by site.  Weights and summation order are those of
+    :func:`_transitions`, so the values are the same floats.  A residual
+    check at 1e-10, on 64 states spread over the order with the top
+    among them, guards the triangularity assumption and the table.
     """
     p = _check_p(p)
     q = 1.0 - p
     states = enumerate_states(lattice, cap=cap_states)
+    pick, apply = lattice.pick_sites, lattice.apply
     bottom = lattice.bottom()
-    expect: dict = {}
-    for x in states:
+    number = {x: i for i, x in enumerate(states)}
+    stride = 1 + max(map(max, filter(None, map(pick, states))), default=-1)
+    table = array("i", [-1]) * (len(states) * stride)
+    values = [0.0] * len(states)
+    plans: dict = {}  # by the adjacent pairs of the sites
+    for i, x in enumerate(states):
         if x == bottom:
-            expect[x] = 0.0
             continue
-        sites = lattice.pick_sites(x)
+        sites = pick(x)
         s = len(sites)
         if s == 0:
             raise SingularSystem(f"non-bottom state {x!r} has no covers")
@@ -354,15 +397,32 @@ def exact_expected_absorption(
         stay = q**s
         if stay >= 1.0:
             raise SingularSystem("staying probability reached 1; p too small")
+        key = tuple([b - a == 1 for a, b in zip(sites, sites[1:])])
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _selections(sites, p, q)
         acc = 1.0
-        for w, y in _transitions(lattice, x, sites, p, q):
-            acc += w * expect[y]
-        expect[x] = acc / (1.0 - stay)
+        succ = [i]
+        for rest, lo, hi, w in plan:
+            base = succ[rest]
+            if lo == hi:
+                k = base * stride + sites[hi]
+                j = table[k]
+                if j < 0:
+                    j = table[k] = number[apply(states[base], sites[hi : hi + 1])]
+            else:
+                j = number[apply(states[base], sites[lo : hi + 1])]
+            succ.append(j)
+            acc += w * values[j]
+        values[i] = acc / (1.0 - stay)
+    expect = number  # the numbering dict becomes the map, in the same order
+    for x, e in zip(states, values):
+        expect[x] = e
     # residual audit on the defining equations
-    for x in states[: min(len(states), 64)]:
+    for x in _audited(states):
         if x == bottom:
             continue
-        sites = lattice.pick_sites(x)
+        sites = pick(x)
         rhs = 1.0 + (q ** len(sites)) * expect[x]
         for w, y in _transitions(lattice, x, sites, p, q):
             rhs += w * expect[y]

@@ -1,15 +1,17 @@
 """Reference implementations that only the tests use.
 
-The right weak order on S_n by inversion sets, ``J(P)`` as an explicit
-poset (enumerated by ``engine.enumerate_states``, as the exact solver
-does) with its maximal chains and meets, the restriction of a forest to a
-window of labels, a vertex's descendant count, the Young diagram of a
-grid ideal's complement, the plain Monte Carlo samplers that draw every
-variable at once (the uniqueness of a geometric maximum, grid passage
-times), the scalar samplers that draw one uniform at a time (a geometric
-variable, numpy's search for one, a random walk's hitting time), and the
-bilateral series of the uniqueness limit summed term by term.  They
-raise the library's errors and the three below, which only they raise.
+The right weak order on S_n by inversion sets, the exact solver on state
+objects (one ``apply`` per selection, values in a dict), ``J(P)`` as an
+explicit poset (enumerated by ``engine.enumerate_states``, as the exact
+solver does) with its maximal chains and meets, the restriction of a
+forest to a window of labels, a vertex's descendant count, the Young
+diagram of a grid ideal's complement, the plain Monte Carlo samplers
+that draw every variable at once (the uniqueness of a geometric maximum,
+grid passage times), the scalar samplers that draw one uniform at a
+time (a geometric variable, numpy's search for one, a random walk's
+hitting time), and the bilateral series of the uniqueness limit summed
+term by term.  They raise the library's errors and the three below,
+which only they raise.
 """
 
 from __future__ import annotations
@@ -148,6 +150,41 @@ def all_permutations(n: int):
     """Iterate S_n in lexicographic order."""
     for w in itertools.permutations(range(1, n + 1)):
         yield Permutation(w)
+
+
+# -- the exact solver on state objects ----------------------------------------
+
+
+def per_subset_transitions(lattice, x, sites, p: float, q: float):
+    """``(weight, successor)`` for every nonempty selection of ``sites``, in
+    increasing bitmask order: one ``apply`` of the whole selection each."""
+    s = len(sites)
+    for bitsel in range(1, 1 << s):
+        selected = [sites[i] for i in range(s) if bitsel >> i & 1]
+        yield p ** len(selected) * q ** (s - len(selected)), lattice.apply(x, selected)
+
+
+def dict_back_substitution(lattice, p: float) -> dict:
+    """``{state: E}`` by back-substitution over ``enumerate_states``, each
+    row summed over :func:`per_subset_transitions` into a dict of values.
+
+    The library's solver adds the same weighted terms in the same order,
+    so its values must be the same floats.
+    """
+    p = _check_p(p)
+    q = 1.0 - p
+    bottom = lattice.bottom()
+    expect: dict = {}
+    for x in enumerate_states(lattice):
+        if x == bottom:
+            expect[x] = 0.0
+            continue
+        sites = lattice.pick_sites(x)
+        acc = 1.0
+        for w, y in per_subset_transitions(lattice, x, sites, p, q):
+            acc += w * expect[y]
+        expect[x] = acc / (1.0 - q ** len(sites))
+    return expect
 
 
 # -- J(P), maximal chains and meets ------------------------------------------
