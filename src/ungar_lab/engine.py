@@ -366,14 +366,21 @@ def exact_expected_absorption(
     States are numbered in that order by one dict, which is returned as
     the ``{state: E}`` map once the values, held in a list, are solved.
     A selection's successor number is reached as in :func:`_transitions`.
-    Where the highest run is one site, it comes from a flat ``array('i')``
-    table at ``base * stride + site`` (``stride`` is one past the largest
-    site), filled on first use by one ``apply`` and one lookup; a longer
-    run is applied each time, since block reversals do not compose site
-    by site.  Weights and summation order are those of
+    Each state's one-site moves are applied once, when the state is
+    solved; its sites and their successor numbers are appended to flat
+    ``array('i')`` tables, 8 bytes per site of each state and 4 per state.
+    Where a selection's highest run is the one site ``t``, the rest's
+    successor is an earlier state whose sites above ``t`` are those of
+    ``x`` (lower moves leave them in place), so ``t`` is found by counting
+    back from the end of that state's sites; should it not be there, the
+    move is applied.  A longer run is applied each time, since block
+    reversals do not compose site by site.  Every successor must come
+    earlier in the order, or :class:`SingularSystem` is raised.  The
+    selections of :func:`_selections` are kept per pattern of adjacent
+    sites for the call.  Weights and summation order are those of
     :func:`_transitions`, so the values are the same floats.  A residual
-    check at 1e-10, on 64 states spread over the order with the top
-    among them, guards the triangularity assumption and the table.
+    check at 1e-10, on 64 states spread over the order with the top among
+    them, re-applies every move of its states.
     """
     p = _check_p(p)
     q = 1.0 - p
@@ -381,12 +388,23 @@ def exact_expected_absorption(
     pick, apply = lattice.pick_sites, lattice.apply
     bottom = lattice.bottom()
     number = {x: i for i, x in enumerate(states)}
-    stride = 1 + max(map(max, filter(None, map(pick, states))), default=-1)
-    table = array("i", [-1]) * (len(states) * stride)
     values = [0.0] * len(states)
     plans: dict = {}  # by the adjacent pairs of the sites
+    # state b's sites are at_site[ends[b] : ends[b + 1]], its one-site
+    # successors' numbers at the same places in moved
+    at_site, moved, ends = array("i"), array("i"), array("i", [0])
+
+    def earlier(y, base: int) -> int:
+        j = number[y]
+        if j >= base:
+            raise SingularSystem(
+                f"move from state {states[base]!r} reaches {y!r}, not listed before it"
+            )
+        return j
+
     for i, x in enumerate(states):
         if x == bottom:
+            ends.append(len(at_site))
             continue
         sites = pick(x)
         s = len(sites)
@@ -397,6 +415,10 @@ def exact_expected_absorption(
         stay = q**s
         if stay >= 1.0:
             raise SingularSystem("staying probability reached 1; p too small")
+        for k in range(s):
+            moved.append(earlier(apply(x, sites[k : k + 1]), i))
+        at_site.extend(sites)
+        ends.append(len(at_site))
         key = tuple([b - a == 1 for a, b in zip(sites, sites[1:])])
         plan = plans.get(key)
         if plan is None:
@@ -406,12 +428,13 @@ def exact_expected_absorption(
         for rest, lo, hi, w in plan:
             base = succ[rest]
             if lo == hi:
-                k = base * stride + sites[hi]
-                j = table[k]
-                if j < 0:
-                    j = table[k] = number[apply(states[base], sites[hi : hi + 1])]
+                k = ends[base + 1] - s + hi
+                if k >= ends[base] and at_site[k] == sites[hi]:
+                    j = moved[k]
+                else:
+                    j = earlier(apply(states[base], sites[hi : hi + 1]), base)
             else:
-                j = number[apply(states[base], sites[lo : hi + 1])]
+                j = earlier(apply(states[base], sites[lo : hi + 1]), base)
             succ.append(j)
             acc += w * values[j]
         values[i] = acc / (1.0 - stay)

@@ -23,6 +23,7 @@ from ungar_lab import (
     SnLattice,
     TamariAvLattice,
     TamariForestLattice,
+    build_poset,
     exact_expected_absorption,
     expected_absorption_time,
     first_passage_counts,
@@ -385,14 +386,9 @@ class _TopMoveFault(SnLattice):
         return super().apply(state, selected)
 
 
-def test_residual_audit_catches_a_wrong_table_entry_at_the_top(monkeypatch):
-    lattice = _TopMoveFault()
-    states = engine.enumerate_states(lattice)
-    assert len(states) == 120 and lattice.top() not in states[:64]  # not among the lowest
-    audited = engine._audited(states)
-    assert len(audited) == 64 and audited[0] == states[0] and audited[-1] == lattice.top()
-    assert len(set(audited)) == 64
-
+def _arm_after_enumeration(monkeypatch):
+    """Set ``lattice.armed`` once the solver has enumerated its states, so
+    that a fault acts on the solve alone."""
     enumerate_states = engine.enumerate_states
 
     def enumerate_then_arm(lat, **kw):
@@ -401,21 +397,96 @@ def test_residual_audit_catches_a_wrong_table_entry_at_the_top(monkeypatch):
         return found
 
     monkeypatch.setattr(engine, "enumerate_states", enumerate_then_arm)
+
+
+def test_residual_audit_catches_a_wrong_table_entry_at_the_top(monkeypatch):
+    lattice = _TopMoveFault()
+    states = engine.enumerate_states(lattice)
+    assert len(states) == 120 and lattice.top() not in states[:64]  # not among the lowest
+    audited = engine._audited(states)
+    assert len(audited) == 64 and audited[0] == states[0] and audited[-1] == lattice.top()
+    assert len(set(audited)) == 64
+
+    _arm_after_enumeration(monkeypatch)
     with pytest.raises(SingularSystem, match="residual"):
         exact_expected_absorption(lattice, 0.5)
 
 
-def test_exact_solve_memory_stays_lean():
-    # traced peak of the solver on state objects that the numbered solve
-    # replaced, measured the same way (Python 3.11.7): the numbering dict,
-    # the value list and the successor table must not add half of it
-    parent_peak = 576_241
-    exact_expected_absorption(TamariForestLattice(8), 0.5)
+class _LaterMove(SnLattice):
+    """``SnLattice(4)`` whose move of 3214 by ``selected``, once armed,
+    lands on the top, which the post-order lists last."""
+
+    def __init__(self, selected):
+        super().__init__(4)
+        self.fault = (Permutation((3, 2, 1, 4)), tuple(selected))
+        self.armed = False
+
+    def apply(self, state, selected):
+        if self.armed and (state, tuple(selected)) == self.fault:
+            return self.top()
+        return super().apply(state, selected)
+
+
+@pytest.mark.parametrize("selected", [(1,), (2,), (1, 2)], ids=["site-1", "site-2", "run-1-2"])
+def test_a_move_to_a_later_state_raises(monkeypatch, selected):
+    # one-site moves are checked where the table is filled, runs where
+    # they are applied; a successor not yet solved must not read as 0
+    lattice = _LaterMove(selected)
+    assert lattice.pick_sites(lattice.fault[0]) == (1, 2)
+    _arm_after_enumeration(monkeypatch)
+    with pytest.raises(SingularSystem, match="not listed before"):
+        exact_expected_absorption(lattice, 0.5)
+
+
+class _LoggedIdeals(IdealLattice):
+    """``IdealLattice`` that logs its one-site moves once armed."""
+
+    def __init__(self, poset):
+        super().__init__(poset)
+        self.armed = False
+        self.log = []
+
+    def apply(self, state, selected):
+        if self.armed and len(selected) == 1:
+            self.log.append((state, tuple(selected)))
+        return super().apply(state, selected)
+
+
+def test_a_one_site_move_missing_from_the_table_is_applied(monkeypatch):
+    # 3 < 0 and 1 < 2: removing 0 from the full ideal exposes 3, above the
+    # site 2, so counting back from the end of {1, 2, 3}'s sites (2, 3)
+    # does not reach 2, and the move of {1, 2, 3} at 2 is applied again
+    lattice = _LoggedIdeals(build_poset([(3, 0), (1, 2)]))
+    assert lattice.pick_sites(0b1111) == (0, 2) and lattice.pick_sites(0b1110) == (2, 3)
+    monkeypatch.setattr(engine, "_audited", lambda states: [])
+    _arm_after_enumeration(monkeypatch)
+    expect = exact_expected_absorption(lattice, 0.5)
+    assert lattice.log.count((0b1110, (2,))) == 2
+    pairs = sum(len(lattice.pick_sites(x)) for x in expect)
+    assert len(lattice.log) == pairs + 1  # every other one-site move once
+    monkeypatch.undo()
+    assert list(expect.items()) == list(dict_back_substitution(lattice, 0.5).items())
+
+
+# traced peaks of the solver on state objects that the numbered solve
+# replaced, measured the same way (Python 3.11.7)
+@pytest.mark.parametrize(
+    "make, parent_peak",
+    [(lambda: TamariForestLattice(8), 575_088),
+     (lambda: IdealLattice(grid_poset(2, 100)), 1_340_544)],
+    ids=["tamari-8", "grid-2x100"],
+)
+def test_exact_solve_memory_stays_lean(make, parent_peak):
+    # the numbering dict, the value list and the successor tables must not
+    # add half of it; on the grid a table with a slot for every element of
+    # the poset at every state would hold 5,151 x 200 slots
+    exact_expected_absorption(make(), 0.5)
+    lattice = make()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        exact_expected_absorption(TamariForestLattice(8), 0.5)
+        exact_expected_absorption(lattice, 0.5)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
