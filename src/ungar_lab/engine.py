@@ -17,8 +17,8 @@ its highest run of adjacent sites from the successor of the rest, and a
 one-site move is applied once per (state, site) and then read from a
 table of state numbers.  The residual audit applies its moves afresh.
 
-Also here: vectorized geometric draws, the two-sided tail bound for sums
-of geometrics, and the histogram of simple random-walk hitting times.
+Also here: the two-sided tail bound for sums of geometrics, and the
+histogram of simple random-walk hitting times.
 """
 
 from __future__ import annotations
@@ -566,36 +566,6 @@ def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
 
 
 # -- geometric variables ---------------------------------------------------------
-
-
-def geometric_draws(p: float, rng, size: int) -> list[int]:
-    """``size`` geometric(p) values on {1, 2, ...},
-    ``P(X = k) = (1-p)^(k-1) p``, by inversion of uniforms.
-
-    The uniforms come from one ``rng.random(size)`` call (a numpy
-    ``Generator`` draws an array from the stream it draws scalars from), so
-    the values are those of ``size`` scalar draws inverted one at a time
-    from the same ``rng`` state; a ``0.0`` is dropped and replaced by the
-    next draw, in stream order.  At ``p == 1`` nothing is drawn.
-    """
-    if p == 1.0:
-        return [1] * size
-    uniforms = rng.random(size).tolist()
-    while 0.0 in uniforms:  # the measure-zero edge
-        uniforms = [u for u in uniforms if u > 0.0]
-        uniforms += rng.random(size - len(uniforms)).tolist()
-    return _geometric_of_uniforms(p, uniforms)
-
-
-def _geometric_of_uniforms(p: float, uniforms) -> list[int]:
-    """Inversion ``ceil(log(u) / log(1 - p))`` of uniforms in ``(0, 1)``.
-
-    ``math.log`` on Python floats, not numpy's vectorized ``log`` (which
-    can differ in the last bit), so a weight is the same whether its
-    uniform came from a scalar or an array draw.
-    """
-    log_q = math.log1p(-p)
-    return [math.ceil(math.log(u) / log_q) for u in uniforms]
 
 
 def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> float:

@@ -37,13 +37,14 @@ polynomial.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import IdealLattice, _check_p, geometric_draws, run_chain
+from .engine import IdealLattice, _check_p, run_chain
 from .errors import CouplingViolation, DomainError, InvariantViolation, SeriesTruncationError
 from .poset import FinitePoset
 from .rng import replica_generator
@@ -107,12 +108,13 @@ def max_chain_weight(poset: FinitePoset, weights: Sequence[int]) -> int:
 def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
     """Draw i.i.d. geometric(p) weights and compute the passage time.
 
-    ``rng`` is a numpy ``Generator``; the ``poset.n`` weights take one
-    :func:`engine.geometric_draws` call, and equal ``poset.n`` scalar draws
-    from the same state, each inverted on its own.
+    ``rng`` is a numpy ``Generator``; the ``poset.n`` weights are what
+    ``rng.geometric(p, size=poset.n)`` returns, drawn by
+    :func:`_geometric_array` as the grid's are, so successive calls read
+    the stream one ``(calls, poset.n)`` draw reads.
     """
     p = _check_p(p)
-    weights = tuple(geometric_draws(p, rng, poset.n))
+    weights = tuple(_geometric_array(rng, p, (poset.n,)).tolist())
     return LppSample(weights=weights, total=max_chain_weight(poset, weights))
 
 
@@ -285,6 +287,7 @@ def _geometric_array(rng, p: float, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
     """numpy's partial sums at ``p`` as a bucket table ``(shift, base, limit)``.
 
@@ -299,7 +302,8 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
     the factor ``1/q >= 1.5`` and a bucket of one mantissa bit spans at
     most 1.5, so at every ``p >= 1/3`` one bit suffices up to rounding;
     a sweep of ``p`` found two at most, and four not sufficing is a
-    defect.
+    defect.  Tables are cached, so a poset's per-replica draws build one,
+    and their arrays are read-only.
     """
     q = 1.0 - p
     prod = total = p
@@ -323,7 +327,9 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
         if np.all((highest - lowest <= 1) | (j_lo > j_hi)):
             base = np.zeros(last + 1, dtype=np.int64)
             base[first:] = lowest
-            return shift, base, cum[base - 1]
+            limit = cum[base - 1]
+            base.flags.writeable = limit.flags.writeable = False
+            return shift, base, limit
     raise InvariantViolation(f"no bucket width up to 4 bits separates the sums at p={p}")
 
 

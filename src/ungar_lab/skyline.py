@@ -56,7 +56,6 @@ __all__ = [
     "event_interval",
     "event_array",
     "event_interval_probability",
-    "sample_g",
     "sample_g_conditional",
     "good_frequency",
     "Algorithm1Result",
@@ -256,11 +255,6 @@ def event_interval_probability(n: int, m: int, p: float, i: int = 1, j: int | No
         j = n
     q = 1 - p
     return q ** (m - 1) * p * (1 - q ** (m - 1)) ** (j - i)
-
-
-def sample_g(n: int, p: float, rng) -> np.ndarray:
-    """Unconditioned first-operation times: n i.i.d. geometric(p)."""
-    return rng.geometric(p, size=n).astype(np.int64)
 
 
 def sample_g_conditional(n: int, p: float, m: int, rng) -> np.ndarray:

@@ -7,9 +7,9 @@ solver does) with its maximal chains and meets, the restriction of a
 forest to a window of labels, a vertex's descendant count, the Young
 diagram of a grid ideal's complement, the plain Monte Carlo samplers
 that draw every variable at once (the uniqueness of a geometric maximum,
-grid passage times), the scalar samplers that draw one uniform at a
-time (a geometric variable, numpy's search for one, a random walk's
-hitting time), and the bilateral series of the uniqueness limit summed
+grid passage times), the scalar samplers that read one uniform at a
+time (numpy's search for a geometric variable, a random walk's hitting
+time), and the bilateral series of the uniqueness limit summed
 term by term.  They raise the library's errors and the three below,
 which only they raise.
 """
@@ -362,23 +362,6 @@ def one_shot_lpp_grid_samples(
 
 
 # -- scalar samplers: one uniform at a time --------------------------------------
-
-
-class GeometricSampler:
-    """Geometric(p) on {1, 2, ...}: ``P(X = k) = (1-p)^(k-1) p``, one
-    uniform ``u`` a draw, inverted as ``ceil(log(u) / log(1 - p))``."""
-
-    def __init__(self, p: float, rng):
-        self.p = _check_p(p)
-        self.rng = rng
-
-    def sample(self) -> int:
-        if self.p == 1.0:
-            return 1
-        u = self.rng.random()
-        while u <= 0.0:  # guard the measure-zero edge
-            u = self.rng.random()
-        return math.ceil(math.log(u) / math.log1p(-self.p))
 
 
 def numpy_geometric_search(p: float, u: float) -> int | None:

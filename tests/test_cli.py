@@ -257,9 +257,11 @@ def test_forest_trace_golden_digest(tmp_path, capsys):
 
 # sha256 of the ``lpp --poset`` stdout below, on a committed poset whose
 # labels were shuffled (so covers run both up and down the index order),
-# recorded while lpp_sample drew one scalar per weight; a change to the
-# weight stream or to its mapping changes it
-LPP_POSET_GOLDEN = "89752f4891b663fa5f7c45f18cee10455ac19ef0fa71c86a999674a332384630"
+# recorded when poset weights became numpy's Generator.geometric values,
+# poset.n per replica through the grid's table (p = 0.1 is numpy's
+# inversion branch, p = 0.5 and 0.9 its search, p = 1 draws a uniform per
+# weight); a change to the weight stream, its mapping or the passage changes it
+LPP_POSET_GOLDEN = "0ff01f52e93a78df3ba1404bc0380dadc007c1b2fe3fd0ea6adf4280b58ecf1e"
 POSET_FIXTURE = Path(__file__).parent / "data" / "shuffled_graded_poset.json"
 
 
@@ -273,6 +275,20 @@ def test_lpp_poset_golden_digest(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == LPP_POSET_GOLDEN
+
+
+@pytest.mark.parametrize("poset, flags, row", [
+    ({"n": 0, "covers": []}, ("--p", "0.5", "--reps", "3"), "poset-0,0.5,0,3,0,0,0,0"),
+    ({"n": 4, "covers": [[0, 1], [1, 2], [2, 3]]}, ("--p", "1", "--reps", "5", "--seed", "2"),
+     "poset-4,1,2,5,4,0,4,4"),
+], ids=["empty", "chain-p1"])
+def test_lpp_poset_rows_that_no_weight_stream_moves(tmp_path, capsys, poset, flags, row):
+    # no weights, or every weight 1: the row is the same whatever is drawn
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps(poset))
+    code, out, _ = run_cli(capsys, "lpp", "--lattice", "ideal", "--poset", str(poset_file), *flags)
+    assert code == 0
+    assert out == f"backend,p,seed,reps,mean,stderr,min,max\n{row}\n"
 
 
 # sha256 of the stdout of each grid-family command below, recorded while
@@ -297,6 +313,54 @@ def test_grid_family_golden_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_FAMILY_GOLDEN[command]
+
+
+def _readme_commands():
+    """The ``ungar-lab`` lines of the README's example block, as argv lists."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("ungar-lab ")]
+
+
+# sha256 of the stdout of each README command (of the --out file for
+# skyline), recorded before poset LPP weights moved to numpy's geometric
+# values; none of these commands draws poset LPP weights
+README_GOLDEN = {
+    "exact --lattice sn --n 3 --p 0.5":
+        "f87f4346a6178ae2de3fcaaeab3f25949a611eb0e1ed33a509a8b7ca52b46c44",
+    "exact --lattice tamari --n 3 --p 0.5":
+        "14025c3f55377597e8ac25f2ac9a5ccac9319a6269faae39127a1f8f2cf2d5ac",
+    "exact --lattice grid --rows 1 --cols 1 --p 0.25":
+        "a956eb32b3dd8545faa480fdc5e059d5255e1d03f28cc3dfa8ea06c120bf48a6",
+    "simulate --lattice sn --n 40 --p 0.5 --reps 500 --seed 7":
+        "61790e0debdc72483f56af8c019627a531a4176927ef507843ed5138f328acce",
+    "simulate --lattice tamari --n 200 --p 0.5 --reps 200":
+        "eb580ea1fb7b4e1b5aaebe65a39b114bd004f530d6db069aa8aa8bb8ff34509e",
+    "lpp --lattice grid --rows 10 --cols 10 --p 0.5 --reps 2000":
+        "5b8985d8e544cda0a0fc6a74776919bf8641ecd9fc0822e530c611019dc1c625",
+    "tasep --rows 3 --cols 3 --p 0.5 --reps 10000":
+        "2a7b51fa85b43618a6f915dcafe95fac055d4cac52a909440b43221fd513e624",
+    "fluctuation --rows 50 --cols 50 --p 0.5 --reps 2000 --tail 2.0":
+        "abcd10db9c51cd2fc5802189a7f24fdd22f2908b8cb8c5417d9173ea7948913c",
+    "skyline --n 1000 --p 0.5 --reps 5 --out runs.jsonl":
+        "3f8e76817bcb553a4fb8bcbb9b8b48f6bd5f7635d8c47fef220bff216ed4bc03",
+    "zeta --n 10000 --p 0.5 --reps 100000":
+        "e5a4a16f74beb7325a82caca1c47b9c8005478131ed006c03ecdcba3e0a6d03c",
+    "bounds --what f --x 1e6 --p 0.5 --c1 10":
+        "10dab728d86647f48bb510d5634ac8a16779960bab2a3e9429f1266fad97a391",
+    "bounds --what tw-tail --t 4":
+        "494f62820fba151f5ae2983e0040f41fcf9d879aa1b19064f8a0551f107f5e44",
+}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_golden_digest(tmp_path, capsys, argv):
+    out_file = tmp_path / "runs.jsonl"
+    run = [str(out_file) if a == "runs.jsonl" else a for a in argv]
+    code, out, _ = run_cli(capsys, *run)
+    assert code == 0
+    data = out_file.read_bytes() if "--out" in argv else out.encode()
+    assert hashlib.sha256(data).hexdigest() == README_GOLDEN.get(" ".join(argv))
 
 
 @pytest.mark.parametrize("lattice, size, bottom", [

@@ -40,7 +40,6 @@ from ungar_lab.rng import replica_generator, replica_random
 from ungar_lab.tamari import av_ungar_move
 
 from oracles import (
-    GeometricSampler,
     all_permutations,
     dict_back_substitution,
     per_subset_transitions,
@@ -274,10 +273,16 @@ def test_empirical_survival_is_the_tail_mean_at_every_t(samples):
 
 
 @st.composite
-def layered_posets(draw):
-    """Random graded posets whose covers join consecutive layers only, so
-    no cover is implied by the others."""
-    widths = draw(st.lists(st.integers(1, 4), max_size=5))
+def layered_posets(draw, max_elements=20):
+    """Random graded posets of at most ``max_elements`` elements whose
+    covers join consecutive layers only, so no cover is implied by the
+    others.  Layers past ``max_elements`` are cut off."""
+    widths, room = [], max_elements
+    for width in draw(st.lists(st.integers(1, 4), max_size=5)):
+        if room == 0:
+            break
+        widths.append(min(width, room))
+        room -= widths[-1]
     covers, start = [], 0
     for k, width in enumerate(widths):
         below = (st.sets(st.sampled_from(range(start - widths[k - 1], start)))
@@ -340,8 +345,11 @@ def test_subset_dp_matches_per_subset_rows(lattice, p):
     _assert_subset_dp_matches_oracle(lattice, p)
 
 
+# at most 10 elements: the states of a poset of n elements have at most
+# 3^n selections in all (each element is outside the ideal, inside and
+# kept, or selected), and every selection is walked several times
 @settings(max_examples=60, deadline=None)
-@given(layered_posets(), st.sampled_from([0.3, 0.5, 1.0]))
+@given(layered_posets(max_elements=10), st.sampled_from([0.3, 0.5, 1.0]))
 def test_subset_dp_matches_per_subset_rows_on_posets(poset, p):
     _assert_subset_dp_matches_oracle(IdealLattice(poset), p)
 
@@ -615,19 +623,6 @@ def test_backend_equivalence_coupled_runs():
             steps_forest += 1
             assert phi(sigma) == forest
         assert forest == OrderedForest.antichain(n)
-
-
-def test_geometric_sampler_distribution():
-    rnd = replica_random(6, 0)
-    sampler = GeometricSampler(0.3, rnd)
-    draws = [sampler.sample() for _ in range(30_000)]
-    counts = np.bincount(draws, minlength=16)[1:16]
-    expected = [0.3 * 0.7 ** (k - 1) * len(draws) for k in range(1, 15)]
-    expected.append(0.7**14 * len(draws))
-    observed = list(counts[:14]) + [len(draws) - int(counts[:14].sum())]
-    _, pvalue = stats.chisquare(observed, expected)
-    assert pvalue > 0.001
-    assert GeometricSampler(1.0, rnd).sample() == 1
 
 
 def test_geometric_tail_bound_values():

@@ -38,7 +38,6 @@ from ungar_lab import percolation
 from ungar_lab.rng import replica_generator, replica_random
 
 from oracles import (
-    GeometricSampler,
     golden_section_max,
     ideal_complement_rows,
     maximal_chains,
@@ -112,58 +111,41 @@ def test_lpp_passage_equals_chain_enumeration():
 
 
 class ListedStream:
-    """A stand-in generator whose stream is ``values``: ``random()`` gives
-    the next value, ``random(k)`` the next ``k`` as an array and
-    ``random(out=a)`` the next ``len(a)`` written into ``a``."""
+    """A stand-in generator whose stream is ``values``: ``random(out=a)``
+    writes the next ``len(a)`` into ``a``."""
 
     def __init__(self, values):
         self.values = list(values)
         self.drawn = 0
 
-    def random(self, size=None, out=None):
-        if out is not None:
-            out[:] = self.random(len(out))
-            return out
-        start = self.drawn
-        self.drawn += 1 if size is None else size
+    def random(self, out):
+        start, self.drawn = self.drawn, self.drawn + len(out)
         assert self.drawn <= len(self.values), "stream exhausted"
-        return self.values[start] if size is None else np.array(self.values[start:self.drawn])
+        out[:] = self.values[start:self.drawn]
+        return out
 
 
-@pytest.mark.parametrize("p", [0.5, 0.07, 0.93, 1.0])
-def test_lpp_weights_equal_a_scalar_sampler_replay(p):
-    """One ``random(n)`` call per sample reads the stream that ``n`` scalar
-    draws read, and maps it as ``GeometricSampler`` does; at ``p = 1``
-    nothing is drawn."""
+@pytest.mark.parametrize("p", [0.07, 0.35, 0.5, 0.93, 1.0])
+def test_lpp_weights_equal_generator_geometric(p):
+    """A sample's weights are ``rng.geometric(p, size=poset.n)`` as Python
+    ints, and leave the stream where that call leaves it."""
     rng = replica_generator(21, 0)
     for poset in [build_poset([], n=0), build_poset([], n=1), two_dim_random_poset(9, 2),
                   grid_poset(4, 5)]:
         for _ in range(40):
             replay = copy.deepcopy(rng)
             sample = lpp_sample(poset, p, rng)
-            sampler = GeometricSampler(p, replay)
-            assert sample.weights == tuple(sampler.sample() for _ in range(poset.n))
+            assert sample.weights == tuple(replay.geometric(p, size=poset.n).tolist())
             assert all(type(w) is int for w in sample.weights)
             assert replay.bit_generator.state == rng.bit_generator.state
-    if p == 1.0:
-        assert rng.bit_generator.state == replica_generator(21, 0).bit_generator.state
 
 
-def test_lpp_skips_zero_draws_in_stream_order():
-    # the first sample's five draws hold three zeros, the first refill one
-    # more, and the second refill is a lone zero: four calls in all; the
-    # second sample has one zero
-    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.125, 0.0, 0.7, 0.0, 0.3,
-              0.9, 0.0, 0.05, 0.6, 0.4, 0.2]
-    chain = build_poset([(i, i + 1) for i in range(4)])
-    vector, scalar = ListedStream(values), ListedStream(values)
-    sampler = GeometricSampler(0.3, scalar)
-    for _ in range(2):
-        sample = lpp_sample(chain, 0.3, vector)
-        assert sample.weights == tuple(sampler.sample() for _ in range(chain.n))
-        assert vector.drawn == scalar.drawn
-    assert vector.drawn == len(values)
-    assert lpp_sample(chain, 1.0, ListedStream([])).weights == (1,) * chain.n
+def test_search_tables_are_cached_read_only():
+    table = percolation._search_table(0.5)
+    assert percolation._search_table(0.5) is table
+    for array in table[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_lpp_r22_mean_matches_truncated_enumeration():

@@ -35,7 +35,6 @@ from ungar_lab.rng import StreamBank, replica_generator, replica_random
 from ungar_lab.skyline import (
     _Phase2,
     event_interval_probability,
-    sample_g,
     sample_g_conditional,
 )
 
@@ -184,7 +183,7 @@ def test_event_interval_probability_empirical():
     rng = replica_generator(3, 0)
     reps = 60_000
     hits = sum(
-        event_interval(sample_g(n, p, rng), 1, n, m) for _ in range(reps)
+        event_interval(rng.geometric(p, size=n), 1, n, m) for _ in range(reps)
     )
     expected = event_interval_probability(n, m, p)
     stderr = math.sqrt(expected * (1 - expected) / reps)
