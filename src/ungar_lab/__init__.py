@@ -46,6 +46,7 @@ from .percolation import (
     LppSample,
     coupled_ideal_run,
     lpp_grid_samples,
+    lpp_poset_samples,
     lpp_sample,
     max_chain_weight,
     rescaling_constants,

@@ -21,8 +21,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import engine, percolation
 from .skyline import algorithm1_run, lower_bound_f
 from .errors import (
@@ -261,10 +259,7 @@ def cmd_lpp(args) -> None:
         name = f"grid-{rows}x{cols}"
     else:
         poset = _poset(args, "lpp needs --lattice grid or --poset FILE")
-        rnd = engine.replica_generator(seed, 0)
-        samples = np.array(
-            [percolation.lpp_sample(poset, args.p, rnd).total for _ in range(args.reps)]
-        )
+        samples = percolation.lpp_poset_samples(poset, args.p, args.reps, seed)
         name = f"poset-{poset.n}"
     _emit([{"backend": name, "p": args.p, "seed": seed,
             **_stats(engine.McResult.from_samples(samples))}], args)

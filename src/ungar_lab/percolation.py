@@ -8,9 +8,12 @@ run, not merely in distribution.  :func:`coupled_ideal_run` performs the
 run, extracts the weights, and asserts that identity; a failure raises
 :class:`CouplingViolation` and means the engine is broken.
 
-The passage value is computed by one dynamic-programming sweep in
+For one run the passage value is one dynamic-programming sweep in
 topological order (chain enumeration would be exponential); the explicit
-maximal-chain oracle lives in the tests.
+maximal-chain oracle lives in the tests.  The samplers sweep a block of
+replicas at once, level by level (a poset's elements by depth, a grid's
+anti-diagonals): each element's row, one entry per replica, gains the
+largest row among its covers.
 
 On the grid ``R_{n,m}`` the same chain is the multicorner growth TASEP
 seen through complements: the complement of the ideal, rows reversed, is
@@ -63,6 +66,7 @@ _ZETA_MAX_TERMS = 10**8
 __all__ = [
     "LppSample",
     "lpp_sample",
+    "lpp_poset_samples",
     "max_chain_weight",
     "coupled_ideal_run",
     "CoupledIdealRun",
@@ -86,15 +90,16 @@ __all__ = [
 
 @dataclass
 class LppSample:
-    """Weights and the total passage time."""
+    """A block of replicas: their ``(reps, n)`` weights and ``(reps,)``
+    passage times."""
 
-    weights: tuple[int, ...]
-    total: int
+    weights: np.ndarray
+    total: np.ndarray
 
 
 def max_chain_weight(poset: FinitePoset, weights: Sequence[int]) -> int:
-    """``max over maximal chains C of sum_{x in C} weights[x]`` by one DP
-    sweep in topological order; 0 on the empty poset."""
+    """``max over maximal chains C of sum_{x in C} weights[x]`` for one
+    run, by one DP sweep in topological order; 0 on the empty poset."""
     passage = [0] * poset.n
     for x in poset.topo_order():
         best = 0
@@ -105,17 +110,35 @@ def max_chain_weight(poset: FinitePoset, weights: Sequence[int]) -> int:
     return max((passage[x] for x in poset.maximal_elements()), default=0)
 
 
-def lpp_sample(poset: FinitePoset, p: float, rng) -> LppSample:
-    """Draw i.i.d. geometric(p) weights and compute the passage time.
+def lpp_sample(poset: FinitePoset, p: float, rng, reps: int) -> LppSample:
+    """Draw ``reps`` replicas of i.i.d. geometric(p) weights and their
+    passage times.
 
-    ``rng`` is a numpy ``Generator``; the ``poset.n`` weights are what
-    ``rng.geometric(p, size=poset.n)`` returns, drawn by
+    ``rng`` is a numpy ``Generator``; the weights are what
+    ``rng.geometric(p, size=(reps, poset.n))`` returns, drawn by
     :func:`_geometric_array` as the grid's are, so successive calls read
-    the stream one ``(calls, poset.n)`` draw reads.
+    the stream one draw of all their replicas reads.
     """
     p = _check_p(p)
-    weights = tuple(_geometric_array(rng, p, (poset.n,)).tolist())
-    return LppSample(weights=weights, total=max_chain_weight(poset, weights))
+    weights = _geometric_array(rng, p, (reps, poset.n))
+    block = np.empty((poset.n + 1, reps), dtype=np.int64)
+    block[:-1] = weights.T
+    block[-1] = 0
+    return LppSample(weights=weights, total=_passage(*_poset_plan(poset), block))
+
+
+def lpp_poset_samples(poset: FinitePoset, p: float, reps: int, seed: int) -> np.ndarray:
+    """Passage times of ``reps`` replicas on ``poset``, from replica stream
+    ``(1, 0)``: :func:`lpp_sample` once per block of at most ``_DRAW_BLOCK``
+    weights (one replica if the poset is larger), so memory does not grow
+    with ``reps``; the draws are those of one call on every replica."""
+    rng = replica_generator(seed, 0)
+    block = max(1, _DRAW_BLOCK // max(1, poset.n))
+    out = np.empty(reps, dtype=np.int64)
+    for start in range(0, reps, block):
+        b = min(block, reps - start)
+        out[start : start + b] = lpp_sample(poset, p, rng, b).total
+    return out
 
 
 @dataclass
@@ -226,26 +249,109 @@ def tasep_absorption_samples(
 def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarray:
     """Passage times on the grid, vectorized across replicas.
 
-    DP recurrence ``L[i,j] = G[i,j] + max(L[i-1,j], L[i,j-1])`` swept cell
-    by cell with all replicas in lockstep; equals the ideal-chain
-    absorption time on ``R_{n,m}`` in distribution (and per run under the
-    coupling, which :func:`coupled_ideal_run` asserts).  Weights are drawn
-    a block of replicas at a time, at most ``_DRAW_BLOCK`` weights (one
-    replica if its grid is larger), so memory does not grow with ``reps``;
-    the draws are those of one ``geometric(size=(reps, n, m))`` call.
-    Each block comes from :func:`_geometric_array`, which reads numpy's
-    search-branch weights (``1/3 <= p < 1``) off its table of partial sums,
-    one ``rng.random`` uniform each, and leaves ``p < 1/3`` and ``p = 1``
-    to ``rng.geometric``.
+    The recurrence ``L[i,j] = G[i,j] + max(L[i-1,j], L[i,j-1])`` is swept
+    by :func:`_passage` one anti-diagonal at a time with all replicas in
+    lockstep; it equals the ideal-chain absorption time on ``R_{n,m}`` in
+    distribution (and per run under the coupling, which
+    :func:`coupled_ideal_run` asserts).  Replicas go a block at a time, at
+    most ``_DRAW_BLOCK`` weights (one replica if its grid is larger), so
+    memory does not grow with ``reps``; the draws are those of one
+    ``geometric(size=(reps, n, m))`` call.  They come from
+    :func:`_geometric_array`, which reads numpy's search-branch weights
+    (``1/3 <= p < 1``) off its table of partial sums, one ``rng.random``
+    uniform each, and leaves ``p < 1/3`` and ``p = 1`` to ``rng.geometric``.
     """
     p = _check_p(p)
     rng = replica_generator(seed, 0)
     block = max(1, _DRAW_BLOCK // (n * m))
+    levels, tops = _grid_plan(n, m)
+    # one buffer serves every block; its last row stays the zero sentinel
+    buffer = np.zeros((n * m + 1, min(block, reps)), dtype=np.int64)
     out = np.empty(reps, dtype=np.int64)
     for start in range(0, reps, block):
         b = min(block, reps - start)
-        out[start : start + b] = _grid_passage(_geometric_array(rng, p, (b, n, m)))
+        weights = buffer[:, :b]
+        _draw_replica_last(rng, p, weights[:-1])
+        out[start : start + b] = _passage(levels, tops, weights)
     return out
+
+
+def _passage(levels, tops, block: np.ndarray) -> np.ndarray:
+    """Max-plus passage of a replica-last weight block, swept in place.
+
+    ``block`` is ``(elements + 1, b)`` int64: row ``x`` holds element
+    ``x``'s weight in each of ``b`` replicas, and the last row is a zero
+    sentinel.  ``levels`` lists ``(elements, cover_rows)`` in order of
+    depth, the elements of a level covering only rows of earlier levels:
+    ``cover_rows[k]`` holds the ``k``-th cover of the first
+    ``len(cover_rows[k])`` elements (the sentinel where an element has
+    none to add).  Each level adds to its rows the maximum over their
+    covers, one ``np.maximum`` per cover column, so every row ends as its
+    element's passage time.  Returns the maximum over the rows ``tops``.
+    """
+    for elements, cover_rows in levels:
+        acc = block[cover_rows[0]]
+        for rows in cover_rows[1:]:
+            head = acc[: len(rows)]
+            np.maximum(head, block[rows], out=head)
+        block[elements] += acc
+    return block[tops].max(axis=0)
+
+
+def _poset_plan(poset: FinitePoset) -> tuple[list, list[int]]:
+    """:func:`_passage`'s levels and tops for ``poset``.
+
+    An element's depth is one more than its deepest cover's (0 for the
+    minimal elements, which add nothing and are left out).  Each level is
+    ordered by falling cover count, so its ``k``-th cover column is a
+    prefix of it and no row is padded.  The empty poset's top is the
+    sentinel, so its passage is 0.
+    """
+    depth = [0] * poset.n
+    by_depth: dict[int, list[int]] = {}
+    for x in poset.topo_order():
+        if poset.covers[x]:
+            depth[x] = 1 + max(depth[c] for c in poset.covers[x])
+            by_depth.setdefault(depth[x], []).append(x)
+    levels = []
+    for d in sorted(by_depth):
+        elements = sorted(by_depth[d], key=lambda x: len(poset.covers[x]), reverse=True)
+        covers = [sorted(poset.covers[x]) for x in elements]
+        levels.append((np.array(elements), [np.array([c[k] for c in covers if len(c) > k])
+                                            for k in range(len(covers[0]))]))
+    return levels, list(poset.maximal_elements()) or [poset.n]
+
+
+def _grid_plan(n: int, m: int) -> tuple[list, list[int]]:
+    """:func:`_passage`'s levels and tops for the ``n x m`` grid, cells
+    numbered row-major: the anti-diagonals ``i + j = d`` for ``d >= 1``,
+    each cell's covers the cells above and to its left (the sentinel
+    ``n m`` off the grid)."""
+    cells = n * m
+    levels = []
+    for d in range(1, n + m - 1):
+        i = np.arange(max(0, d - m + 1), min(d, n - 1) + 1)
+        j = d - i
+        e = i * m + j
+        levels.append((e, (np.where(i > 0, e - m, cells), np.where(j > 0, e - 1, cells))))
+    return levels, [cells - 1]
+
+
+def _draw_replica_last(rng, p: float, out: np.ndarray) -> None:
+    """Fill ``out``, ``(cells, b)``, with the weights of
+    ``_geometric_array(rng, p, (b, cells))`` transposed.
+
+    They are drawn a few whole replicas at a time, so no second array of
+    the block's size is made: 1 MB of weights (``8 * _FILL_CHUNK``), but
+    at least 8 replicas where those are at most a quarter of the block,
+    since each replica drawn writes one number to every row of ``out``,
+    and fewer than 8 (64 bytes) write part of a cache line.
+    """
+    cells, b = out.shape
+    chunk = max(1, 8 * _FILL_CHUNK // cells, min(8, b // 4))
+    for start in range(0, b, chunk):
+        k = min(chunk, b - start)
+        out[:, start : start + k] = _geometric_array(rng, p, (k, cells)).T
 
 
 def _geometric_array(rng, p: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,18 +437,6 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
             base.flags.writeable = limit.flags.writeable = False
             return shift, base, limit
     raise InvariantViolation(f"no bucket width up to 4 bits separates the sums at p={p}")
-
-
-def _grid_passage(weights: np.ndarray) -> np.ndarray:
-    """Passage time of each replica's ``(n, m)`` weight grid."""
-    reps, n, m = weights.shape
-    row = np.zeros((reps, m), dtype=np.int64)
-    for i in range(n):
-        running = np.zeros(reps, dtype=np.int64)
-        for j in range(m):
-            running = weights[:, i, j] + np.maximum(running, row[:, j])
-            row[:, j] = running
-    return row[:, -1]
 
 
 # -- fluctuation constants -----------------------------------------------------------

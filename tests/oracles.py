@@ -7,10 +7,10 @@ solver does) with its maximal chains and meets, the restriction of a
 forest to a window of labels, a vertex's descendant count, the Young
 diagram of a grid ideal's complement, the plain Monte Carlo samplers
 that draw every variable at once (the uniqueness of a geometric maximum,
-grid passage times), the scalar samplers that read one uniform at a
-time (numpy's search for a geometric variable, a random walk's hitting
-time), and the bilateral series of the uniqueness limit summed
-term by term.  They raise the library's errors and the three below,
+grid passage times swept cell by cell), the scalar samplers that read
+one uniform at a time (numpy's search for a geometric variable, a random
+walk's hitting time), and the bilateral series of the uniqueness limit
+summed term by term.  They raise the library's errors and the three below,
 which only they raise.
 """
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
 from ungar_lab.errors import CapExceeded, DomainError, NotReached, UngarLabError
-from ungar_lab.percolation import _grid_passage
 from ungar_lab.perms import Permutation
 from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset
 from ungar_lab.rng import replica_generator
@@ -353,12 +352,25 @@ def plain_zeta_estimate(
     return est, stderr
 
 
+def grid_passage(weights: np.ndarray) -> np.ndarray:
+    """Passage time of each replica's ``(n, m)`` weight grid, swept cell by
+    cell: ``L[i,j] = w[i,j] + max(L[i-1,j], L[i,j-1])``."""
+    reps, n, m = weights.shape
+    row = np.zeros((reps, m), dtype=np.int64)
+    for i in range(n):
+        running = np.zeros(reps, dtype=np.int64)
+        for j in range(m):
+            running = weights[:, i, j] + np.maximum(running, row[:, j])
+            row[:, j] = running
+    return row[:, -1]
+
+
 def one_shot_lpp_grid_samples(
     n: int, m: int, p: float, reps: int, seed: int
 ) -> np.ndarray:
     """Grid passage times from one ``(reps, n, m)`` draw of every weight."""
     weights = replica_generator(seed, 0).geometric(_check_p(p), size=(reps, n, m))
-    return _grid_passage(weights)
+    return grid_passage(weights)
 
 
 # -- scalar samplers: one uniform at a time --------------------------------------

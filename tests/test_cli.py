@@ -305,6 +305,17 @@ GRID_FAMILY_GOLDEN = {
         "be11b684e476a2ee294f19871e8fe1096f350932c42298e11321deed352396ed",
     "lpp --lattice grid --rows 12 --cols 9 --p 0.2 --reps 4000 --seed 13":
         "10b9bb1d890b358871320b627d7c13511f45efa6e6114c929a90ebe0fa125cbd",
+    # recorded while the passage still swept cell by cell: one-row and
+    # one-column grids, a grid with more columns than rows, and three
+    # blocks of 50, 50 and 20 replicas
+    "lpp --lattice grid --rows 1 --cols 40 --p 0.5 --reps 3000 --seed 17":
+        "68c1ede4a59e25b7e3a93272a54fb4d9d36562b1c9ce6fc16c7905184057042d",
+    "lpp --lattice grid --rows 40 --cols 1 --p 0.2 --reps 3000 --seed 19":
+        "d1f784176dd95dd589c31423d52ab456bcada6b7bc8ba971c933872f1812fc24",
+    "lpp --lattice grid --rows 7 --cols 40 --p 0.7 --reps 2000 --seed 23":
+        "e1b769fc445dbd46fd6abc0eb3d6d973a9479f79cfcad816eda7f8f8d72da23b",
+    "fluctuation --rows 200 --cols 200 --p 0.5 --reps 120 --seed 29":
+        "4e92bc1cd92c3615860bba79fcdea97d019b40c36c90ddf76287091b59317785",
 }
 
 

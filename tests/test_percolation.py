@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ungar_lab import (
     coupled_ideal_run,
     grid_poset,
     lpp_grid_samples,
+    lpp_poset_samples,
     lpp_sample,
     max_chain_weight,
     rescaling_constants,
@@ -34,11 +36,13 @@ from ungar_lab import (
     zeta_liminf_lower_bound,
     zeta_limsup_estimate,
 )
-from ungar_lab import percolation
+from ungar_lab import cli, percolation
+from ungar_lab.poset import FinitePoset
 from ungar_lab.rng import replica_generator, replica_random
 
 from oracles import (
     golden_section_max,
+    grid_passage,
     ideal_complement_rows,
     maximal_chains,
     numpy_geometric_search,
@@ -46,6 +50,9 @@ from oracles import (
     plain_zeta_estimate,
     upsilon_series,
 )
+
+
+POSET_FIXTURE = Path(__file__).parent / "data" / "shuffled_graded_poset.json"
 
 
 def two_dim_random_poset(n, seed):
@@ -91,8 +98,8 @@ def test_lpp_single_element_and_chain():
     single = build_poset([], n=1)
     chain = build_poset([(0, 1)])
     rng = replica_generator(0, 0)
-    singles = [lpp_sample(single, 0.5, rng).total for _ in range(20_000)]
-    chains = [lpp_sample(chain, 0.5, rng).total for _ in range(20_000)]
+    singles = lpp_sample(single, 0.5, rng, 20_000).total
+    chains = lpp_sample(chain, 0.5, rng, 20_000).total
     assert abs(np.mean(singles) - 2.0) < 3 * np.std(singles) / math.sqrt(20_000)
     assert abs(np.mean(chains) - 4.0) < 3 * np.std(chains) / math.sqrt(20_000)
 
@@ -127,17 +134,16 @@ class ListedStream:
 
 @pytest.mark.parametrize("p", [0.07, 0.35, 0.5, 0.93, 1.0])
 def test_lpp_weights_equal_generator_geometric(p):
-    """A sample's weights are ``rng.geometric(p, size=poset.n)`` as Python
-    ints, and leave the stream where that call leaves it."""
+    """A sample's weights are ``rng.geometric(p, size=(reps, poset.n))``,
+    and leave the stream where that call leaves it."""
     rng = replica_generator(21, 0)
     for poset in [build_poset([], n=0), build_poset([], n=1), two_dim_random_poset(9, 2),
                   grid_poset(4, 5)]:
-        for _ in range(40):
-            replay = copy.deepcopy(rng)
-            sample = lpp_sample(poset, p, rng)
-            assert sample.weights == tuple(replay.geometric(p, size=poset.n).tolist())
-            assert all(type(w) is int for w in sample.weights)
-            assert replay.bit_generator.state == rng.bit_generator.state
+        replay = copy.deepcopy(rng)
+        sample = lpp_sample(poset, p, rng, 40)
+        assert np.array_equal(sample.weights, replay.geometric(p, size=(40, poset.n)))
+        assert sample.weights.shape == (40, poset.n) and sample.total.shape == (40,)
+        assert replay.bit_generator.state == rng.bit_generator.state
 
 
 def test_search_tables_are_cached_read_only():
@@ -185,6 +191,61 @@ def test_blocked_lpp_draws_equal_one_shot(monkeypatch, n, m, p, reps, block):
     assert reps > max(1, percolation._DRAW_BLOCK // (n * m))  # several blocks
     got = lpp_grid_samples(n, m, p, reps, seed=11)
     assert np.array_equal(got, one_shot_lpp_grid_samples(n, m, p, reps, seed=11))
+
+
+def _replica_last(weights):
+    """``(reps, elements)`` weights as :func:`percolation._passage`'s block."""
+    return np.vstack([weights.T, np.zeros((1, len(weights)), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 40), (40, 1), (7, 40), (30, 30), (200, 200)])
+def test_grid_passage_sweep_equals_cell_by_cell(n, m):
+    weights = np.random.default_rng([n, m]).integers(0, 50, size=(5, n, m))
+    levels, tops = percolation._grid_plan(n, m)
+    got = percolation._passage(levels, tops, _replica_last(weights.reshape(5, n * m)))
+    assert np.array_equal(got, grid_passage(weights))
+
+
+POSETS = {
+    "empty": build_poset([], n=0),
+    "antichain": build_poset([], n=6),
+    "chain": build_poset([(0, 1), (1, 2), (2, 3)]),
+    **{f"two-dim-{seed}": two_dim_random_poset(12, seed) for seed in range(8)},
+    "shuffled-graded": FinitePoset.from_json(POSET_FIXTURE.read_text()),
+}
+
+
+@pytest.mark.parametrize("name", list(POSETS))
+def test_poset_passage_sweep_equals_max_chain_weight(name):
+    poset = POSETS[name]
+    weights = np.random.default_rng(len(name)).integers(0, 50, size=(7, poset.n))
+    got = percolation._passage(*percolation._poset_plan(poset), _replica_last(weights))
+    assert got.tolist() == [max_chain_weight(poset, w) for w in weights.tolist()]
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 1.0])
+def test_blocked_poset_lpp_draws_equal_one_shot(monkeypatch, p):
+    poset = POSETS["shuffled-graded"]
+    one_shot = lpp_sample(poset, p, replica_generator(11, 0), 13).total
+    monkeypatch.setattr(percolation, "_DRAW_BLOCK", 5 * poset.n)  # 5, 5 and 3 replicas
+    assert np.array_equal(lpp_poset_samples(poset, p, 13, seed=11), one_shot)
+
+
+def test_lpp_poset_memory_is_flat_in_reps(monkeypatch, capsys):
+    monkeypatch.setattr(percolation, "_DRAW_BLOCK", 300_000)  # 10,000 replicas a block
+    peaks = []
+    for reps in (10_000, 200_000):
+        tracemalloc.start()
+        try:
+            assert cli.main(["lpp", "--lattice", "ideal", "--poset", str(POSET_FIXTURE),
+                             "--reps", str(reps), "--seed", "3"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    # a block's weights and passage rows take 4.8 MB; 20 blocks at once
+    # would take 96 MB, and the samples add 8 bytes a replica
+    assert peaks[1] < peaks[0] + 8 * 200_000 + 1e6, peaks
 
 
 @pytest.mark.parametrize("p", [
