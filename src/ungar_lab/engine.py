@@ -8,14 +8,18 @@ covers).  Each step selects every site independently with probability
 ``p``; the probability of staying put is ``(1-p)^{#sites}`` because every
 non-empty selection moves strictly down.
 
-The exact solver uses that surface and nothing else.  A depth-first
-post-order over single-site moves lists every state after each state it
-can move to, so the linear system ``E(x) = 1 + sum_y P(x->y) E(y)`` is
-triangular and solves by back-substitution; no general solver is needed.
-The solve works on state numbers: a selection's successor is one move of
-its highest run of adjacent sites from the successor of the rest, and a
-one-site move is applied once per (state, site) and then read from a
-table of state numbers.  The residual audit applies its moves afresh.
+The exact solver uses that surface, plus one class attribute.  A
+depth-first post-order over single-site moves lists every state after
+each state it can move to, so the linear system
+``E(x) = 1 + sum_y P(x->y) E(y)`` is triangular and solves by
+back-substitution; no general solver is needed.  The solve works on state
+numbers.  The enumeration applies each one-site move once per (state,
+site) and keeps its successor's number in a table.  A selection's
+successor is one move from the successor of the rest: of its highest
+site, read from the table, where the backend's ``sitewise`` says that its
+moves act one site at a time in increasing order (forests, ideals), and
+otherwise of its highest run of adjacent sites, applied unless the run is
+one site.  The residual audit applies its moves afresh.
 
 Also here: the two-sided tail bound for sums of geometrics, and the
 histogram of simple random-walk hitting times.
@@ -54,6 +58,8 @@ def _check_p(p: float) -> float:
 class SnLattice:
     """Weak order on S_n; sites are descent positions."""
 
+    sitewise = False  # a run of adjacent descents reverses as one block
+
     def __init__(self, n: int):
         self.n = n
         self.name = f"sn-{n}"
@@ -76,6 +82,8 @@ class SnLattice:
 class TamariAvLattice:
     """Tamari lattice as 312-avoiding permutations under the weak order."""
 
+    sitewise = False  # a block reversal, then the projection
+
     def __init__(self, n: int):
         self.n = n
         self.name = f"tamari-av-{n}"
@@ -97,6 +105,8 @@ class TamariAvLattice:
 
 class TamariForestLattice:
     """Tamari lattice as ordered forests; sites are non-leaf vertices."""
+
+    sitewise = True  # ``ungar`` operates its vertices one at a time, ascending
 
     def __init__(self, n: int):
         self.n = n
@@ -145,12 +155,16 @@ class IdealLattice:
     cache does not grow with the number of replicas.
 
     The bit-parallel ``maximal_of_mask`` costs about a microsecond, so the
-    cache now saves little; it stays because those paths ask about each
-    mask more than once (``coupled_ideal_run`` reads every state's sites
-    again to count its weights), and because the benchmark's tracer reads
-    its hit ratio on the ``grid`` workload.  Once those paths run on Kahn
-    counters, the cache can go.
+    cache now saves little.  The exact solve asks about each mask once, in
+    the enumeration, which keeps the sites in its table; only the residual
+    audit asks again, for its 64 states.  The cache stays because
+    ``coupled_ideal_run`` reads every state's sites again to count its
+    weights, and because the benchmark's tracer reads its hit ratio on the
+    ``grid`` workload.  Once that path runs on Kahn counters, the cache
+    can go.
     """
+
+    sitewise = True  # ``apply`` deletes its elements one at a time
 
     def __init__(self, poset: FinitePoset, name: str | None = None):
         self.poset = poset
@@ -220,6 +234,8 @@ class IdealLattice:
 class ChainLattice:
     """A chain 0 < 1 < ... < length; absorption is a sum of geometrics."""
 
+    sitewise = True  # at most one site
+
     def __init__(self, length: int):
         self.length = length
         self.name = f"chain-{length}"
@@ -275,7 +291,7 @@ def run_chain(lattice, p: float, rnd, *, record: bool = False) -> ChainRun:
 # -- exact expectations ---------------------------------------------------------
 
 
-def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
+def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP, table=None) -> list:
     """All states reachable downward from the top, each after its targets.
 
     Iterative depth-first post-order over single-site moves: a state is
@@ -283,45 +299,75 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP) -> list:
     ends below its state, and a chain of single-site moves reaches every
     state below, so every state comes after each state it can move to,
     and the top comes last.
+
+    Each (state, site) move is applied once.  ``table`` is ``(number,
+    at_site, moved, ends)``, an empty dict and three ``array('i')``, the
+    last holding ``[0]`` (made here if not given), filled as states are
+    listed: ``number`` maps each state to its place in the list, in that
+    order; state ``b``'s sites are ``at_site[ends[b] : ends[b + 1]]``, and
+    the numbers of its one-site successors are at the same places in
+    ``moved``, 8 bytes per site of each state and 4 per state.  A move
+    into a state still on the search stack, not yet listed, raises
+    :class:`SingularSystem`.
     """
+    number, at_site, moved, ends = table or ({}, array("i"), array("i"), array("i", [0]))
+    pick, apply = lattice.pick_sites, lattice.apply
+    listed = number.get
     top = lattice.top()
-    seen = {top}
+    on_stack = {top}  # found, not yet listed
     order = []
-    stack = [(top, iter(lattice.pick_sites(top)))]
+    sites = pick(top)
+    stack = [(top, sites, iter(sites), array("i"))]
     while stack:
-        x, sites = stack[-1]
-        for s in sites:
-            y = lattice.apply(x, [s])
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise StateExplosion(
-                        f"state count of {lattice.name} exceeds cap {cap}"
-                    )
-                seen.add(y)
-                stack.append((y, iter(lattice.pick_sites(y))))
-                break
+        x, sites, left, succ = stack[-1]
+        for s in left:
+            y = apply(x, (s,))
+            j = listed(y)
+            if j is not None:
+                succ.append(j)
+                continue
+            if y in on_stack:
+                raise SingularSystem(
+                    f"move from state {x!r} reaches {y!r}, not listed before it"
+                )
+            if len(number) + len(on_stack) >= cap:
+                raise StateExplosion(f"state count of {lattice.name} exceeds cap {cap}")
+            on_stack.add(y)
+            below = pick(y)
+            stack.append((y, below, iter(below), array("i")))
+            break
         else:
             stack.pop()
+            on_stack.discard(x)
+            i = number[x] = len(order)
             order.append(x)
+            at_site.extend(sites)
+            moved.extend(succ)
+            ends.append(len(at_site))
+            if stack:
+                stack[-1][3].append(i)
     return order
 
 
-def _selections(sites, p: float, q: float) -> list[tuple[int, int, int, float]]:
+def _selections(sites, p: float, q: float,
+                sitewise: bool = False) -> list[tuple[int, int, int, float]]:
     """``(rest, lo, hi, weight)`` for every nonempty selection of ``sites``.
 
     Selections come in increasing bitmask order (bit ``i`` selects
-    ``sites[i]``).  Selection ``bitsel`` is the run ``sites[lo : hi + 1]``,
-    its highest run of adjacent sites (``sites[k] == sites[k-1] + 1``),
+    ``sites[i]``).  Selection ``bitsel`` is the run ``sites[lo : hi + 1]``
     added to the smaller selection ``rest``; ``weight`` is
-    ``p^|bitsel| q^(s - |bitsel|)``.  The list depends on ``sites`` only
-    through its length and its adjacent pairs.
+    ``p^|bitsel| q^(s - |bitsel|)``.  The run is the selection's highest
+    run of adjacent sites (``sites[k] == sites[k-1] + 1``), or, with
+    ``sitewise``, its highest site alone.  The list depends on ``sites``
+    only through its length and, without ``sitewise``, its adjacent pairs.
     """
     s = len(sites)
     weight = [p ** k * q ** (s - k) for k in range(s + 1)]
     plan = []
     for bitsel in range(1, 1 << s):
         hi = lo = bitsel.bit_length() - 1
-        while lo and bitsel >> (lo - 1) & 1 and sites[lo] == sites[lo - 1] + 1:
+        while (not sitewise and lo and bitsel >> (lo - 1) & 1
+               and sites[lo] == sites[lo - 1] + 1):
             lo -= 1
         plan.append((bitsel & ((1 << lo) - 1), lo, hi, weight[bitsel.bit_count()]))
     return plan
@@ -335,8 +381,9 @@ def _transitions(lattice, x, sites, p: float, q: float):
     successor of the rest.  A block reversal touches only its run's
     positions, so the lower runs' entries and the run's descents survive;
     the other backends act one site at a time in increasing order.  Every
-    move is applied afresh, one ``apply`` per selection, so the residual
-    audit does not read the solver's table.
+    move is applied afresh, one ``apply`` per selection and runs whole on
+    every backend, so the residual audit reads nothing of the solver's
+    table.
     """
     succ = [x]
     for rest, lo, hi, w in _selections(sites, p, q):
@@ -363,36 +410,37 @@ def exact_expected_absorption(
     p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in the order of
     :func:`enumerate_states`, so every right-hand side is already known.
 
-    States are numbered in that order by one dict, which is returned as
-    the ``{state: E}`` map once the values, held in a list, are solved.
-    A selection's successor number is reached as in :func:`_transitions`.
-    Each state's one-site moves are applied once, when the state is
-    solved; its sites and their successor numbers are appended to flat
-    ``array('i')`` tables, 8 bytes per site of each state and 4 per state.
-    Where a selection's highest run is the one site ``t``, the rest's
-    successor is an earlier state whose sites above ``t`` are those of
-    ``x`` (lower moves leave them in place), so ``t`` is found by counting
-    back from the end of that state's sites; should it not be there, the
-    move is applied.  A longer run is applied each time, since block
-    reversals do not compose site by site.  Every successor must come
-    earlier in the order, or :class:`SingularSystem` is raised.  The
-    selections of :func:`_selections` are kept per pattern of adjacent
-    sites for the call.  Weights and summation order are those of
-    :func:`_transitions`, so the values are the same floats.  A residual
-    check at 1e-10, on 64 states spread over the order with the top among
-    them, re-applies every move of its states.
+    The enumeration numbers the states in that order, in one dict that is
+    returned as the ``{state: E}`` map once the values, held in a list,
+    are solved, and fills the table of every state's sites and one-site
+    successor numbers; the solve only reads it.  A selection's successor
+    number is that of its run, from :func:`_selections`, moved from the
+    successor of the rest.  A backend whose ``sitewise`` is true (forests,
+    ideals) moves a run as its sites one at a time in increasing order, so
+    its runs are single sites; otherwise a longer run is applied each
+    time, since block reversals do not compose site by site.  Where the
+    run is one site ``t``, the rest's successor is an earlier state whose
+    sites above ``t`` are those of ``x``, since lower moves leave them in
+    place (a forest's always; an ideal's unless a removal exposes a higher
+    element), so ``t`` is found by counting back from the end of that
+    state's sites; should it not be there, the move is applied.  An
+    applied move's successor must come earlier in the order, or
+    :class:`SingularSystem` is raised; table entries do by construction.
+    The selections are kept for the call per pattern of adjacent sites, or
+    per number of sites where ``sitewise``.  Weights and summation order
+    are those of :func:`_transitions`, so the values are the same floats.
+    A residual check at 1e-10, on 64 states spread over the order with the
+    top among them, re-applies every move of its states.
     """
     p = _check_p(p)
     q = 1.0 - p
-    states = enumerate_states(lattice, cap=cap_states)
-    pick, apply = lattice.pick_sites, lattice.apply
+    table = number, at_site, moved, ends = {}, array("i"), array("i"), array("i", [0])
+    states = enumerate_states(lattice, cap=cap_states, table=table)
+    apply = lattice.apply
+    sitewise = lattice.sitewise
     bottom = lattice.bottom()
-    number = {x: i for i, x in enumerate(states)}
     values = [0.0] * len(states)
-    plans: dict = {}  # by the adjacent pairs of the sites
-    # state b's sites are at_site[ends[b] : ends[b + 1]], its one-site
-    # successors' numbers at the same places in moved
-    at_site, moved, ends = array("i"), array("i"), array("i", [0])
+    plans: dict = {}  # by the adjacent pairs of the sites, or their count
 
     def earlier(y, base: int) -> int:
         j = number[y]
@@ -404,9 +452,8 @@ def exact_expected_absorption(
 
     for i, x in enumerate(states):
         if x == bottom:
-            ends.append(len(at_site))
             continue
-        sites = pick(x)
+        sites = at_site[ends[i] : ends[i + 1]]
         s = len(sites)
         if s == 0:
             raise SingularSystem(f"non-bottom state {x!r} has no covers")
@@ -415,14 +462,10 @@ def exact_expected_absorption(
         stay = q**s
         if stay >= 1.0:
             raise SingularSystem("staying probability reached 1; p too small")
-        for k in range(s):
-            moved.append(earlier(apply(x, sites[k : k + 1]), i))
-        at_site.extend(sites)
-        ends.append(len(at_site))
-        key = tuple([b - a == 1 for a, b in zip(sites, sites[1:])])
+        key = s if sitewise else tuple([b - a == 1 for a, b in zip(sites, sites[1:])])
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _selections(sites, p, q)
+            plan = plans[key] = _selections(sites, p, q, sitewise)
         acc = 1.0
         succ = [i]
         for rest, lo, hi, w in plan:
@@ -432,7 +475,7 @@ def exact_expected_absorption(
                 if k >= ends[base] and at_site[k] == sites[hi]:
                     j = moved[k]
                 else:
-                    j = earlier(apply(states[base], sites[hi : hi + 1]), base)
+                    j = earlier(apply(states[base], (sites[hi],)), base)
             else:
                 j = earlier(apply(states[base], sites[lo : hi + 1]), base)
             succ.append(j)
@@ -442,6 +485,7 @@ def exact_expected_absorption(
     for x, e in zip(states, values):
         expect[x] = e
     # residual audit on the defining equations
+    pick = lattice.pick_sites
     for x in _audited(states):
         if x == bottom:
             continue

@@ -5,6 +5,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from oracles import (
     per_subset_transitions,
     walk_hitting_time,
 )
+
+POSET_FIXTURE = Path(__file__).parent / "data" / "shuffled_graded_poset.json"
 
 
 def step(lattice, state, p, rnd):
@@ -377,45 +380,74 @@ def test_block_reversal_moves_do_not_compose_site_by_site(lattice):
     assert lattice.apply(x, [1, 3]) == lattice.apply(lattice.apply(x, [1]), [3])
 
 
-class _TopMoveFault(SnLattice):
-    """``SnLattice(5)`` whose first move of the top at its last descent
-    alone, once armed, lands on the bottom: what a wrong table entry at
-    the top would do.  No larger selection starts from that successor and
-    every later move is right, so only the top's value goes wrong."""
-
-    def __init__(self):
-        super().__init__(5)
-        self.armed = False
-
-    def apply(self, state, selected):
-        if self.armed and state == self.top() and tuple(selected) == (4,):
-            self.armed = False
-            return self.bottom()
-        return super().apply(state, selected)
+def _moved_site_by_site(lattice, x, chosen):
+    for t in chosen:
+        x = lattice.apply(x, (t,))
+    return x
 
 
-def _arm_after_enumeration(monkeypatch):
-    """Set ``lattice.armed`` once the solver has enumerated its states, so
-    that a fault acts on the solve alone."""
-    enumerate_states = engine.enumerate_states
+def _assert_moves_compose_site_by_site(lattice):
+    # what a sitewise backend's solve relies on: every selection moves as
+    # its sites one at a time, in increasing order
+    assert lattice.sitewise
+    for x in engine.enumerate_states(lattice):
+        sites = lattice.pick_sites(x)
+        for bitsel in range(1, 1 << len(sites)):
+            chosen = [t for k, t in enumerate(sites) if bitsel >> k & 1]
+            assert lattice.apply(x, chosen) == _moved_site_by_site(lattice, x, chosen), (
+                lattice.name, x, chosen)
 
-    def enumerate_then_arm(lat, **kw):
-        found = enumerate_states(lat, **kw)
-        lat.armed = True
-        return found
 
-    monkeypatch.setattr(engine, "enumerate_states", enumerate_then_arm)
+@pytest.mark.parametrize(
+    "lattice",
+    [TamariForestLattice(n) for n in range(8)]
+    + [IdealLattice(grid_poset(3, 3)),
+       IdealLattice(FinitePoset.from_json(POSET_FIXTURE.read_text()), "shuffled-graded")],
+    ids=lambda lattice: lattice.name,
+)
+def test_sitewise_moves_compose_site_by_site(lattice):
+    _assert_moves_compose_site_by_site(lattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_posets(max_elements=10))
+def test_sitewise_moves_compose_site_by_site_on_posets(poset):
+    _assert_moves_compose_site_by_site(IdealLattice(poset))
+
+
+@pytest.mark.parametrize("lattice, x, run", [
+    (SnLattice(4), Permutation((4, 3, 2, 1)), (2, 3)),
+    (TamariAvLattice(5), Permutation((5, 4, 3, 2, 1)), (2, 3)),
+], ids=["sn-4", "tamari-av-5"])
+def test_block_moves_keep_their_runs_whole(lattice, x, run):
+    # why these backends' solves apply each run of adjacent sites whole
+    assert not lattice.sitewise
+    assert lattice.apply(x, run) != _moved_site_by_site(lattice, x, run)
 
 
 def test_residual_audit_catches_a_wrong_table_entry_at_the_top(monkeypatch):
-    lattice = _TopMoveFault()
+    lattice = SnLattice(5)
     states = engine.enumerate_states(lattice)
     assert len(states) == 120 and lattice.top() not in states[:64]  # not among the lowest
     audited = engine._audited(states)
     assert len(audited) == 64 and audited[0] == states[0] and audited[-1] == lattice.top()
     assert len(set(audited)) == 64
+    assert states[0] == lattice.bottom()
 
-    _arm_after_enumeration(monkeypatch)
+    # the top is listed last, so its move at its last descent alone is the
+    # last table entry; send it to the bottom.  No larger selection starts
+    # from that successor and every other entry is right, so only the
+    # top's value goes wrong
+    enumerate_states = engine.enumerate_states
+
+    def enumerate_then_corrupt(lat, **kw):
+        found = enumerate_states(lat, **kw)
+        number, at_site, moved, ends = kw["table"]
+        assert at_site[-1] == 4
+        moved[-1] = 0
+        return found
+
+    monkeypatch.setattr(engine, "enumerate_states", enumerate_then_corrupt)
     with pytest.raises(SingularSystem, match="residual"):
         exact_expected_absorption(lattice, 0.5)
 
@@ -437,43 +469,87 @@ class _LaterMove(SnLattice):
 
 @pytest.mark.parametrize("selected", [(1,), (2,), (1, 2)], ids=["site-1", "site-2", "run-1-2"])
 def test_a_move_to_a_later_state_raises(monkeypatch, selected):
-    # one-site moves are checked where the table is filled, runs where
-    # they are applied; a successor not yet solved must not read as 0
+    # one-site moves are checked where the enumeration applies them, into
+    # a state still on its stack; runs where the solve applies them.  A
+    # successor not yet solved must not read as 0
     lattice = _LaterMove(selected)
     assert lattice.pick_sites(lattice.fault[0]) == (1, 2)
-    _arm_after_enumeration(monkeypatch)
+    if len(selected) == 1:
+        lattice.armed = True
+        with pytest.raises(SingularSystem, match="not listed before"):
+            engine.enumerate_states(lattice)
+    else:
+        # armed once the solver has enumerated its states, so that the
+        # fault acts on the solve alone
+        enumerate_states = engine.enumerate_states
+
+        def enumerate_then_arm(lat, **kw):
+            found = enumerate_states(lat, **kw)
+            lat.armed = True
+            return found
+
+        monkeypatch.setattr(engine, "enumerate_states", enumerate_then_arm)
     with pytest.raises(SingularSystem, match="not listed before"):
         exact_expected_absorption(lattice, 0.5)
 
 
-class _LoggedIdeals(IdealLattice):
-    """``IdealLattice`` that logs its one-site moves once armed."""
+class _LoggedMoves:
+    """Mixin that logs a backend's moves."""
 
-    def __init__(self, poset):
-        super().__init__(poset)
-        self.armed = False
+    def __init__(self, *args):
+        super().__init__(*args)
         self.log = []
 
     def apply(self, state, selected):
-        if self.armed and len(selected) == 1:
-            self.log.append((state, tuple(selected)))
+        self.log.append((state, tuple(selected)))
         return super().apply(state, selected)
 
 
+class _LoggedIdeals(_LoggedMoves, IdealLattice):
+    pass
+
+
+class _LoggedForests(_LoggedMoves, TamariForestLattice):
+    pass
+
+
+def _one_site_moves(lattice, states):
+    return {(x, (t,)) for x in states for t in lattice.pick_sites(x)}
+
+
 def test_a_one_site_move_missing_from_the_table_is_applied(monkeypatch):
-    # 3 < 0 and 1 < 2: removing 0 from the full ideal exposes 3, above the
-    # site 2, so counting back from the end of {1, 2, 3}'s sites (2, 3)
-    # does not reach 2, and the move of {1, 2, 3} at 2 is applied again
+    # 3 < 0 and 1 < 2.  Removing 0 from the full ideal exposes 3, above
+    # the site 2, so counting back from the end of {1, 2, 3}'s sites (2, 3)
+    # does not reach 2, and the move of {1, 2, 3} at 2 is applied again.
+    # Likewise {0, 1, 3} has sites (0, 1), and removing 0 leaves {1, 3},
+    # whose sites (1, 3) end in 3, not 1
     lattice = _LoggedIdeals(build_poset([(3, 0), (1, 2)]))
     assert lattice.pick_sites(0b1111) == (0, 2) and lattice.pick_sites(0b1110) == (2, 3)
+    assert lattice.pick_sites(0b1011) == (0, 1) and lattice.pick_sites(0b1010) == (1, 3)
     monkeypatch.setattr(engine, "_audited", lambda states: [])
-    _arm_after_enumeration(monkeypatch)
     expect = exact_expected_absorption(lattice, 0.5)
-    assert lattice.log.count((0b1110, (2,))) == 2
-    pairs = sum(len(lattice.pick_sites(x)) for x in expect)
-    assert len(lattice.log) == pairs + 1  # every other one-site move once
+    # the enumeration applies every one-site move once, the solve only the
+    # two that the table misses
+    again = [(0b1110, (2,)), (0b1010, (1,))]
+    assert sorted(lattice.log) == sorted([*_one_site_moves(lattice, expect), *again])
     monkeypatch.undo()
     assert list(expect.items()) == list(dict_back_substitution(lattice, 0.5).items())
+
+
+def test_forest_solve_applies_each_one_site_move_once(monkeypatch):
+    # a forest's lower operations leave its higher non-leaves in place, so
+    # every selection's highest site is found, counting back, among the
+    # sites of the rest's successor: no move is applied again, and no run
+    # at all
+    lattice = _LoggedForests(8)
+    monkeypatch.setattr(engine, "_audited", lambda states: [])
+    expect = exact_expected_absorption(lattice, 0.5)
+    assert len(expect) == 1430
+    moves = _one_site_moves(lattice, expect)
+    assert len(lattice.log) == len(moves) == sum(len(lattice.pick_sites(x)) for x in expect)
+    assert set(lattice.log) == moves
+    monkeypatch.undo()
+    assert expect == exact_expected_absorption(TamariForestLattice(8), 0.5)
 
 
 # traced peaks of the solver on state objects that the numbered solve
