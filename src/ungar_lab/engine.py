@@ -21,6 +21,17 @@ moves act one site at a time in increasing order (forests, ideals), and
 otherwise of its highest run of adjacent sites, applied unless the run is
 one site.  The residual audit applies its moves afresh.
 
+Monte Carlo runs each replica on one sampler, chosen by the backend.
+``TamariForestLattice`` and ``IdealLattice`` have a
+``fast_absorption_sample`` (a mutable forest, Kahn counters).  The others
+(``SnLattice``, ``TamariAvLattice``, ``ChainLattice``) are compiled, by
+the exact solve's own successor rule, into a table of every state's
+successor under every selection, when it holds at most ``reps`` entries;
+a replica's step is then its coins and one lookup.  Larger lattices run
+the generic ``run_chain`` loop, as do ``simulate --trace`` and the
+coupled runs.  All three flip the same coins from the same replica
+stream, so they give the same samples.
+
 Also here: the two-sided tail bound for sums of geometrics, and the
 histogram of simple random-walk hitting times.
 """
@@ -401,46 +412,38 @@ def _audited(states: list) -> list:
     return [states[k * (n - 1) // 63] for k in range(64)]
 
 
-def exact_expected_absorption(
-    lattice, p: float, *, cap_states: int = DEFAULT_STATE_CAP
-) -> dict:
-    """Expected steps to the bottom, for every state, by back-substitution.
+def _successor_rows(lattice, states: list, table, p: float, q: float, values: list):
+    """``(succ, stay, acc)`` for each state of :func:`enumerate_states` in
+    turn, read from its ``table``.
 
-    ``E(x) (1 - (1-p)^s) = 1 + sum over nonempty selections T of
-    p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in the order of
-    :func:`enumerate_states`, so every right-hand side is already known.
+    ``succ[mask]`` is the number of the state that selection ``mask`` of
+    the state's ``s`` sites moves it to (bit ``k`` selects site ``k``, and
+    mask 0 stays put), and ``stay`` is ``(1-p)^s``.  ``acc`` is ``1 + sum
+    of p^|T| (1-p)^(s-|T|) values[succ[T]]`` over the nonempty selections
+    ``T``, in the order of :func:`_selections`, reading ``values`` as the
+    row is built: the exact solve fills in each state's value before it
+    takes the next row.
 
-    The enumeration numbers the states in that order, in one dict that is
-    returned as the ``{state: E}`` map once the values, held in a list,
-    are solved, and fills the table of every state's sites and one-site
-    successor numbers; the solve only reads it.  A selection's successor
-    number is that of its run, from :func:`_selections`, moved from the
-    successor of the rest.  A backend whose ``sitewise`` is true (forests,
-    ideals) moves a run as its sites one at a time in increasing order, so
-    its runs are single sites; otherwise a longer run is applied each
-    time, since block reversals do not compose site by site.  Where the
-    run is one site ``t``, the rest's successor is an earlier state whose
-    sites above ``t`` are those of ``x``, since lower moves leave them in
-    place (a forest's always; an ideal's unless a removal exposes a higher
-    element), so ``t`` is found by counting back from the end of that
-    state's sites; should it not be there, the move is applied.  An
-    applied move's successor must come earlier in the order, or
-    :class:`SingularSystem` is raised; table entries do by construction.
-    The selections are kept for the call per pattern of adjacent sites, or
-    per number of sites where ``sitewise``.  Weights and summation order
-    are those of :func:`_transitions`, so the values are the same floats.
-    A residual check at 1e-10, on 64 states spread over the order with the
-    top among them, re-applies every move of its states.
+    A nonempty selection's successor is that of its run, from
+    :func:`_selections`, moved from the successor of the rest.  A backend
+    whose ``sitewise`` is true (forests, ideals) moves a run as its sites
+    one at a time in increasing order, so its runs are single sites;
+    otherwise a longer run is applied each time, since block reversals do
+    not compose site by site.  Where the run is one site ``t``, the rest's
+    successor is an earlier state whose sites above ``t`` are those of
+    ``x``, since lower moves leave them in place (a forest's always; an
+    ideal's unless a removal exposes a higher element), so ``t`` is found
+    by counting back from the end of that state's sites; should it not be
+    there, the move is applied.  An applied move's successor must come
+    earlier in the order, or :class:`SingularSystem` is raised; table
+    entries do by construction.  The selections are kept per number of
+    sites and, unless ``sitewise``, pattern of adjacent sites.  More than
+    ``_SUBSET_ENUM_CAP`` sites raise :class:`StateExplosion`.
     """
-    p = _check_p(p)
-    q = 1.0 - p
-    table = number, at_site, moved, ends = {}, array("i"), array("i"), array("i", [0])
-    states = enumerate_states(lattice, cap=cap_states, table=table)
+    number, at_site, moved, ends = table
     apply = lattice.apply
     sitewise = lattice.sitewise
-    bottom = lattice.bottom()
-    values = [0.0] * len(states)
-    plans: dict = {}  # by the adjacent pairs of the sites, or their count
+    plans: dict = {}  # by site count, and its adjacent pairs unless sitewise
 
     def earlier(y, base: int) -> int:
         j = number[y]
@@ -450,22 +453,16 @@ def exact_expected_absorption(
             )
         return j
 
-    for i, x in enumerate(states):
-        if x == bottom:
-            continue
+    for i in range(len(states)):
         sites = at_site[ends[i] : ends[i + 1]]
         s = len(sites)
-        if s == 0:
-            raise SingularSystem(f"non-bottom state {x!r} has no covers")
         if s > _SUBSET_ENUM_CAP:
             raise StateExplosion(f"state has {s} covers; subset enumeration refused")
-        stay = q**s
-        if stay >= 1.0:
-            raise SingularSystem("staying probability reached 1; p too small")
-        key = s if sitewise else tuple([b - a == 1 for a, b in zip(sites, sites[1:])])
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _selections(sites, p, q, sitewise)
+        key = s if sitewise else (s, tuple([b - a == 1 for a, b in zip(sites, sites[1:])]))
+        entry = plans.get(key)
+        if entry is None:
+            entry = plans[key] = _selections(sites, p, q, sitewise), q**s
+        plan, stay = entry
         acc = 1.0
         succ = [i]
         for rest, lo, hi, w in plan:
@@ -480,6 +477,43 @@ def exact_expected_absorption(
                 j = earlier(apply(states[base], sites[lo : hi + 1]), base)
             succ.append(j)
             acc += w * values[j]
+        yield succ, stay, acc
+
+
+def exact_expected_absorption(
+    lattice, p: float, *, cap_states: int = DEFAULT_STATE_CAP
+) -> dict:
+    """Expected steps to the bottom, for every state, by back-substitution.
+
+    ``E(x) (1 - (1-p)^s) = 1 + sum over nonempty selections T of
+    p^|T| (1-p)^(s-|T|) E(apply(x, T))``, processed in the order of
+    :func:`enumerate_states`, so every right-hand side is already known.
+
+    The enumeration numbers the states in that order, in one dict that is
+    returned as the ``{state: E}`` map once the values, held in a list,
+    are solved, and fills the table of every state's sites and one-site
+    successor numbers.  :func:`_successor_rows` reads every selection's
+    successor number from it and sums ``w E(successor)`` over them as it
+    goes.  Weights and summation order are those of :func:`_transitions`,
+    so the values are the same floats.  A residual check at 1e-10, on 64
+    states spread over the order with the top among them, re-applies every
+    move of its states.
+    """
+    p = _check_p(p)
+    q = 1.0 - p
+    table = number, _, _, _ = {}, array("i"), array("i"), array("i", [0])
+    states = enumerate_states(lattice, cap=cap_states, table=table)
+    bottom = lattice.bottom()
+    sink = number.get(bottom)
+    values = [0.0] * len(states)
+    rows = _successor_rows(lattice, states, table, p, q, values)
+    for i, (succ, stay, acc) in enumerate(rows):
+        if i == sink:
+            continue
+        if len(succ) == 1:
+            raise SingularSystem(f"non-bottom state {states[i]!r} has no covers")
+        if stay >= 1.0:
+            raise SingularSystem("staying probability reached 1; p too small")
         values[i] = acc / (1.0 - stay)
     expect = number  # the numbering dict becomes the map, in the same order
     for x, e in zip(states, values):
@@ -535,6 +569,63 @@ class McResult:
         )
 
 
+def _successor_table(lattice, p: float, cap: int):
+    """Every selection's successor, as ``(start, size, succ, bottom)``, or
+    ``None`` where the lattice has more than ``cap`` states or selections.
+
+    :func:`enumerate_states`, capped at ``cap`` states, numbers the states
+    and their one-site successors, and :func:`_successor_rows`, as in the
+    exact solve, extends them to every selection.  State ``i`` has
+    ``size[i]`` sites, and their selection ``mask`` moves it to state
+    ``succ[start[i] + mask]``.  The top is the last state and ``bottom``
+    the bottom's number.  ``start`` and ``succ`` are ``array('i')``, 4
+    bytes per entry, and ``size`` 1 byte per state; the enumeration's
+    states are dropped on return.
+    """
+    table = number, _, _, ends = {}, array("i"), array("i"), array("i", [0])
+    start, size, succ = array("i", [0]), array("B"), array("i")
+    try:
+        states = enumerate_states(lattice, cap=cap, table=table)
+        for i in range(len(states)):
+            s = ends[i + 1] - ends[i]
+            end = start[i] + (1 << s)
+            if end > cap:
+                return None
+            start.append(end)
+            size.append(s)
+        zeros = [0.0] * len(states)  # no values: each row's acc goes unread
+        for row, _, _ in _successor_rows(lattice, states, table, p, 1.0 - p, zeros):
+            succ.extend(row)
+    except StateExplosion:
+        return None
+    return start, size, succ, number[lattice.bottom()]
+
+
+def _table_samples(tables, p: float, seed: int, samples: np.ndarray) -> None:
+    """Fill ``samples`` with absorption times stepped through the tables of
+    :func:`_successor_table`, replica ``r`` on ``replica_random(seed, r)``.
+
+    A step flips one coin per site of its state, in site order, and adds
+    bit ``k`` to the selection for site ``k``: the coins ``run_chain``
+    flips, so each replica gets the sample ``run_chain`` gives it.
+    """
+    start, size, succ, bottom = tables
+    bits = [tuple(1 << k for k in range(s)) for s in range(max(size) + 1)]
+    top = len(size) - 1
+    for r in range(len(samples)):
+        draw = replica_random(seed, r).random
+        i = top
+        t = 0
+        while i != bottom:
+            at = start[i]
+            for b in bits[size[i]]:
+                if draw() < p:
+                    at += b
+            i = succ[at]
+            t += 1
+        samples[r] = t
+
+
 def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McResult:
     """Absorption-time mean over independent seeded replicas, each from the top.
 
@@ -543,14 +634,26 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
     and invariant to execution order.  A backend's
     ``fast_absorption_sample`` replaces the generic ``run_chain`` loop:
     ``TamariForestLattice`` steps a mutable forest, ``IdealLattice`` keeps
-    Kahn counters over the poset.  Either gives the sample ``run_chain``
-    would give from the same stream.
+    Kahn counters over the poset.  Any other backend (``SnLattice``,
+    ``TamariAvLattice``, ``ChainLattice``) is stepped through its
+    successor table (:func:`_successor_table`) when that table holds at
+    most ``reps`` entries, one per state and selection of its sites, so
+    its 4-byte entries take at most half the space of the samples.  The
+    enumeration stops at ``reps`` states, so a lattice too large to
+    compile costs at most one move per site of ``reps`` states (S_40 at
+    200 replicas: 200 moves) before it runs on ``run_chain``.  Every
+    sampler gives the sample ``run_chain`` would give from the same
+    stream.
     """
     p = _check_p(p)
     if reps < 1:
         raise DomainError("reps must be >= 1")
     fast = getattr(lattice, "fast_absorption_sample", None)
     samples = np.empty(reps, dtype=np.int64)
+    tables = None if fast is not None else _successor_table(lattice, p, reps)
+    if tables is not None:
+        _table_samples(tables, p, seed, samples)
+        return McResult.from_samples(samples)
     for r in range(reps):
         rnd = replica_random(seed, r)
         if fast is not None:

@@ -374,6 +374,29 @@ def test_readme_command_golden_digest(tmp_path, capsys, argv):
     assert hashlib.sha256(data).hexdigest() == README_GOLDEN.get(" ".join(argv))
 
 
+# sha256 of the stdout of each command, recorded while these lattices ran
+# every replica on the generic run_chain loop; the successor table flips
+# the same coins, so stepping through it must not move them
+GENERIC_SIMULATE_GOLDEN = {
+    "simulate --lattice sn --n 6 --p 0.3 --reps 20000 --seed 3":
+        "88fcd7ad7654853947da59bd5918bd18f3376c4c71e1903c8939e4cb77006349",
+    "simulate --lattice tamari-av --n 6 --p 0.7 --reps 20000 --seed 4":
+        "65ce29b0e71611e189ae068fef90750db87198b926abb3b312942f298fd868f2",
+    "simulate --lattice sn --n 5 --p 1 --reps 50 --seed 1":
+        "e8284acfea22c0d01db792b017317dcd8c158b46f3295d81f97add29e8f1d9f7",
+    "simulate --lattice sn --n 1 --reps 10":
+        "5cdaa8805e396fd7f0ea2b7cb63ad46900a9d2371050f39a1896a437f527c1d8",
+}
+
+
+@pytest.mark.parametrize("command", list(GENERIC_SIMULATE_GOLDEN))
+def test_generic_simulate_golden_digest(capsys, monkeypatch, command):
+    monkeypatch.delenv("UNGAR_LAB_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERIC_SIMULATE_GOLDEN[command]
+
+
 @pytest.mark.parametrize("lattice, size, bottom", [
     ("sn", ("--n", "4"), [1, 2, 3, 4]),
     ("tamari", ("--n", "5"), {"n": 5, "parent": [0] * 5, "children": [[]] * 5}),

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,7 @@ from ungar_lab import (
     ungar_move,
 )
 from ungar_lab import engine
+from ungar_lab import rng as rng_module
 from ungar_lab.rng import replica_generator, replica_random
 from ungar_lab.tamari import av_ungar_move
 
@@ -609,6 +611,123 @@ def test_ideal_monte_carlo_does_not_scan_masks(monkeypatch):
     res = monte_carlo_expectation(lattice, 0.5, reps=200, seed=13)
     assert res.reps == 200 and res.minimum >= 11
     assert lattice._maximal == {}
+
+
+# -- Monte Carlo on the compiled successor table ---------------------------------
+
+
+class CountingRandom(random.Random):
+    """A replica stream that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def _counting_stream(seed: int, r: int) -> CountingRandom:
+    rnd = CountingRandom()
+    rnd.setstate(replica_random(seed, r).getstate())
+    return rnd
+
+
+def _table_entries(lattice) -> int:
+    """One entry per state and selection of its sites."""
+    return sum(1 << len(lattice.pick_sites(x)) for x in engine.enumerate_states(lattice))
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [SnLattice(n) for n in range(2, 6)] + [TamariAvLattice(n) for n in range(3, 6)],
+    ids=lambda lattice: lattice.name,
+)
+def test_successor_table_rows_follow_the_bottom(lattice):
+    # the bottom (no sites) is listed before every one-site state; on a
+    # block-reversal backend both have no adjacent pairs of sites, and the
+    # bottom's empty selection list must not serve the one-site states
+    states = engine.enumerate_states(lattice)
+    index = {x: i for i, x in enumerate(states)}
+    sites = [lattice.pick_sites(x) for x in states]
+    bottom = index[lattice.bottom()]
+    assert bottom < min(i for i, s in enumerate(sites) if len(s) == 1)
+    start, size, succ, table_bottom = engine._successor_table(lattice, 0.5, 10**6)
+    assert table_bottom == bottom and list(size) == [len(s) for s in sites]
+    for i, x in enumerate(states):
+        row = [index[lattice.apply(x, [t for k, t in enumerate(sites[i]) if mask >> k & 1])]
+               for mask in range(1 << len(sites[i]))]
+        assert succ[start[i] : start[i + 1]].tolist() == row, (lattice.name, x)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize(
+    "lattice",
+    [SnLattice(n) for n in range(7)] + [TamariAvLattice(n) for n in range(3, 7)]
+    + [ChainLattice(10)],
+    ids=lambda lattice: lattice.name,
+)
+def test_compiled_samples_are_the_run_chain_samples(monkeypatch, lattice, p):
+    # the table is used at ``reps >= entries`` and falls back below; either
+    # way every replica gives run_chain's sample from run_chain's coins
+    entries = _table_entries(lattice)
+    assert engine._successor_table(lattice, p, entries) is not None
+    assert entries == 1 or engine._successor_table(lattice, p, entries - 1) is None
+    streams = []
+
+    def replica(seed, r):
+        streams.append(_counting_stream(seed, r))
+        return streams[-1]
+
+    monkeypatch.setattr(engine, "replica_random", replica)
+    for reps in ([entries - 1] if entries > 1 else []) + [entries + 1]:
+        streams.clear()
+        samples = monte_carlo_expectation(lattice, p, reps=reps, seed=17).samples
+        assert len(streams) == reps
+        generic = []
+        for r, stream in enumerate(streams):
+            rnd = _counting_stream(17, r)
+            generic.append(run_chain(lattice, p, rnd).absorption)
+            assert rnd.calls == stream.calls, (reps, r)
+        assert samples.tolist() == generic
+
+
+def test_a_lattice_too_large_to_compile_costs_at_most_one_move_per_replica():
+    class CountingSn(SnLattice):
+        applied = 0
+
+        def apply(self, state, selected):
+            self.applied += 1
+            return super().apply(state, selected)
+
+    lattice, reps = CountingSn(40), 200
+    samples = monte_carlo_expectation(lattice, 0.5, reps=reps, seed=31).samples
+    generic = [run_chain(SnLattice(40), 0.5, replica_random(31, r)).absorption
+               for r in range(reps)]
+    assert samples.tolist() == generic
+    # run_chain applies once per step; the compile attempt, which stops at
+    # ``reps`` states, applies at most one move per state it finds
+    assert lattice.applied - sum(generic) <= reps
+
+
+@pytest.mark.parametrize("n, reps", [(6, 4683), (5, 540)], ids=["sn-6-built", "sn-5-refused"])
+def test_successor_table_is_dropped_on_return(n, reps):
+    # S_6's table holds 4,683 entries, 22 kB; S_5's 541, one more than its
+    # reps, so its 120 states are enumerated and the table refused.  S_7 at
+    # 20,000 reps is refused too (47,293 entries), but its run_chain
+    # replicas take 13 s under tracemalloc.
+    monte_carlo_expectation(SnLattice(n), 0.3, reps=reps, seed=0)  # imports, caches
+    lattice = SnLattice(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = monte_carlo_expectation(lattice, 0.3, reps=reps, seed=0)
+        gc.collect()  # empties the free lists, which keep freed tuples traced
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # what stays is the result and the replica streams' block cache (rng.py)
+    held = snapshot.filter_traces([tracemalloc.Filter(False, rng_module.__file__)])
+    assert sum(t.size for t in held.traces) < res.samples.nbytes + 4096
 
 
 def test_vectorized_sn_matches_exact_and_bound():
