@@ -198,63 +198,6 @@ def test_zeta_at_n_near_the_float_range_prints_without_warning(capsys):
     assert row["zeta_exact"] == row["upsilon"] == "0.8411019756"
 
 
-# sha256 of the zeta stdout of each case, recorded one digest per case when
-# the four-case digest (two uniforms per trial, the degenerate n = 1 row's
-# stderr 0) was split, and re-recorded when upsilon became its Fourier
-# series (only the upsilon and abs_diff fields moved); a change to the
-# stream a trial reads changes them
-ZETA_GOLDEN = {
-    (10_000, 0.5, 1, "csv"): "3ac802657d06501a79780794b141f47e4f6a1f83fe3bbb9db7935a0b6ffab719",
-    (2, 0.3, 7, "csv"): "89a5e76905cf6e2248b7ec8c4da532372bbf12c2ca38e6a10ffaf41b28aed2a5",
-    (1, 0.9, 3, "json"): "2848ac37fa193eb38e02079bf18c0ab93005646f2d9499870e4a8c44a97b4737",
-    (10**6, 0.1, 42, "json"): "47359359b62851d241515ed30724c251eef6f64a1810eab9c086d83b76a8b9f2",
-}
-
-
-@pytest.mark.parametrize("n,p,seed,fmt", list(ZETA_GOLDEN))
-def test_zeta_golden_digest(capsys, n, p, seed, fmt):
-    code, out, _ = run_cli(capsys, "zeta", "--n", str(n), "--p", str(p),
-                           "--reps", "50000", "--seed", str(seed), "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ZETA_GOLDEN[n, p, seed, fmt]
-
-
-# sha256 of the forest-sampler stdout of each case, recorded one digest per
-# case when the five-case digest (kept since before SimForest moved to label
-# intervals) was split; (7, 0.8) was re-recorded when the limsup became the
-# maximum of upsilon's Fourier series (only linear_coefficient moved); a
-# change to the forest chain or to its replica streams changes them
-FOREST_SIMULATE_GOLDEN = {
-    (7, 0.3, 5, 2000): "dfc5809a3e275bbdf12dae9765897592a52cb7c5a97e398008a3d18cbd95ee43",
-    (7, 0.8, 11, 500): "2278ed13933406df03eac657b8ec8d118c0b453a9005bc218ae50909db329cf8",
-    (200, 0.5, 2, 40): "8853506abbd126fb74881e79f892c7278c98f9c4052acf39e390e4e86f5b8ca7",
-    (1000, 0.3, 3, 4): "9b20a801b4783d3868d333501c5b23b0ccc59d83435dea6d85e8712235aad7c7",
-    (1000, 0.7, 9, 4): "2c9cf1669d15011fd5f37ad86cda982b4a9ef5e21cf294c20826d0b7bbae5984",
-}
-
-
-@pytest.mark.parametrize("n,p,seed,reps", list(FOREST_SIMULATE_GOLDEN))
-def test_forest_simulate_golden_digest(capsys, n, p, seed, reps):
-    code, out, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", str(n),
-                           "--p", str(p), "--reps", str(reps), "--seed", str(seed))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FOREST_SIMULATE_GOLDEN[n, p, seed, reps]
-
-
-# sha256 of the forest trace file below, recorded while OrderedForest still
-# stored its child lists; the "children" lists in each state are now derived
-# from the parent tuple, and a change to them or to the chain changes it
-FOREST_TRACE_GOLDEN = "c49ea09aac3aaa330d5367d35ec557fc4b77d884679d337251bf6c874c28eed1"
-
-
-def test_forest_trace_golden_digest(tmp_path, capsys):
-    trace = tmp_path / "trace.jsonl"
-    code, _, _ = run_cli(capsys, "simulate", "--lattice", "tamari", "--n", "6",
-                         "--p", "0.5", "--reps", "1", "--seed", "3", "--trace", str(trace))
-    assert code == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == FOREST_TRACE_GOLDEN
-
-
 # sha256 of the ``lpp --poset`` stdout below, on a committed poset whose
 # labels were shuffled (so covers run both up and down the index order),
 # recorded when poset weights became numpy's Generator.geometric values,
@@ -289,112 +232,6 @@ def test_lpp_poset_rows_that_no_weight_stream_moves(tmp_path, capsys, poset, fla
     code, out, _ = run_cli(capsys, "lpp", "--lattice", "ideal", "--poset", str(poset_file), *flags)
     assert code == 0
     assert out == f"backend,p,seed,reps,mean,stderr,min,max\n{row}\n"
-
-
-# sha256 of the stdout of each grid-family command below, recorded while
-# lpp_grid_samples drew its weights with Generator.geometric and
-# tasep_absorption_samples concatenated a fresh prev row each step; p = 0.2
-# is numpy's inversion branch, p = 0.5 its search branch.  A change to a
-# weight or coin stream, or to the passage sweep, changes them
-GRID_FAMILY_GOLDEN = {
-    "lpp --lattice grid --rows 30 --cols 30 --p 0.5 --reps 5000 --seed 3":
-        "9823bae699cf2bf9cf73fcbc4f454d23da8b99c11d54c017bf47080ec47d2fb9",
-    "fluctuation --rows 50 --cols 50 --p 0.5 --reps 2000 --tail 2.0 --seed 5":
-        "554bfa3a5f206b23a349f726adb08c6a018117dca3a9119e1e910f918f9f71bf",
-    "tasep --rows 30 --cols 30 --p 0.5 --reps 5000 --seed 7":
-        "be11b684e476a2ee294f19871e8fe1096f350932c42298e11321deed352396ed",
-    "lpp --lattice grid --rows 12 --cols 9 --p 0.2 --reps 4000 --seed 13":
-        "10b9bb1d890b358871320b627d7c13511f45efa6e6114c929a90ebe0fa125cbd",
-    # recorded while the passage still swept cell by cell: one-row and
-    # one-column grids, a grid with more columns than rows, and three
-    # blocks of 50, 50 and 20 replicas
-    "lpp --lattice grid --rows 1 --cols 40 --p 0.5 --reps 3000 --seed 17":
-        "68c1ede4a59e25b7e3a93272a54fb4d9d36562b1c9ce6fc16c7905184057042d",
-    "lpp --lattice grid --rows 40 --cols 1 --p 0.2 --reps 3000 --seed 19":
-        "d1f784176dd95dd589c31423d52ab456bcada6b7bc8ba971c933872f1812fc24",
-    "lpp --lattice grid --rows 7 --cols 40 --p 0.7 --reps 2000 --seed 23":
-        "e1b769fc445dbd46fd6abc0eb3d6d973a9479f79cfcad816eda7f8f8d72da23b",
-    "fluctuation --rows 200 --cols 200 --p 0.5 --reps 120 --seed 29":
-        "4e92bc1cd92c3615860bba79fcdea97d019b40c36c90ddf76287091b59317785",
-}
-
-
-@pytest.mark.parametrize("command", list(GRID_FAMILY_GOLDEN))
-def test_grid_family_golden_digest(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GRID_FAMILY_GOLDEN[command]
-
-
-def _readme_commands():
-    """The ``ungar-lab`` lines of the README's example block, as argv lists."""
-    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
-    return [shlex.split(line, comments=True)[1:] for line in lines
-            if line.startswith("ungar-lab ")]
-
-
-# sha256 of the stdout of each README command (of the --out file for
-# skyline), recorded before poset LPP weights moved to numpy's geometric
-# values; none of these commands draws poset LPP weights
-README_GOLDEN = {
-    "exact --lattice sn --n 3 --p 0.5":
-        "f87f4346a6178ae2de3fcaaeab3f25949a611eb0e1ed33a509a8b7ca52b46c44",
-    "exact --lattice tamari --n 3 --p 0.5":
-        "14025c3f55377597e8ac25f2ac9a5ccac9319a6269faae39127a1f8f2cf2d5ac",
-    "exact --lattice grid --rows 1 --cols 1 --p 0.25":
-        "a956eb32b3dd8545faa480fdc5e059d5255e1d03f28cc3dfa8ea06c120bf48a6",
-    "simulate --lattice sn --n 40 --p 0.5 --reps 500 --seed 7":
-        "61790e0debdc72483f56af8c019627a531a4176927ef507843ed5138f328acce",
-    "simulate --lattice tamari --n 200 --p 0.5 --reps 200":
-        "eb580ea1fb7b4e1b5aaebe65a39b114bd004f530d6db069aa8aa8bb8ff34509e",
-    "lpp --lattice grid --rows 10 --cols 10 --p 0.5 --reps 2000":
-        "5b8985d8e544cda0a0fc6a74776919bf8641ecd9fc0822e530c611019dc1c625",
-    "tasep --rows 3 --cols 3 --p 0.5 --reps 10000":
-        "2a7b51fa85b43618a6f915dcafe95fac055d4cac52a909440b43221fd513e624",
-    "fluctuation --rows 50 --cols 50 --p 0.5 --reps 2000 --tail 2.0":
-        "abcd10db9c51cd2fc5802189a7f24fdd22f2908b8cb8c5417d9173ea7948913c",
-    "skyline --n 1000 --p 0.5 --reps 5 --out runs.jsonl":
-        "3f8e76817bcb553a4fb8bcbb9b8b48f6bd5f7635d8c47fef220bff216ed4bc03",
-    "zeta --n 10000 --p 0.5 --reps 100000":
-        "e5a4a16f74beb7325a82caca1c47b9c8005478131ed006c03ecdcba3e0a6d03c",
-    "bounds --what f --x 1e6 --p 0.5 --c1 10":
-        "10dab728d86647f48bb510d5634ac8a16779960bab2a3e9429f1266fad97a391",
-    "bounds --what tw-tail --t 4":
-        "494f62820fba151f5ae2983e0040f41fcf9d879aa1b19064f8a0551f107f5e44",
-}
-
-
-@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
-def test_readme_command_golden_digest(tmp_path, capsys, argv):
-    out_file = tmp_path / "runs.jsonl"
-    run = [str(out_file) if a == "runs.jsonl" else a for a in argv]
-    code, out, _ = run_cli(capsys, *run)
-    assert code == 0
-    data = out_file.read_bytes() if "--out" in argv else out.encode()
-    assert hashlib.sha256(data).hexdigest() == README_GOLDEN.get(" ".join(argv))
-
-
-# sha256 of the stdout of each command, recorded while these lattices ran
-# every replica on the generic run_chain loop; the successor table flips
-# the same coins, so stepping through it must not move them
-GENERIC_SIMULATE_GOLDEN = {
-    "simulate --lattice sn --n 6 --p 0.3 --reps 20000 --seed 3":
-        "88fcd7ad7654853947da59bd5918bd18f3376c4c71e1903c8939e4cb77006349",
-    "simulate --lattice tamari-av --n 6 --p 0.7 --reps 20000 --seed 4":
-        "65ce29b0e71611e189ae068fef90750db87198b926abb3b312942f298fd868f2",
-    "simulate --lattice sn --n 5 --p 1 --reps 50 --seed 1":
-        "e8284acfea22c0d01db792b017317dcd8c158b46f3295d81f97add29e8f1d9f7",
-    "simulate --lattice sn --n 1 --reps 10":
-        "5cdaa8805e396fd7f0ea2b7cb63ad46900a9d2371050f39a1896a437f527c1d8",
-}
-
-
-@pytest.mark.parametrize("command", list(GENERIC_SIMULATE_GOLDEN))
-def test_generic_simulate_golden_digest(capsys, monkeypatch, command):
-    monkeypatch.delenv("UNGAR_LAB_SEED", raising=False)
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GENERIC_SIMULATE_GOLDEN[command]
 
 
 @pytest.mark.parametrize("lattice, size, bottom", [
