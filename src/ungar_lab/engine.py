@@ -360,28 +360,33 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP, table=None) -> li
     return order
 
 
-def _selections(sites, p: float, q: float,
-                sitewise: bool = False) -> list[tuple[int, int, int, float]]:
-    """``(rest, lo, hi, weight)`` for every nonempty selection of ``sites``.
+def _selections(sites, sitewise: bool = False) -> list[tuple[int, int, int]]:
+    """``(rest, lo, hi)`` for every nonempty selection of ``sites``.
 
     Selections come in increasing bitmask order (bit ``i`` selects
-    ``sites[i]``).  Selection ``bitsel`` is the run ``sites[lo : hi + 1]``
-    added to the smaller selection ``rest``; ``weight`` is
-    ``p^|bitsel| q^(s - |bitsel|)``.  The run is the selection's highest
-    run of adjacent sites (``sites[k] == sites[k-1] + 1``), or, with
-    ``sitewise``, its highest site alone.  The list depends on ``sites``
-    only through its length and, without ``sitewise``, its adjacent pairs.
+    ``sites[i]``), so entry ``k`` is selection ``k + 1``.  Selection
+    ``bitsel`` is the run ``sites[lo : hi + 1]`` added to the smaller
+    selection ``rest``.  The run is the selection's highest run of adjacent
+    sites (``sites[k] == sites[k-1] + 1``), or, with ``sitewise``, its
+    highest site alone.  The list depends on ``sites`` only through its
+    length and, without ``sitewise``, its adjacent pairs.
     """
-    s = len(sites)
-    weight = [p ** k * q ** (s - k) for k in range(s + 1)]
     plan = []
-    for bitsel in range(1, 1 << s):
+    for bitsel in range(1, 1 << len(sites)):
         hi = lo = bitsel.bit_length() - 1
         while (not sitewise and lo and bitsel >> (lo - 1) & 1
                and sites[lo] == sites[lo - 1] + 1):
             lo -= 1
-        plan.append((bitsel & ((1 << lo) - 1), lo, hi, weight[bitsel.bit_count()]))
+        plan.append((bitsel & ((1 << lo) - 1), lo, hi))
     return plan
+
+
+def _selection_weights(s: int, p: float, q: float) -> list[float]:
+    """``p^|T| q^(s - |T|)`` for every selection ``T`` of ``s`` sites, by
+    bitmask: entry 0, the empty selection, is the chance ``q^s`` of
+    staying put, and the rest follow the order of :func:`_selections`."""
+    weight = [p ** k * q ** (s - k) for k in range(s + 1)]
+    return [weight[bitsel.bit_count()] for bitsel in range(1 << s)]
 
 
 def _transitions(lattice, x, sites, p: float, q: float):
@@ -396,11 +401,12 @@ def _transitions(lattice, x, sites, p: float, q: float):
     every backend, so the residual audit reads nothing of the solver's
     table.
     """
+    weights = _selection_weights(len(sites), p, q)
     succ = [x]
-    for rest, lo, hi, w in _selections(sites, p, q):
+    for bitsel, (rest, lo, hi) in enumerate(_selections(sites), 1):
         y = lattice.apply(succ[rest], sites[lo : hi + 1])
         succ.append(y)
-        yield w, y
+        yield weights[bitsel], y
 
 
 def _audited(states: list) -> list:
@@ -412,19 +418,13 @@ def _audited(states: list) -> list:
     return [states[k * (n - 1) // 63] for k in range(64)]
 
 
-def _successor_rows(lattice, states: list, table, p: float, q: float, values: list):
-    """``(succ, stay, acc)`` for each state of :func:`enumerate_states` in
+def _successor_rows(lattice, states: list, table):
+    """The successor row of each state of :func:`enumerate_states` in
     turn, read from its ``table``.
 
     ``succ[mask]`` is the number of the state that selection ``mask`` of
-    the state's ``s`` sites moves it to (bit ``k`` selects site ``k``, and
-    mask 0 stays put), and ``stay`` is ``(1-p)^s``.  ``acc`` is ``1 + sum
-    of p^|T| (1-p)^(s-|T|) values[succ[T]]`` over the nonempty selections
-    ``T``, in the order of :func:`_selections`, reading ``values`` as the
-    row is built: the exact solve fills in each state's value before it
-    takes the next row.
-
-    A nonempty selection's successor is that of its run, from
+    the state's sites moves it to: bit ``k`` selects site ``k``, and mask 0
+    stays put.  A nonempty selection's successor is that of its run, from
     :func:`_selections`, moved from the successor of the rest.  A backend
     whose ``sitewise`` is true (forests, ideals) moves a run as its sites
     one at a time in increasing order, so its runs are single sites;
@@ -459,13 +459,11 @@ def _successor_rows(lattice, states: list, table, p: float, q: float, values: li
         if s > _SUBSET_ENUM_CAP:
             raise StateExplosion(f"state has {s} covers; subset enumeration refused")
         key = s if sitewise else (s, tuple([b - a == 1 for a, b in zip(sites, sites[1:])]))
-        entry = plans.get(key)
-        if entry is None:
-            entry = plans[key] = _selections(sites, p, q, sitewise), q**s
-        plan, stay = entry
-        acc = 1.0
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _selections(sites, sitewise)
         succ = [i]
-        for rest, lo, hi, w in plan:
+        for rest, lo, hi in plan:
             base = succ[rest]
             if lo == hi:
                 k = ends[base + 1] - s + hi
@@ -476,8 +474,7 @@ def _successor_rows(lattice, states: list, table, p: float, q: float, values: li
             else:
                 j = earlier(apply(states[base], sites[lo : hi + 1]), base)
             succ.append(j)
-            acc += w * values[j]
-        yield succ, stay, acc
+        yield succ
 
 
 def exact_expected_absorption(
@@ -493,11 +490,11 @@ def exact_expected_absorption(
     returned as the ``{state: E}`` map once the values, held in a list,
     are solved, and fills the table of every state's sites and one-site
     successor numbers.  :func:`_successor_rows` reads every selection's
-    successor number from it and sums ``w E(successor)`` over them as it
-    goes.  Weights and summation order are those of :func:`_transitions`,
-    so the values are the same floats.  A residual check at 1e-10, on 64
-    states spread over the order with the top among them, re-applies every
-    move of its states.
+    successor number from it, and the solve sums ``w E(successor)`` over
+    each row.  Weights and summation order are those of
+    :func:`_transitions`, so the values are the same floats.  A residual
+    check at 1e-10, on 64 states spread over the order with the top among
+    them, re-applies every move of its states.
     """
     p = _check_p(p)
     q = 1.0 - p
@@ -506,15 +503,21 @@ def exact_expected_absorption(
     bottom = lattice.bottom()
     sink = number.get(bottom)
     values = [0.0] * len(states)
-    rows = _successor_rows(lattice, states, table, p, q, values)
-    for i, (succ, stay, acc) in enumerate(rows):
+    weights: dict = {}  # by row length
+    for i, succ in enumerate(_successor_rows(lattice, states, table)):
         if i == sink:
             continue
         if len(succ) == 1:
             raise SingularSystem(f"non-bottom state {states[i]!r} has no covers")
-        if stay >= 1.0:
+        w = weights.get(len(succ))
+        if w is None:
+            w = weights[len(succ)] = _selection_weights(len(succ).bit_length() - 1, p, q)
+        if w[0] >= 1.0:
             raise SingularSystem("staying probability reached 1; p too small")
-        values[i] = acc / (1.0 - stay)
+        acc = 1.0
+        for mask in range(1, len(succ)):
+            acc += w[mask] * values[succ[mask]]
+        values[i] = acc / (1.0 - w[0])
     expect = number  # the numbering dict becomes the map, in the same order
     for x, e in zip(states, values):
         expect[x] = e
@@ -569,7 +572,7 @@ class McResult:
         )
 
 
-def _successor_table(lattice, p: float, cap: int):
+def _successor_table(lattice, cap: int):
     """Every selection's successor, as ``(start, size, succ, bottom)``, or
     ``None`` where the lattice has more than ``cap`` states or selections.
 
@@ -593,8 +596,7 @@ def _successor_table(lattice, p: float, cap: int):
                 return None
             start.append(end)
             size.append(s)
-        zeros = [0.0] * len(states)  # no values: each row's acc goes unread
-        for row, _, _ in _successor_rows(lattice, states, table, p, 1.0 - p, zeros):
+        for row in _successor_rows(lattice, states, table):
             succ.extend(row)
     except StateExplosion:
         return None
@@ -650,7 +652,7 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
         raise DomainError("reps must be >= 1")
     fast = getattr(lattice, "fast_absorption_sample", None)
     samples = np.empty(reps, dtype=np.int64)
-    tables = None if fast is not None else _successor_table(lattice, p, reps)
+    tables = None if fast is not None else _successor_table(lattice, reps)
     if tables is not None:
         _table_samples(tables, p, seed, samples)
         return McResult.from_samples(samples)

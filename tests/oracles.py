@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
 The right weak order on S_n by inversion sets, the exact solver on state
-objects (one ``apply`` per selection, values in a dict), ``J(P)`` as an
+objects (one ``apply`` per selection, values in a dict of floats or, for
+the rational oracle, of exact ``Fraction``s), ``J(P)`` as an
 explicit poset (enumerated by ``engine.enumerate_states``, as the exact
 solver does) with its maximal chains and meets, the restriction of a
 forest to a window of labels, a vertex's descendant count, the Young
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,25 +166,38 @@ def per_subset_transitions(lattice, x, sites, p: float, q: float):
 
 
 def dict_back_substitution(lattice, p: float) -> dict:
-    """``{state: E}`` by back-substitution over ``enumerate_states``, each
-    row summed over :func:`per_subset_transitions` into a dict of values.
+    """``{state: E}`` in floats, by :func:`_back_substitution`.
 
     The library's solver adds the same weighted terms in the same order,
     so its values must be the same floats.
     """
-    p = _check_p(p)
-    q = 1.0 - p
+    return _back_substitution(lattice, _check_p(p))
+
+
+def rational_back_substitution(lattice, p: float) -> dict:
+    """``{state: E}`` as exact ``Fraction``s, by :func:`_back_substitution`
+    at ``p``'s exact binary value.  Nothing of the solver's tables is read,
+    so the float solvers can be measured against it in ulps."""
+    return _back_substitution(lattice, Fraction(_check_p(p)))
+
+
+def _back_substitution(lattice, p) -> dict:
+    """``{state: E}`` by back-substitution over ``enumerate_states``, each
+    row summed over :func:`per_subset_transitions` (one ``apply`` of each
+    whole selection) into a dict, in the number type of ``p``."""
+    one = type(p)(1)
+    q = one - p
     bottom = lattice.bottom()
     expect: dict = {}
     for x in enumerate_states(lattice):
         if x == bottom:
-            expect[x] = 0.0
+            expect[x] = one - one
             continue
         sites = lattice.pick_sites(x)
-        acc = 1.0
+        acc = one
         for w, y in per_subset_transitions(lattice, x, sites, p, q):
             acc += w * expect[y]
-        expect[x] = acc / (1.0 - q ** len(sites))
+        expect[x] = acc / (one - q ** len(sites))
     return expect
 
 

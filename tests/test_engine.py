@@ -46,6 +46,7 @@ from oracles import (
     all_permutations,
     dict_back_substitution,
     per_subset_transitions,
+    rational_back_substitution,
     walk_hitting_time,
 )
 
@@ -350,6 +351,32 @@ def test_subset_dp_matches_per_subset_rows(lattice, p):
     _assert_subset_dp_matches_oracle(lattice, p)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize(
+    "lattice",
+    [SnLattice(5), SnLattice(6), TamariForestLattice(7), TamariAvLattice(7),
+     IdealLattice(grid_poset(3, 3), "grid-3x3"), IdealLattice(grid_poset(4, 4), "grid-4x4")],
+    ids=lambda lattice: lattice.name,
+)
+def test_exact_values_are_within_16_ulp_of_the_rational_solve(lattice, p):
+    # the float back-substitution is not correctly rounded; on these cases
+    # it is at most 9 ulp off (Tam_7 at p = 0.3, both backends)
+    exact = rational_back_substitution(lattice, p)
+    got = exact_expected_absorption(lattice, p)
+    assert list(got) == list(exact)
+    for x, e in exact.items():
+        assert abs(Fraction(got[x]) - e) <= 16 * Fraction(math.ulp(float(e))), (lattice.name, x)
+
+
+@pytest.mark.parametrize("lattice, want", [
+    (SnLattice(3), Fraction(4)),
+    (TamariForestLattice(3), Fraction(10, 3)),
+    (TamariAvLattice(3), Fraction(10, 3)),
+], ids=lambda case: getattr(case, "name", str(case)))
+def test_rational_solve_pins_the_small_cases_exactly(lattice, want):
+    assert rational_back_substitution(lattice, 0.5)[lattice.top()] == want
+
+
 # at most 10 elements: the states of a poset of n elements have at most
 # 3^n selections in all (each element is outside the ideal, inside and
 # kept, or selected), and every selection is walked several times
@@ -651,7 +678,7 @@ def test_successor_table_rows_follow_the_bottom(lattice):
     sites = [lattice.pick_sites(x) for x in states]
     bottom = index[lattice.bottom()]
     assert bottom < min(i for i, s in enumerate(sites) if len(s) == 1)
-    start, size, succ, table_bottom = engine._successor_table(lattice, 0.5, 10**6)
+    start, size, succ, table_bottom = engine._successor_table(lattice, 10**6)
     assert table_bottom == bottom and list(size) == [len(s) for s in sites]
     for i, x in enumerate(states):
         row = [index[lattice.apply(x, [t for k, t in enumerate(sites[i]) if mask >> k & 1])]
@@ -670,8 +697,8 @@ def test_compiled_samples_are_the_run_chain_samples(monkeypatch, lattice, p):
     # the table is used at ``reps >= entries`` and falls back below; either
     # way every replica gives run_chain's sample from run_chain's coins
     entries = _table_entries(lattice)
-    assert engine._successor_table(lattice, p, entries) is not None
-    assert entries == 1 or engine._successor_table(lattice, p, entries - 1) is None
+    assert engine._successor_table(lattice, entries) is not None
+    assert entries == 1 or engine._successor_table(lattice, entries - 1) is None
     streams = []
 
     def replica(seed, r):
@@ -912,33 +939,6 @@ def test_absorption_upper_bound_via_chain_length():
     assert samples.max() < 400
 
 
-def exact_by_fractions(lattice, p):
-    """Oracle: the same absorbing solve in exact rational arithmetic."""
-    from fractions import Fraction as F
-
-    from ungar_lab.engine import enumerate_states
-
-    p = F(p)
-    q = 1 - p
-    states = enumerate_states(lattice)
-    bottom = lattice.bottom()
-    expect = {}
-    for x in states:
-        if x == bottom:
-            expect[x] = F(0)
-            continue
-        sites = lattice.pick_sites(x)
-        s = len(sites)
-        acc = F(1)
-        for bits in range(1, 1 << s):
-            sel = [sites[i] for i in range(s) if bits >> i & 1]
-            acc += p ** len(sel) * q ** (s - len(sel)) * expect[
-                lattice.apply(x, sel)
-            ]
-        expect[x] = acc / (1 - q**s)
-    return expect
-
-
 @pytest.mark.parametrize(
     "make,p",
     [
@@ -948,10 +948,8 @@ def exact_by_fractions(lattice, p):
     ],
 )
 def test_float_solver_matches_rational_solver(make, p):
-    from fractions import Fraction
-
     lattice = make()
-    rational = exact_by_fractions(lattice, Fraction(p))
+    rational = rational_back_substitution(lattice, float(Fraction(p)))
     floats = exact_expected_absorption(lattice, float(Fraction(p)))
     assert set(rational) == set(floats)
     for state, value in rational.items():
@@ -977,7 +975,8 @@ def test_test_only_oracles_are_not_in_the_library():
              "weak_meet", "IdealLatticePoset", "order_ideals", "maximal_chains",
              "meet", "restrict", "ideal_complement_rows", "enumerate_ideal_masks",
              "ChainExplosion", "NotALattice", "SizeMismatch",
-             "per_subset_transitions", "dict_back_substitution"}
+             "per_subset_transitions", "dict_back_substitution",
+             "rational_back_substitution"}
     modules = [ungar_lab] + [importlib.import_module(f"ungar_lab.{info.name}")
                              for info in pkgutil.iter_modules(ungar_lab.__path__)]
     assert len(modules) >= 10

@@ -25,6 +25,7 @@ into the registry.
 import hashlib
 import importlib.util
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -110,9 +111,11 @@ def _missing(commands) -> list[str]:
 
 
 def test_every_readme_example_is_registered():
-    lines = (ROOT / "README.md").read_text().splitlines()
-    commands = [shlex.split(line, comments=True)[1:] for line in lines
-                if line.startswith("ungar-lab ")]
+    # the example block's lines, and the inline commands of the claims map
+    readme = (ROOT / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("ungar-lab ")]
+    lines += re.findall(r"`(ungar-lab [^`]+)`", readme)
+    commands = [shlex.split(line, comments=True)[1:] for line in lines]
     assert commands and not _missing(commands)
 
 
