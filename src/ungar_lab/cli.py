@@ -31,7 +31,7 @@ from .errors import (
     StateExplosion,
     UngarLabError,
 )
-from .poset import FinitePoset, grid_poset
+from .poset import DEFAULT_STATE_CAP, FinitePoset, grid_poset
 from .rng import replica_random, replica_state
 from .tamari import catalan
 
@@ -385,7 +385,7 @@ _FLAGS = {
     "--seed": dict(type=int),
     "--format": dict(choices=["csv", "json"], default="csv"),
     "--out": dict(),
-    "--cap-states": dict(type=int, default=10**6),
+    "--cap-states": dict(type=int, default=DEFAULT_STATE_CAP),
     "--c1": dict(type=_finite_float, default=10.0),
     "--per-element": dict(action="store_true"),
     "--survival": dict(help="write the empirical survival CSV here"),

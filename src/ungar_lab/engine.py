@@ -19,7 +19,8 @@ successor is one move from the successor of the rest: of its highest
 site, read from the table, where the backend's ``sitewise`` says that its
 moves act one site at a time in increasing order (forests, ideals), and
 otherwise of its highest run of adjacent sites, applied unless the run is
-one site.  The residual audit applies its moves afresh.
+one site.  The residual audit applies every whole selection with the
+backend's ``apply``, so it checks that composition instead of repeating it.
 
 Monte Carlo runs each replica on one sampler, chosen by the backend.
 ``TamariForestLattice`` and ``IdealLattice`` have a
@@ -360,8 +361,9 @@ def enumerate_states(lattice, *, cap: int = DEFAULT_STATE_CAP, table=None) -> li
     return order
 
 
-def _selections(sites, sitewise: bool = False) -> list[tuple[int, int, int]]:
-    """``(rest, lo, hi)`` for every nonempty selection of ``sites``.
+def _selections(sites, sitewise: bool) -> list[tuple[int, int, int]]:
+    """``(rest, lo, hi)`` for every nonempty selection of ``sites``: the
+    plan by which :func:`_successor_rows` moves a state.
 
     Selections come in increasing bitmask order (bit ``i`` selects
     ``sites[i]``), so entry ``k`` is selection ``k + 1``.  Selection
@@ -387,26 +389,6 @@ def _selection_weights(s: int, p: float, q: float) -> list[float]:
     staying put, and the rest follow the order of :func:`_selections`."""
     weight = [p ** k * q ** (s - k) for k in range(s + 1)]
     return [weight[bitsel.bit_count()] for bitsel in range(1 << s)]
-
-
-def _transitions(lattice, x, sites, p: float, q: float):
-    """``(weight, successor)`` for every nonempty selection of ``sites``,
-    in the order of :func:`_selections`.
-
-    The successor of a selection is one ``apply`` of its highest run on the
-    successor of the rest.  A block reversal touches only its run's
-    positions, so the lower runs' entries and the run's descents survive;
-    the other backends act one site at a time in increasing order.  Every
-    move is applied afresh, one ``apply`` per selection and runs whole on
-    every backend, so the residual audit reads nothing of the solver's
-    table.
-    """
-    weights = _selection_weights(len(sites), p, q)
-    succ = [x]
-    for bitsel, (rest, lo, hi) in enumerate(_selections(sites), 1):
-        y = lattice.apply(succ[rest], sites[lo : hi + 1])
-        succ.append(y)
-        yield weights[bitsel], y
 
 
 def _audited(states: list) -> list:
@@ -491,10 +473,11 @@ def exact_expected_absorption(
     are solved, and fills the table of every state's sites and one-site
     successor numbers.  :func:`_successor_rows` reads every selection's
     successor number from it, and the solve sums ``w E(successor)`` over
-    each row.  Weights and summation order are those of
-    :func:`_transitions`, so the values are the same floats.  A residual
-    check at 1e-10, on 64 states spread over the order with the top among
-    them, re-applies every move of its states.
+    each row, with the weights of :func:`_selection_weights` in bitmask
+    order.  A residual check at 1e-10, on 64 states spread over the order
+    with the top among them, applies each whole selection with the
+    backend's ``apply``, so it checks the run composition instead of
+    repeating it.
     """
     p = _check_p(p)
     q = 1.0 - p
@@ -522,14 +505,16 @@ def exact_expected_absorption(
     for x, e in zip(states, values):
         expect[x] = e
     # residual audit on the defining equations
-    pick = lattice.pick_sites
+    pick, apply = lattice.pick_sites, lattice.apply
     for x in _audited(states):
         if x == bottom:
             continue
         sites = pick(x)
-        rhs = 1.0 + (q ** len(sites)) * expect[x]
-        for w, y in _transitions(lattice, x, sites, p, q):
-            rhs += w * expect[y]
+        w = _selection_weights(len(sites), p, q)
+        rhs = 1.0 + w[0] * expect[x]
+        for bitsel in range(1, len(w)):
+            y = apply(x, [t for k, t in enumerate(sites) if bitsel >> k & 1])
+            rhs += w[bitsel] * expect[y]
         if abs(expect[x] - rhs) > 1e-10 * max(1.0, abs(expect[x])):
             raise SingularSystem(f"residual {abs(expect[x] - rhs)} at state {x!r}")
     return expect

@@ -139,23 +139,6 @@ class OrderedForest:
         forest.n, forest.parent = n, tuple(parent)
         return forest
 
-    def right_to_left_preorder(self) -> tuple[int, ...]:
-        """Label ``r(v)`` of each vertex under the mirrored traversal.
-
-        Same rules as the preorder traversal with left and right swapped
-        uniformly: rightmost tree first, rightmost child first.
-        """
-        kids = self._child_lists()
-        r = [0] * (self.n + 1)
-        counter = 1
-        stack = kids[0]
-        while stack:
-            v = stack.pop()
-            r[v] = counter
-            counter += 1
-            stack.extend(kids[v])
-        return tuple(r[1:])
-
     def to_json(self) -> str:
         return json.dumps(
             {"n": self.n, "parent": list(self.parent), "children": self._child_lists()[1:]}
@@ -334,55 +317,39 @@ def phi(sigma: Permutation) -> OrderedForest:
 
     Plot the points ``(i, sigma(i))``.  Point ``j`` is the parent of point
     ``i < j`` when ``sigma(i) > sigma(j)`` and the closed rectangle
-    spanned by the two points contains no other plot point.  Children and
-    root trees are ordered by plot position, and vertices are then
-    renamed by the preorder traversal (which renames plot point ``j`` to
-    ``sigma(j)``).
+    spanned by the two points contains no other plot point; children and
+    root trees are ordered by plot position, and the preorder traversal
+    renames plot point ``j`` to ``sigma(j)``.  That parent is the first
+    smaller value ``sigma(j)`` right of ``i``: a later smaller ``sigma(j')``
+    with point ``j`` outside its rectangle would make ``i, j, j'`` a 312
+    pattern.  One stack of the values awaiting a smaller one finds them all.
     """
     sigma = require_av312(sigma)
-    n = sigma.n
-    parent_plot = [0] * (n + 1)  # plot index of parent, 0 if root
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if sigma[i - 1] > sigma[j - 1]:
-                lo, hi = sigma[j - 1], sigma[i - 1]
-                blocked = any(
-                    i < t < j and lo < sigma[t - 1] < hi for t in range(i + 1, j)
-                )
-                if not blocked:
-                    parent_plot[i] = j
-                    break  # in-degree is at most 1 for 312-avoiders
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        kids[parent_plot[i]].append(i)  # ascending plot order = planar order
-    # preorder relabel
-    label = [0] * (n + 1)
-    counter = 1
-    for root in kids[0]:
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            label[v] = counter
-            counter += 1
-            stack.extend(reversed(kids[v]))
-    parent = [0] * n
-    for i in range(1, n + 1):
-        if parent_plot[i]:
-            parent[label[i] - 1] = label[parent_plot[i]]
+    parent = [0] * sigma.n
+    waiting: list[int] = []
+    for v in sigma:
+        while waiting and waiting[-1] > v:
+            parent[waiting.pop() - 1] = v
+        waiting.append(v)
     return OrderedForest(parent, validate=False)
 
 
 def phi_inverse(forest: OrderedForest) -> Permutation:
-    """Permutation of an ordered forest: ``sigma(n+1-r(v)) = l(v)``.
+    """Permutation of an ordered forest: its vertices in postorder.
 
-    ``l`` is the canonical (left-to-right) preorder label, i.e. the vertex
-    name itself, and ``r`` the right-to-left preorder label.
+    In postorder a vertex is followed by its later siblings' subtrees, all
+    of larger labels, then by its parent: the parent is the first smaller
+    value after it, as :func:`phi` reads it.  One stack holds the path from
+    a root to the last vertex read, as in :meth:`OrderedForest.validate`;
+    a vertex is written once a vertex outside its subtree is read.
     """
-    n = forest.n
-    r = forest.right_to_left_preorder()
-    word = [0] * n
-    for v in range(1, n + 1):
-        word[n - r[v - 1]] = v
+    word: list[int] = []
+    path: list[int] = []
+    for v, p in enumerate(forest.parent, start=1):
+        while path and path[-1] != p:
+            word.append(path.pop())
+        path.append(v)
+    word.extend(reversed(path))
     return Permutation(word)
 
 

@@ -1,10 +1,12 @@
 """Chain engine: exact solves, Monte Carlo, couplings, probability utilities."""
 
+import functools
 import gc
 import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,13 +329,29 @@ def test_ideal_fast_sample_matches_run_chain_edge_cases(poset, p):
     _assert_fast_ideal_matches_run_chain(poset, p, seed=11)
 
 
+def _numbered_rows(lattice) -> tuple[dict, list]:
+    """The enumeration's ``{state: number}`` and the solver's successor
+    row of every state, as :func:`engine._successor_rows` reads them."""
+    table = number, _, _, _ = {}, array("i"), array("i"), array("i", [0])
+    states = engine.enumerate_states(lattice, table=table)
+    return number, list(engine._successor_rows(lattice, states, table))
+
+
+@functools.cache
+def _s8_numbered_rows() -> tuple[dict, list]:
+    return _numbered_rows(SnLattice(8))
+
+
+def _oracle_row(lattice, number, x, p) -> list:
+    """The row of ``x`` with one ``apply`` of each whole selection."""
+    moved = per_subset_transitions(lattice, x, lattice.pick_sites(x), p, 1.0 - p)
+    return [number[x], *(number[y] for _, y in moved)]
+
+
 def _assert_subset_dp_matches_oracle(lattice, p):
-    q = 1.0 - p
-    for x in engine.enumerate_states(lattice):
-        sites = lattice.pick_sites(x)
-        assert list(engine._transitions(lattice, x, sites, p, q)) == list(
-            per_subset_transitions(lattice, x, sites, p, q)
-        ), (lattice.name, x)
+    number, rows = _numbered_rows(lattice)
+    for x, row in zip(number, rows):
+        assert row == _oracle_row(lattice, number, x, p), (lattice.name, x)
     expect = exact_expected_absorption(lattice, p)
     assert list(expect.items()) == list(dict_back_substitution(lattice, p).items())
 
@@ -390,10 +408,8 @@ def test_subset_dp_matches_per_subset_rows_on_posets(poset, p):
 @given(st.permutations(range(1, 9)), st.sampled_from([0.3, 0.5]))
 def test_run_dp_matches_per_subset_rows_on_s8(word, p):
     lattice, x = SnLattice(8), Permutation(word)
-    sites = lattice.pick_sites(x)
-    assert list(engine._transitions(lattice, x, sites, p, 1.0 - p)) == list(
-        per_subset_transitions(lattice, x, sites, p, 1.0 - p)
-    )
+    number, rows = _s8_numbered_rows()
+    assert rows[number[x]] == _oracle_row(lattice, number, x, p)
 
 
 @pytest.mark.parametrize("lattice", [SnLattice(3), TamariAvLattice(3)],
@@ -611,7 +627,7 @@ def _assert_targets_come_first(lattice, p=0.5):
     position = {x: i for i, x in enumerate(states)}
     assert len(position) == len(states) and states[-1] == lattice.top()
     for x in states:
-        for _, y in engine._transitions(lattice, x, lattice.pick_sites(x), p, 1 - p):
+        for _, y in per_subset_transitions(lattice, x, lattice.pick_sites(x), p, 1 - p):
             assert position[y] < position[x], (lattice.name, x, y)
 
 

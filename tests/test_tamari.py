@@ -150,6 +150,23 @@ def test_phi_rejects_312_patterns():
         phi(Permutation((3, 1, 2)))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phi_follows_the_rectangle_rule(n):
+    # the parent of plot point i is the first j > i with sigma(j) < sigma(i)
+    # whose closed rectangle holds no other point, named sigma(j); on a
+    # 312-avoider no later j qualifies as well
+    for s in av312_permutations(n):
+        parent = phi(s).parent
+        for i in range(n):
+            parents = [
+                j for j in range(i + 1, n)
+                if s[j] < s[i]
+                and not any(s[j] < s[t] < s[i] for t in range(i + 1, j))
+            ]
+            assert len(parents) <= 1, (s, i)
+            assert parent[s[i] - 1] == (s[parents[0]] if parents else 0), (s, i)
+
+
 def test_phi_inverse_figure_example():
     assert phi_inverse(phi(Permutation((3, 4, 2, 6, 5, 1)))) == (3, 4, 2, 6, 5, 1)
 
