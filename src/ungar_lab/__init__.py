@@ -53,7 +53,6 @@ from .percolation import (
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
-    tasep_trajectory,
     tracy_widom_tail,
     upsilon,
     zeta_estimate,
@@ -92,10 +91,7 @@ from .skyline import (
 from .tamari import (
     OrderedForest,
     SimForest,
-    av312_permutations,
     catalan,
-    covers_av312,
-    ordered_forests,
     phi,
     phi_inverse,
     project_down,

@@ -67,14 +67,13 @@ def _check_p(p: float) -> float:
 # -- backends -----------------------------------------------------------------
 
 
-class SnLattice:
-    """Weak order on S_n; sites are descent positions."""
-
-    sitewise = False  # a run of adjacent descents reverses as one block
+class _WordLattice:
+    """Permutations of ``1..n`` under the weak order, from the decreasing
+    word down to the identity; sites are descent positions."""
 
     def __init__(self, n: int):
         self.n = n
-        self.name = f"sn-{n}"
+        self.name = f"{self._kind}-{n}"
         self._top = Permutation.decreasing(n)  # immutable, so every run shares them
         self._bottom = Permutation.identity(n)
 
@@ -83,6 +82,13 @@ class SnLattice:
 
     def bottom(self) -> Permutation:
         return self._bottom
+
+
+class SnLattice(_WordLattice):
+    """Weak order on S_n; sites are descent positions."""
+
+    _kind = "sn"
+    sitewise = False  # a run of adjacent descents reverses as one block
 
     def pick_sites(self, state: Permutation) -> tuple[int, ...]:
         return state.descents()
@@ -91,22 +97,11 @@ class SnLattice:
         return ungar_move(state, selected)
 
 
-class TamariAvLattice:
+class TamariAvLattice(_WordLattice):
     """Tamari lattice as 312-avoiding permutations under the weak order."""
 
+    _kind = "tamari-av"
     sitewise = False  # a block reversal, then the projection
-
-    def __init__(self, n: int):
-        self.n = n
-        self.name = f"tamari-av-{n}"
-        self._top = Permutation.decreasing(n)  # immutable, so every run shares them
-        self._bottom = Permutation.identity(n)
-
-    def top(self) -> Permutation:
-        return self._top
-
-    def bottom(self) -> Permutation:
-        return self._bottom
 
     def pick_sites(self, state: Permutation) -> tuple[int, ...]:
         return state.descents()

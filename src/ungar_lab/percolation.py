@@ -18,10 +18,11 @@ largest row among its covers.
 On the grid ``R_{n,m}`` the same chain is the multicorner growth TASEP
 seen through complements: the complement of the ideal, rows reversed, is
 a Young diagram, and deleting maximal ideal elements is adding external
-corners.  :func:`tasep_trajectory` grows the diagram directly, clipped to
-the ``n x m`` window; growth outside the window never influences the
-clipped process, which the tests check by replaying coupled randomness
-with a larger window.
+corners.  :func:`tasep_absorption_samples` grows the diagram directly,
+clipped to the ``n x m`` window; growth outside the window never
+influences the clipped process.  The scalar reference that grows one
+diagram a coin at a time lives in the tests, which check that property by
+replaying coupled randomness with a larger window.
 
 Fluctuation constants for the rescaled limit and the upper-tail
 asymptotic of the limiting distribution are provided as plain formulas;
@@ -43,7 +44,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +72,6 @@ __all__ = [
     "coupled_ideal_run",
     "CoupledIdealRun",
     "tasep_absorption_samples",
-    "tasep_trajectory",
     "lpp_grid_samples",
     "rescaling_constants",
     "tracy_widom_tail",
@@ -172,45 +172,6 @@ def coupled_ideal_run(poset: FinitePoset, p: float, rnd) -> CoupledIdealRun:
 
 
 # -- multicorner growth ------------------------------------------------------------
-
-
-def tasep_trajectory(
-    n: int,
-    m: int,
-    p: float,
-    rnd,
-    *,
-    bit_fn: Callable[[int, int, int], bool] | None = None,
-) -> list[tuple[int, ...]]:
-    """Clipped diagram after each step, until full.
-
-    The diagram starts empty and each external corner is added with
-    independent probability ``p`` per step.  Only the first ``n`` rows and
-    ``m`` columns are tracked: a cell ``(i, j)`` with ``j <= m`` is an
-    external corner iff ``lambda_i = j - 1 < m`` and ``lambda_{i-1} >= j``,
-    which depends only on the clipped state, so growth outside the window
-    is never simulated.  The window-fill time is ``len(trajectory) - 1``.
-    ``bit_fn(step, row, col)`` overrides the coin flips (used by the
-    window-independence tests).
-    """
-    p = _check_p(p)
-    lam = [0] * n
-    out = [tuple(lam)]
-    t = 0
-    while lam[-1] < m:
-        t += 1
-        old = lam[:]
-        for i in range(n):
-            prev = m if i == 0 else old[i - 1]
-            if old[i] < m and prev > old[i]:
-                if bit_fn is not None:
-                    grow = bit_fn(t, i, old[i])
-                else:
-                    grow = rnd.random() < p
-                if grow:
-                    lam[i] = old[i] + 1
-        out.append(tuple(lam))
-    return out
 
 
 def tasep_absorption_samples(

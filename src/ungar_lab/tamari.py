@@ -30,11 +30,8 @@ __all__ = [
     "OrderedForest",
     "SimForest",
     "project_down",
-    "covers_av312",
     "phi",
     "phi_inverse",
-    "av312_permutations",
-    "ordered_forests",
     "catalan",
 ]
 
@@ -255,9 +252,6 @@ class SimForest:
             self.last_child[w] = c
         return c
 
-    def snapshot(self) -> OrderedForest:
-        return OrderedForest(self.parent[1:], validate=False)
-
 
 # -- the projection S_n -> Av_n(312) ----------------------------------------
 
@@ -291,17 +285,6 @@ def require_av312(sigma: Permutation) -> Permutation:
     if not sigma.is_312_avoiding():
         raise Not312Avoiding(f"{sigma} contains a 312 pattern")
     return sigma
-
-
-def covers_av312(sigma: Permutation) -> list[Permutation]:
-    """Elements covered by ``sigma`` in the 312-avoiding sublattice.
-
-    These are the projections of the weak-order covers; the projection
-    restricted to covers is a bijection, so the list has exactly one entry
-    per descent and no repeats.
-    """
-    sigma = require_av312(sigma)
-    return [project_down(sigma.swap(i)) for i in sigma.descents()]
 
 
 def av_ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
@@ -353,66 +336,9 @@ def phi_inverse(forest: OrderedForest) -> Permutation:
     return Permutation(word)
 
 
-# -- enumeration --------------------------------------------------------------
+# -- counting -----------------------------------------------------------------
 
 
 def catalan(n: int) -> int:
     """The ``n``-th Catalan number ``C(2n, n) / (n + 1)``."""
     return math.comb(2 * n, n) // (n + 1)
-
-
-def ordered_forests(n: int):
-    """Generate all ordered forests on ``n`` vertices (Catalan-many)."""
-
-    def forests(start: int, count: int):
-        # parent assignments for labels start..start+count-1
-        if count == 0:
-            yield []
-            return
-        for first_tree in range(1, count + 1):
-            for tree in trees(start, first_tree):
-                for rest in forests(start + first_tree, count - first_tree):
-                    yield tree + rest
-
-    def trees(root: int, count: int):
-        # a tree rooted at `root` on labels root..root+count-1
-        for sub in forests(root + 1, count - 1):
-            fixed = [p if p != 0 else root for p in sub]
-            yield [0] + fixed
-
-    for par in forests(1, n):
-        yield OrderedForest(par, validate=False)
-
-
-def av312_permutations(n: int):
-    """Generate the 312-avoiding permutations of ``1..n``.
-
-    Backtracking over prefixes: appending value ``x`` completes a 312
-    pattern exactly when some earlier position holds a value below ``x``
-    that is preceded by a value above ``x``.
-    """
-    word: list[int] = []
-    used = [False] * (n + 1)
-    prefix_max: list[int] = []  # prefix_max[i] = max(word[:i+1])
-
-    def ok(x: int) -> bool:
-        for i2 in range(1, len(word)):
-            if word[i2] < x < prefix_max[i2 - 1]:
-                return False
-        return True
-
-    def rec():
-        if len(word) == n:
-            yield Permutation(word)
-            return
-        for x in range(1, n + 1):
-            if not used[x] and ok(x):
-                used[x] = True
-                word.append(x)
-                prefix_max.append(x if not prefix_max else max(prefix_max[-1], x))
-                yield from rec()
-                prefix_max.pop()
-                word.pop()
-                used[x] = False
-
-    yield from rec()

@@ -4,22 +4,25 @@ The right weak order on S_n by inversion sets, the exact solver on state
 objects (one ``apply`` per selection, values in a dict of floats or, for
 the rational oracle, of exact ``Fraction``s), ``J(P)`` as an
 explicit poset (enumerated by ``engine.enumerate_states``, as the exact
-solver does) with its maximal chains and meets, the restriction of a
-forest to a window of labels, a vertex's descendant count, the Young
-diagram of a grid ideal's complement, the plain Monte Carlo samplers
-that draw every variable at once (the uniqueness of a geometric maximum,
-grid passage times swept cell by cell), the scalar samplers that read
-one uniform at a time (numpy's search for a geometric variable, a random
-walk's hitting time), and the bilateral series of the uniqueness limit
-summed term by term.  They raise the library's errors and the three below,
-which only they raise.
+solver does) with its maximal chains and meets, the Catalan enumerations
+of the Tamari lattice (312-avoiding permutations, ordered forests) and
+the covers of a 312-avoider, the restriction of a forest to a window of
+labels, a vertex's descendant count, the Young diagram of a grid ideal's
+complement, the plain Monte Carlo samplers that draw every variable at
+once (the uniqueness of a geometric maximum, grid passage times swept
+cell by cell), the scalar samplers that read one uniform at a time
+(numpy's search for a geometric variable, a random walk's hitting time,
+the corner-growth diagram that ``percolation.tasep_absorption_samples``
+grows for a block of replicas), and the bilateral series of the
+uniqueness limit summed term by term.  They raise the library's errors
+and the three below, which only they raise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +32,7 @@ from ungar_lab.errors import CapExceeded, DomainError, NotReached, UngarLabError
 from ungar_lab.perms import Permutation
 from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset
 from ungar_lab.rng import replica_generator
-from ungar_lab.tamari import OrderedForest
+from ungar_lab.tamari import OrderedForest, project_down, require_av312
 
 DEFAULT_CHAIN_CAP = 10**6
 
@@ -151,6 +154,77 @@ def all_permutations(n: int):
     """Iterate S_n in lexicographic order."""
     for w in itertools.permutations(range(1, n + 1)):
         yield Permutation(w)
+
+
+# -- the Tamari lattice, enumerated ------------------------------------------
+
+
+def covers_av312(sigma: Permutation) -> list[Permutation]:
+    """Elements covered by ``sigma`` in the 312-avoiding sublattice.
+
+    These are the projections of the weak-order covers; the projection
+    restricted to covers is a bijection, so the list has exactly one entry
+    per descent and no repeats.
+    """
+    sigma = require_av312(sigma)
+    return [project_down(sigma.swap(i)) for i in sigma.descents()]
+
+
+def ordered_forests(n: int):
+    """Generate all ordered forests on ``n`` vertices (Catalan-many)."""
+
+    def forests(start: int, count: int):
+        # parent assignments for labels start..start+count-1
+        if count == 0:
+            yield []
+            return
+        for first_tree in range(1, count + 1):
+            for tree in trees(start, first_tree):
+                for rest in forests(start + first_tree, count - first_tree):
+                    yield tree + rest
+
+    def trees(root: int, count: int):
+        # a tree rooted at `root` on labels root..root+count-1
+        for sub in forests(root + 1, count - 1):
+            fixed = [p if p != 0 else root for p in sub]
+            yield [0] + fixed
+
+    for par in forests(1, n):
+        yield OrderedForest(par, validate=False)
+
+
+def av312_permutations(n: int):
+    """Generate the 312-avoiding permutations of ``1..n``.
+
+    Backtracking over prefixes: appending value ``x`` completes a 312
+    pattern exactly when some earlier position holds a value below ``x``
+    that is preceded by a value above ``x``.
+    """
+    word: list[int] = []
+    used = [False] * (n + 1)
+    prefix_max: list[int] = []  # prefix_max[i] = max(word[:i+1])
+
+    def ok(x: int) -> bool:
+        for i2 in range(1, len(word)):
+            if word[i2] < x < prefix_max[i2 - 1]:
+                return False
+        return True
+
+    def rec():
+        if len(word) == n:
+            yield Permutation(word)
+            return
+        for x in range(1, n + 1):
+            if not used[x] and ok(x):
+                used[x] = True
+                word.append(x)
+                prefix_max.append(x if not prefix_max else max(prefix_max[-1], x))
+                yield from rec()
+                prefix_max.pop()
+                word.pop()
+                used[x] = False
+
+    yield from rec()
 
 
 # -- the exact solver on state objects ----------------------------------------
@@ -440,6 +514,45 @@ def walk_hitting_time(
             pos -= 1
         if pos == m:
             return t
+
+
+def tasep_trajectory(
+    n: int,
+    m: int,
+    p: float,
+    rnd,
+    *,
+    bit_fn: Callable[[int, int, int], bool] | None = None,
+) -> list[tuple[int, ...]]:
+    """Clipped diagram after each step, until full.
+
+    The diagram starts empty and each external corner is added with
+    independent probability ``p`` per step.  Only the first ``n`` rows and
+    ``m`` columns are tracked: a cell ``(i, j)`` with ``j <= m`` is an
+    external corner iff ``lambda_i = j - 1 < m`` and ``lambda_{i-1} >= j``,
+    which depends only on the clipped state, so growth outside the window
+    is never simulated.  The window-fill time is ``len(trajectory) - 1``.
+    ``bit_fn(step, row, col)`` overrides the coin flips (used by the
+    window-independence tests).
+    """
+    p = _check_p(p)
+    lam = [0] * n
+    out = [tuple(lam)]
+    t = 0
+    while lam[-1] < m:
+        t += 1
+        old = lam[:]
+        for i in range(n):
+            prev = m if i == 0 else old[i - 1]
+            if old[i] < m and prev > old[i]:
+                if bit_fn is not None:
+                    grow = bit_fn(t, i, old[i])
+                else:
+                    grow = rnd.random() < p
+                if grow:
+                    lam[i] = old[i] + 1
+        out.append(tuple(lam))
+    return out
 
 
 # -- the uniqueness limit, term by term --------------------------------------------

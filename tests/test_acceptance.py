@@ -19,7 +19,6 @@ from ungar_lab import (
     TamariAvLattice,
     TamariForestLattice,
     algorithm1_run,
-    av312_permutations,
     catalan,
     coupled_ideal_run,
     expected_absorption_time,
@@ -30,7 +29,6 @@ from ungar_lab import (
     lpp_grid_samples,
     max_chain_weight,
     monte_carlo_expectation,
-    ordered_forests,
     phi,
     phi_inverse,
     project_down,
@@ -46,7 +44,7 @@ from ungar_lab import (
 )
 from ungar_lab.rng import replica_random
 
-from oracles import all_permutations, weak_meet
+from oracles import all_permutations, av312_permutations, ordered_forests, weak_meet
 
 
 def report(num, detail):

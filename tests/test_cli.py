@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 import warnings
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab import engine, percolation
+from ungar_lab import cli, engine, percolation
 from ungar_lab.cli import _COMMANDS, _LATTICES, build_parser, main
 from ungar_lab.poset import grid_poset
 from ungar_lab.skyline import algorithm1_run
@@ -36,6 +38,28 @@ def test_exact_sn3(capsys):
     header, row = out.strip().split("\n")
     assert header == "backend,p,states,expected_steps"
     assert row.split(",")[-1] == "4"
+
+
+EXACT_SN3 = ["exact", "--lattice", "sn", "--n", "3", "--p", "0.5"]
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--no-such-flag"], 2)])
+def test_module_entry_point_exits_with_mains_code(extra, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "ungar_lab.cli", *EXACT_SN3, *extra],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.strip().split("\n")[1].split(",")[-1] == "4"
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--no-such-flag"], 2)])
+def test_console_main_raises_mains_code(monkeypatch, extra, code):
+    monkeypatch.setattr(sys, "argv", ["ungar-lab", *EXACT_SN3, *extra])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
 
 
 def test_exact_tamari3(capsys):

@@ -992,13 +992,15 @@ def test_test_only_oracles_are_not_in_the_library():
              "meet", "restrict", "ideal_complement_rows", "enumerate_ideal_masks",
              "ChainExplosion", "NotALattice", "SizeMismatch",
              "per_subset_transitions", "dict_back_substitution",
-             "rational_back_substitution"}
+             "rational_back_substitution", "tasep_trajectory", "ordered_forests",
+             "av312_permutations", "covers_av312"}
     modules = [ungar_lab] + [importlib.import_module(f"ungar_lab.{info.name}")
                              for info in pkgutil.iter_modules(ungar_lab.__path__)]
     assert len(modules) >= 10
     for module in modules:
         assert not moved & set(vars(module)), module.__name__
     assert not hasattr(ungar_lab.OrderedForest, "descendant_count")
+    assert not hasattr(ungar_lab.SimForest, "snapshot")
     # a lattice state is its canonical encoding: no wrapper classes, no
     # child tables beside the forest's parent tuple
     for module in modules:

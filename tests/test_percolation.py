@@ -28,7 +28,6 @@ from ungar_lab import (
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
-    tasep_trajectory,
     tracy_widom_tail,
     upsilon,
     zeta_estimate,
@@ -48,6 +47,7 @@ from oracles import (
     numpy_geometric_search,
     one_shot_lpp_grid_samples,
     plain_zeta_estimate,
+    tasep_trajectory,
     upsilon_series,
 )
 
