@@ -64,27 +64,6 @@ _FILL_CHUNK = 16_384
 _ZETA_BLOCK = 10**6
 _ZETA_MAX_TERMS = 10**8
 
-__all__ = [
-    "LppSample",
-    "lpp_sample",
-    "lpp_poset_samples",
-    "max_chain_weight",
-    "coupled_ideal_run",
-    "CoupledIdealRun",
-    "tasep_absorption_samples",
-    "lpp_grid_samples",
-    "rescaling_constants",
-    "tracy_widom_tail",
-    "upsilon",
-    "zeta_estimate",
-    "zeta_exact",
-    "zeta_liminf_lower_bound",
-    "zeta_limsup_estimate",
-    "sn_linear_coefficient",
-    "tamari_linear_coefficient",
-]
-
-
 # -- last-passage percolation ---------------------------------------------------
 
 
@@ -185,6 +164,8 @@ def tasep_absorption_samples(
     ``prev > lam`` already implies ``lam < m``.
     """
     p = _check_p(p)
+    if n < 1 or m < 1:
+        raise DomainError(f"grid sides must be at least 1, got {n} x {m}")
     rng = replica_generator(seed, 0)
     lam = np.zeros((reps, n), dtype=np.int32)
     prev = np.full((reps, n), m, dtype=np.int32)
@@ -223,6 +204,8 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     uniform each, and leaves ``p < 1/3`` and ``p = 1`` to ``rng.geometric``.
     """
     p = _check_p(p)
+    if n < 1 or m < 1:
+        raise DomainError(f"grid sides must be at least 1, got {n} x {m}")
     rng = replica_generator(seed, 0)
     block = max(1, _DRAW_BLOCK // (n * m))
     levels, tops = _grid_plan(n, m)

@@ -43,25 +43,6 @@ from .errors import BoundViolation, DomainError, InvariantViolation, NotReached
 from .rng import StreamBank, replica_generator
 from .tamari import SimForest
 
-__all__ = [
-    "TwoRowedArray",
-    "skyline",
-    "is_childlike",
-    "summarize",
-    "summary_columns",
-    "is_good",
-    "summary_length_bounds",
-    "good_array_length_bounds",
-    "lower_bound_f",
-    "event_interval",
-    "event_array",
-    "event_interval_probability",
-    "sample_g_conditional",
-    "good_frequency",
-    "Algorithm1Result",
-    "algorithm1_run",
-]
-
 
 @dataclass(frozen=True)
 class TwoRowedArray:

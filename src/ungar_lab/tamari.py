@@ -26,15 +26,6 @@ from collections.abc import Iterable, Sequence
 from .errors import Not312Avoiding
 from .perms import Permutation, ungar_move
 
-__all__ = [
-    "OrderedForest",
-    "SimForest",
-    "project_down",
-    "phi",
-    "phi_inverse",
-    "catalan",
-]
-
 
 class OrderedForest:
     """An ordered forest on vertices ``1..n`` in canonical preorder labels.

@@ -12,37 +12,33 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ungar_lab import (
+from ungar_lab.engine import (
     IdealLattice,
-    Permutation,
     SnLattice,
     TamariAvLattice,
     TamariForestLattice,
-    algorithm1_run,
-    catalan,
-    coupled_ideal_run,
     expected_absorption_time,
     first_passage_counts,
-    good_frequency,
-    grid_poset,
-    lower_bound_f,
+    monte_carlo_expectation,
+    sn_absorption_samples,
+)
+from ungar_lab.percolation import (
+    coupled_ideal_run,
     lpp_grid_samples,
     max_chain_weight,
-    monte_carlo_expectation,
-    phi,
-    phi_inverse,
-    project_down,
     rescaling_constants,
-    sn_absorption_samples,
     sn_linear_coefficient,
     tasep_absorption_samples,
-    ungar_move,
     upsilon,
     zeta_estimate,
     zeta_exact,
     zeta_liminf_lower_bound,
 )
+from ungar_lab.perms import Permutation, ungar_move
+from ungar_lab.poset import grid_poset
 from ungar_lab.rng import replica_random
+from ungar_lab.skyline import algorithm1_run, good_frequency, lower_bound_f
+from ungar_lab.tamari import catalan, phi, phi_inverse, project_down
 
 from oracles import all_permutations, av312_permutations, ordered_forests, weak_meet
 
@@ -174,7 +170,7 @@ def test_criterion_06_coupling_identity():
         # random 8-element posets: intersections of two linear orders
         import random as _random
 
-        from ungar_lab import build_poset
+        from ungar_lab.poset import build_poset
 
         rnd = _random.Random(seed)
         perm = list(range(8))

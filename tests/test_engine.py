@@ -16,33 +16,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ungar_lab import (
+from ungar_lab import engine
+from ungar_lab import rng as rng_module
+from ungar_lab.engine import (
     ChainLattice,
-    DomainError,
-    FinitePoset,
     IdealLattice,
-    NotReached,
-    Permutation,
-    SingularSystem,
     SnLattice,
     TamariAvLattice,
     TamariForestLattice,
-    build_poset,
     exact_expected_absorption,
     expected_absorption_time,
     first_passage_counts,
     geometric_tail_bound,
-    grid_poset,
     monte_carlo_expectation,
-    phi,
     run_chain,
     sn_absorption_samples,
-    ungar_move,
 )
-from ungar_lab import engine
-from ungar_lab import rng as rng_module
+from ungar_lab.errors import DomainError, NotReached, SingularSystem
+from ungar_lab.perms import Permutation, ungar_move
+from ungar_lab.poset import FinitePoset, build_poset, grid_poset
 from ungar_lab.rng import replica_generator, replica_random
-from ungar_lab.tamari import av_ungar_move
+from ungar_lab.tamari import av_ungar_move, phi
 
 from oracles import (
     all_permutations,
@@ -378,7 +372,12 @@ def test_subset_dp_matches_per_subset_rows(lattice, p):
 )
 def test_exact_values_are_within_16_ulp_of_the_rational_solve(lattice, p):
     # the float back-substitution is not correctly rounded; on these cases
-    # it is at most 9 ulp off (Tam_7 at p = 0.3, both backends)
+    # it is at most 9 ulp off (Tam_7 at p = 0.3, both backends).  The cases
+    # stop at Tam_7 size because a fixed bound does not hold past it: the
+    # worst state at p = 0.3 is 15.0 ulp off on S_7, 17.2 on forest Tam_9,
+    # 14.8 on 312 Tam_9 and 22.5 on J(P) of the shuffled graded fixture
+    # poset.  Larger cases wait for ROADMAP item 13's a-posteriori bound,
+    # which grows with depth.
     exact = rational_back_substitution(lattice, p)
     got = exact_expected_absorption(lattice, p)
     assert list(got) == list(exact)
@@ -847,7 +846,7 @@ def test_backend_equivalence_coupled_runs():
     for seed in range(30):
         rnd = replica_random(seed, 0)
         sigma = Permutation.decreasing(n)
-        from ungar_lab import OrderedForest
+        from ungar_lab.tamari import OrderedForest
 
         forest = OrderedForest.path(n)
         steps_av = steps_forest = 0
@@ -999,11 +998,32 @@ def test_test_only_oracles_are_not_in_the_library():
     assert len(modules) >= 10
     for module in modules:
         assert not moved & set(vars(module)), module.__name__
-    assert not hasattr(ungar_lab.OrderedForest, "descendant_count")
-    assert not hasattr(ungar_lab.SimForest, "snapshot")
+    assert not hasattr(ungar_lab.tamari.OrderedForest, "descendant_count")
+    assert not hasattr(ungar_lab.tamari.SimForest, "snapshot")
     # a lattice state is its canonical encoding: no wrapper classes, no
     # child tables beside the forest's parent tuple
     for module in modules:
         assert not {"OrderIdeal", "GridPoset"} & set(vars(module)), module.__name__
-    assert ungar_lab.OrderedForest.__slots__ == ("n", "parent")
-    assert not hasattr(ungar_lab.OrderedForest.path(3), "_children")
+    assert ungar_lab.tamari.OrderedForest.__slots__ == ("n", "parent")
+    assert not hasattr(ungar_lab.tamari.OrderedForest.path(3), "_children")
+
+
+def test_the_package_binds_only_its_submodules_and_version():
+    # each name lives in the module that defines it, so no package binding
+    # can shadow a submodule, as a function named ``skyline`` would
+    import importlib
+    import pkgutil
+    import sys
+
+    import ungar_lab
+
+    names = {info.name for info in pkgutil.iter_modules(ungar_lab.__path__)}
+    for name in names:
+        importlib.import_module(f"ungar_lab.{name}")
+    for name in names:
+        assert getattr(ungar_lab, name) is sys.modules[f"ungar_lab.{name}"], name
+    import ungar_lab.skyline as m
+
+    assert callable(m.algorithm1_run)
+    assert {k for k in vars(ungar_lab) if not k.startswith("_")} == names
+    assert isinstance(ungar_lab.__version__, str)

@@ -12,19 +12,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ungar_lab import (
-    DomainError,
-    IdealLattice,
-    SeriesTruncationError,
-    build_poset,
+from ungar_lab import cli, percolation
+from ungar_lab.engine import IdealLattice, run_chain
+from ungar_lab.errors import DomainError, SeriesTruncationError
+from ungar_lab.percolation import (
     coupled_ideal_run,
-    grid_poset,
     lpp_grid_samples,
     lpp_poset_samples,
     lpp_sample,
     max_chain_weight,
     rescaling_constants,
-    run_chain,
     sn_linear_coefficient,
     tamari_linear_coefficient,
     tasep_absorption_samples,
@@ -35,8 +32,7 @@ from ungar_lab import (
     zeta_liminf_lower_bound,
     zeta_limsup_estimate,
 )
-from ungar_lab import cli, percolation
-from ungar_lab.poset import FinitePoset
+from ungar_lab.poset import FinitePoset, build_poset, grid_poset
 from ungar_lab.rng import replica_generator, replica_random
 
 from oracles import (
@@ -387,6 +383,19 @@ def test_tasep_matches_ideal_chain_distribution():
     tasep_samples = tasep_absorption_samples(3, 3, 0.5, 8_000, seed=16)
     _, pvalue = stats.ks_2samp(chain_samples, tasep_samples)
     assert pvalue > 0.001
+
+
+@pytest.mark.parametrize("sampler", [tasep_absorption_samples, lpp_grid_samples])
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0), (-1, 2)])
+def test_grid_samplers_reject_empty_grids_before_drawing(monkeypatch, sampler, n, m):
+    # a grid needs a side of at least 1, as grid_poset and the CLI require;
+    # the check comes before the replica stream is even derived
+    def no_draws(*args):
+        raise AssertionError("drew from a replica stream")
+
+    monkeypatch.setattr(percolation, "replica_generator", no_draws)
+    with pytest.raises(DomainError, match="grid sides must be at least 1"):
+        sampler(n, m, 0.5, 4, 1)
 
 
 def test_tasep_window_independence():

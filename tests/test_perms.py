@@ -8,16 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab import (
-    InvalidSelection,
-    NotReached,
-    Permutation,
-    grid_poset,
-    project_down,
-    project_pi_k,
-    sorted_prefix_time,
-    ungar_move,
-)
+from ungar_lab.errors import InvalidSelection, NotReached
+from ungar_lab.perms import Permutation, project_pi_k, sorted_prefix_time, ungar_move
+from ungar_lab.poset import grid_poset
+from ungar_lab.tamari import project_down
 
 from oracles import SizeMismatch, all_permutations, weak_leq, weak_meet
 
@@ -231,7 +225,8 @@ def test_prefix_time_dominated_by_grid_passage_time():
     # the grid passage time, up to Monte Carlo tolerance
     import numpy as np
 
-    from ungar_lab import SnLattice, lpp_grid_samples, run_chain
+    from ungar_lab.engine import SnLattice, run_chain
+    from ungar_lab.percolation import lpp_grid_samples
     from ungar_lab.rng import replica_random
 
     n, k, p, reps = 6, 3, 0.5, 4_000

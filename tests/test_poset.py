@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ungar_lab import (
-    CycleDetected,
-    FinitePoset,
-    RedundantCover,
-    StateExplosion,
-    build_poset,
-    grid_poset,
-)
+from ungar_lab.errors import CycleDetected, RedundantCover, StateExplosion
+from ungar_lab.poset import FinitePoset, build_poset, grid_poset
 
 from oracles import ChainExplosion, NotALattice, maximal_chains, meet, order_ideals
 

@@ -10,32 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ungar_lab import (
-    BoundViolation,
-    DomainError,
-    InvariantViolation,
-    TamariForestLattice,
+from ungar_lab.cli import main
+from ungar_lab.engine import TamariForestLattice, monte_carlo_expectation
+from ungar_lab.errors import BoundViolation, DomainError, InvariantViolation
+from ungar_lab.rng import StreamBank, replica_generator, replica_random
+from ungar_lab.skyline import (
     TwoRowedArray,
+    _Phase2,
     algorithm1_run,
     event_array,
     event_interval,
+    event_interval_probability,
     good_array_length_bounds,
     good_frequency,
     is_childlike,
     is_good,
     lower_bound_f,
-    monte_carlo_expectation,
+    sample_g_conditional,
     skyline,
     summarize,
     summary_columns,
     summary_length_bounds,
-)
-from ungar_lab.cli import main
-from ungar_lab.rng import StreamBank, replica_generator, replica_random
-from ungar_lab.skyline import (
-    _Phase2,
-    event_interval_probability,
-    sample_g_conditional,
 )
 
 
@@ -440,7 +435,7 @@ def conditioned_naive_run(n, p, g, rnd):
     ``g[i]``, and an independent Bernoulli(p) operation afterwards; this
     is exactly the conditional law of the chain given the pattern.
     """
-    from ungar_lab import SimForest
+    from ungar_lab.tamari import SimForest
 
     sim = SimForest.path(n)
     t = 0

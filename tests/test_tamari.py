@@ -7,19 +7,18 @@ import random
 
 import pytest
 
-from ungar_lab import (
-    Not312Avoiding,
+from ungar_lab.errors import Not312Avoiding
+from ungar_lab.perms import Permutation, ungar_move
+from ungar_lab.rng import replica_random
+from ungar_lab.tamari import (
     OrderedForest,
-    Permutation,
     SimForest,
+    av_ungar_move,
     catalan,
     phi,
     phi_inverse,
     project_down,
-    ungar_move,
 )
-from ungar_lab.rng import replica_random
-from ungar_lab.tamari import av_ungar_move
 
 from oracles import (
     all_permutations,
