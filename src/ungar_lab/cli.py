@@ -31,7 +31,7 @@ from .errors import (
     StateExplosion,
     UngarLabError,
 )
-from .poset import DEFAULT_STATE_CAP, FinitePoset, grid_poset
+from .poset import FinitePoset, grid_poset
 from .rng import replica_random, replica_state
 from .tamari import catalan
 
@@ -275,8 +275,7 @@ def cmd_tasep(args) -> None:
 
 def cmd_fluctuation(args) -> None:
     rows, cols = _grid_shape(args, "fluctuation")
-    if not 0 < args.p < 1:
-        raise ConfigError("fluctuation requires p in (0, 1)")
+    percolation.check_open_p(args.p)
     # the tail asymptotic rejects t <= 0, before any sample is drawn
     tail = None if args.tail is None else percolation.tracy_widom_tail(args.tail)
     seed = _seed(args)
@@ -318,8 +317,7 @@ def cmd_skyline(args) -> None:
 def cmd_zeta(args) -> None:
     if args.n is None:
         raise ConfigError("zeta requires --n (number of geometric variables)")
-    if not 0 < args.p < 1:
-        raise ConfigError("zeta requires p in (0, 1)")
+    percolation.check_open_p(args.p)
     seed = _seed(args)
     est, err = percolation.zeta_estimate(args.p, args.n, args.reps, seed)
     ups = percolation.upsilon(args.p, args.n)
@@ -385,7 +383,7 @@ _FLAGS = {
     "--seed": dict(type=int),
     "--format": dict(choices=["csv", "json"], default="csv"),
     "--out": dict(),
-    "--cap-states": dict(type=int, default=DEFAULT_STATE_CAP),
+    "--cap-states": dict(type=int, default=engine.DEFAULT_STATE_CAP),
     "--c1": dict(type=_finite_float, default=10.0),
     "--per-element": dict(action="store_true"),
     "--survival": dict(help="write the empirical survival CSV here"),

@@ -48,20 +48,12 @@ import numpy as np
 
 from .errors import DomainError, SingularSystem, StateExplosion
 from .perms import Permutation, ungar_move
-from .poset import DEFAULT_STATE_CAP, FinitePoset
-from .rng import replica_generator, replica_random
+from .poset import FinitePoset
+from .rng import check_p, replica_generator, replica_random
 from .tamari import OrderedForest, SimForest, av_ungar_move
 
+DEFAULT_STATE_CAP = 10**6
 _SUBSET_ENUM_CAP = 22  # 2^22 transition terms per state is already generous
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0 < p <= 1:
-        raise DomainError(f"p={p} outside (0, 1]; p=0 gives a non-absorbing chain")
-    if p <= 2.0**-53:  # uniform draws are multiples of 2**-53: only 0.0 is below p
-        raise DomainError(f"p={p} is at most 2**-53, which sampling cannot tell from 0")
-    return p
 
 
 # -- backends -----------------------------------------------------------------
@@ -276,7 +268,7 @@ class ChainRun:
 def run_chain(lattice, p: float, rnd, *, record: bool = False) -> ChainRun:
     """Run one trajectory from ``lattice.top()`` to absorption, recording
     its states and picks if ``record``."""
-    p = _check_p(p)
+    p = check_p(p)
     state = lattice.top()
     bottom = lattice.bottom()
     states = [state]
@@ -474,7 +466,7 @@ def exact_expected_absorption(
     backend's ``apply``, so it checks the run composition instead of
     repeating it.
     """
-    p = _check_p(p)
+    p = check_p(p)
     q = 1.0 - p
     table = number, _, _, _ = {}, array("i"), array("i"), array("i", [0])
     states = enumerate_states(lattice, cap=cap_states, table=table)
@@ -627,7 +619,7 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
     sampler gives the sample ``run_chain`` would give from the same
     stream.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if reps < 1:
         raise DomainError("reps must be >= 1")
     fast = getattr(lattice, "fast_absorption_sample", None)
@@ -677,7 +669,7 @@ def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
     chain as the scalar path, used where 1e5 x n is uncomfortable in pure
     Python.
     """
-    p = _check_p(p)
+    p = check_p(p)
     rng = replica_generator(seed, 0)
     word = np.tile(np.arange(n, 0, -1, dtype=np.int64), (reps, 1))
     identity = np.arange(1, n + 1, dtype=np.int64)
@@ -705,7 +697,7 @@ def geometric_tail_bound(k: int, p: float, t: float, side: str = "upper") -> flo
 
     The lower-tail form requires ``t sqrt(p/k) < 2p``.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if k < 1:
         raise DomainError("k must be >= 1")
     if t <= 0:
@@ -728,11 +720,16 @@ def first_passage_counts(m: int, horizon: int, reps: int, seed: int) -> np.ndarr
     """Vectorized histogram: ``out[t]`` counts simple walks with hitting time t.
 
     ``out`` has length ``horizon + 1``; index 0 counts walks that had not
-    hit ``m`` by the horizon (censored).
+    hit ``m`` by the horizon (censored).  ``m = 0``, which every walk hits
+    at time 0, and an empty horizon raise DomainError before any draw.
     """
+    if m == 0:
+        raise DomainError("m must be a nonzero integer")
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
     rng = replica_generator(seed, 0)
     out = np.zeros(horizon + 1, dtype=np.int64)
-    chunk = max(1, min(reps, 2_000_000 // max(1, horizon)))
+    chunk = max(1, min(reps, 2_000_000 // horizon))
     left = reps
     while left > 0:
         b = min(chunk, left)

@@ -48,10 +48,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import IdealLattice, _check_p, run_chain
+from .engine import IdealLattice, run_chain
 from .errors import CouplingViolation, DomainError, InvariantViolation, SeriesTruncationError
 from .poset import FinitePoset
-from .rng import replica_generator
+from .rng import check_p, replica_generator
 
 # the most weights or uniforms one vectorized draw materializes
 _DRAW_BLOCK = 2_000_000
@@ -98,7 +98,7 @@ def lpp_sample(poset: FinitePoset, p: float, rng, reps: int) -> LppSample:
     :func:`_geometric_array` as the grid's are, so successive calls read
     the stream one draw of all their replicas reads.
     """
-    p = _check_p(p)
+    p = check_p(p)
     weights = _geometric_array(rng, p, (reps, poset.n))
     block = np.empty((poset.n + 1, reps), dtype=np.int64)
     block[:-1] = weights.T
@@ -163,7 +163,7 @@ def tasep_absorption_samples(
     ``prev`` the row above (``m`` above row 0).  ``prev <= m`` always, so
     ``prev > lam`` already implies ``lam < m``.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if n < 1 or m < 1:
         raise DomainError(f"grid sides must be at least 1, got {n} x {m}")
     rng = replica_generator(seed, 0)
@@ -203,7 +203,7 @@ def lpp_grid_samples(n: int, m: int, p: float, reps: int, seed: int) -> np.ndarr
     (``1/3 <= p < 1``) off its table of partial sums, one ``rng.random``
     uniform each, and leaves ``p < 1/3`` and ``p = 1`` to ``rng.geometric``.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if n < 1 or m < 1:
         raise DomainError(f"grid sides must be at least 1, got {n} x {m}")
     rng = replica_generator(seed, 0)
@@ -386,11 +386,12 @@ def _search_table(p: float) -> tuple[int, np.ndarray, np.ndarray]:
 # -- fluctuation constants -----------------------------------------------------------
 
 
-def _check_open_p(p: float) -> float:
+def check_open_p(p: float) -> float:
+    """``check_p`` for the formulas that also need ``p < 1``."""
     p = float(p)
     if not 0 < p < 1:
         raise DomainError(f"p={p} outside (0, 1)")
-    return _check_p(p)
+    return check_p(p)
 
 
 def rescaling_constants(p: float, x: float, y: float) -> tuple[float, float]:
@@ -400,7 +401,7 @@ def rescaling_constants(p: float, x: float, y: float) -> tuple[float, float]:
     ``eta_p(x,y) = ((1-p)^(1/6) / p) (xy)^(-1/6)
     (sqrt(x) + sqrt((1-p) y))^(2/3) (sqrt(y) + sqrt((1-p) x))^(2/3)``.
     """
-    p = _check_open_p(p)
+    p = check_open_p(p)
     if x <= 0 or y <= 0:
         raise DomainError("x and y must be positive")
     qroot = math.sqrt(1 - p)
@@ -521,7 +522,7 @@ def zeta_exact(p: float, n: int) -> float:
     about ``4e-7``) it raises :class:`SeriesTruncationError`.
     """
     tol = 1e-15
-    p = _check_p(p)
+    p = check_p(p)
     if n < 1:
         raise DomainError("n must be >= 1")
     if n == 1:
@@ -555,7 +556,7 @@ def zeta_estimate(p: float, n: int, trials: int, seed: int) -> tuple[float, floa
     then its Bernoulli uniforms).  ``n = 1`` draws nothing and returns 1.
     Returns ``(estimate, standard error)``.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
     if n == 1:
@@ -606,7 +607,7 @@ def _unique_given_max(p: float, n: int, m: np.ndarray) -> np.ndarray:
 
 def zeta_liminf_lower_bound(p: float) -> float:
     """Closed-form lower bound ``p (1-p) e^{p-1}`` for the liminf."""
-    p = _check_open_p(p)
+    p = check_open_p(p)
     return p * (1 - p) * math.exp(p - 1)
 
 
@@ -624,7 +625,7 @@ def zeta_limsup_estimate(p: float) -> float:
     ``S`` is concave on each.  A golden-section search then finds the
     maximum of each of those cells.
     """
-    p = _check_open_p(p)
+    p = check_open_p(p)
     _, coeffs = _fourier_coefficients(p)
     if len(coeffs) == 1:
         return coeffs[0]
@@ -672,7 +673,7 @@ def _golden_max(coeffs: Sequence[complex], a: float, b: float) -> float:
 
 def sn_linear_coefficient(p: float) -> float:
     """Slope ``(1 + sqrt(1-p)) / p`` of the weak-order absorption bound."""
-    p = _check_open_p(p)
+    p = check_open_p(p)
     return (1 + math.sqrt(1 - p)) / p
 
 

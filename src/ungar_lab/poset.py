@@ -3,9 +3,9 @@
 Elements are dense integer indices ``0..n-1``.  A poset is described by
 ``covers[x]``, the set of elements covered by ``x`` (drawn directly below
 ``x`` in the Hasse diagram).  The reflexive-transitive closure of the cover
-relation is the order relation; it is cached as bitmasks (one Python int
-per element) for posets with at most ``LEQ_CACHE_CAP`` elements and
-recomputed on demand above that.
+relation is the order relation.  Its down-sets, one bitmask (a Python int)
+per element, are computed afresh for construction's redundancy check and
+for each order query; the poset keeps none of them.
 
 An order ideal (downward-closed subset) is a bitmask over the elements;
 the poset answers the questions asked of one: ``is_down_closed`` and
@@ -22,7 +22,7 @@ at most ``n`` bits per distinct cover offset (on a grid, two: 1 and
 length ``n-1`` and one of length ``m-1``) as a plain poset with
 row-major indices.  The lattice ``J(P)`` itself is enumerated by
 ``engine.enumerate_states`` on an ``engine.IdealLattice``, under the
-state cap ``DEFAULT_STATE_CAP``.
+state cap ``engine.DEFAULT_STATE_CAP``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ import json
 from collections.abc import Iterable, Sequence
 
 from .errors import CycleDetected, RedundantCover
-
-DEFAULT_STATE_CAP = 10**6
-LEQ_CACHE_CAP = 4096
 
 
 class FinitePoset:
@@ -46,8 +43,7 @@ class FinitePoset:
     silently reduced, to surface construction bugs.
     """
 
-    __slots__ = ("n", "covers", "parents", "_topo", "_down", "_minimal", "_maximal",
-                 "_offsets")
+    __slots__ = ("n", "covers", "parents", "_topo", "_minimal", "_maximal", "_offsets")
 
     def __init__(self, covers: Sequence[Iterable[int]], *, validate: bool = True):
         n = len(covers)
@@ -66,7 +62,6 @@ class FinitePoset:
         self.covers = cov
         self.parents = tuple(frozenset(s) for s in par)
         self._topo = self._toposort()
-        self._down = None
         self._minimal = tuple(x for x in range(n) if not cov[x])
         self._maximal = tuple(x for x in range(n) if not par[x])
         self._offsets = None
@@ -91,19 +86,15 @@ class FinitePoset:
             raise CycleDetected("cover relation contains a cycle")
         return tuple(order)
 
-    def _down_masks(self) -> tuple[int, ...]:
-        if self._down is None:
-            down = [0] * self.n
-            for x in self._topo:
-                m = 1 << x
-                for c in self.covers[x]:
-                    m |= down[c]
-                down[x] = m
-            if self.n <= LEQ_CACHE_CAP:
-                self._down = tuple(down)
-            else:
-                return tuple(down)
-        return self._down
+    def _down_masks(self) -> list[int]:
+        """Each element's principal ideal as a bitmask, computed afresh."""
+        down = [0] * self.n
+        for x in self._topo:
+            m = 1 << x
+            for c in self.covers[x]:
+                m |= down[c]
+            down[x] = m
+        return down
 
     def _check_irredundant(self) -> None:
         down = self._down_masks()
@@ -213,12 +204,11 @@ class FinitePoset:
             raise ValueError('poset "covers" must be a list of [child, parent] integer pairs')
         return build_poset(covers, n=n)
 
-    def to_dot(self, labels: Sequence[str] | None = None) -> str:
+    def to_dot(self) -> str:
         """Hasse diagram in DOT form, parents drawn above children."""
-        name = labels if labels is not None else [str(x) for x in range(self.n)]
         lines = ["digraph hasse {", "  rankdir=BT;", "  edge [arrowhead=none];"]
         for x in range(self.n):
-            lines.append(f'  {x} [label="{name[x]}"];')
+            lines.append(f'  {x} [label="{x}"];')
         for c, x in self.cover_pairs():
             lines.append(f"  {c} -> {x};")
         lines.append("}")

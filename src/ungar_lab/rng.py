@@ -21,6 +21,9 @@ spawn_key=(2, s, label))).random() < p``, drawn as raw 64-bit words on
 one PCG64 per bank and compared with an integer threshold, which is the
 float compare exactly; a row's saved state then moves on by the LCG's
 affine jump over the words drawn, so it is never read back.
+
+Every sampler flips its coins as ``random() < p``, so ``check_p`` here is
+the one rule for which ``p`` can be sampled: ``(0, 1]`` and above 2^-53.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import operator
 import random
 
 import numpy as np
+
+from .errors import DomainError
 
 _REPLICA_TAG = 1
 _STREAM_TAG = 2
@@ -50,9 +55,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # The hash constants do not depend on the data: the j-th ``hashmix``
-# xors its input with _HASH_A[j] and multiplies by _HASH_A[j + 1], and
-# output word i of ``generate_state`` does the same with _HASH_B.
-_HASH_A = [_INIT_A]
+# xors its input with _INIT_A _MULT_A^j mod 2^32 and multiplies by the
+# next such constant, and output word i of ``generate_state`` does the
+# same with _HASH_B.
 _HASH_B = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(2 * _POOL_SIZE + 1)],
                    np.uint32)  # a PCG64 seed is 8 words
 
@@ -61,11 +66,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _hash_a(count: int) -> list[int]:
-    """``_HASH_A``, extended to at least ``count`` entries."""
-    while len(_HASH_A) < count:
-        _HASH_A.append(_HASH_A[-1] * _MULT_A & _MASK32)
-    return _HASH_A
+def check_p(p: float) -> float:
+    """``p`` as a float, if a coin ``random() < p`` can be flipped for it."""
+    p = float(p)
+    if not 0 < p <= 1:
+        raise DomainError(f"p={p} outside (0, 1]; p=0 gives a non-absorbing chain")
+    if p <= 2.0**-53:  # uniform draws are multiples of 2**-53: only 0.0 is below p
+        raise DomainError(f"p={p} is at most 2**-53, which sampling cannot tell from 0")
+    return p
 
 
 def _pool(seed: int, *tags: int) -> tuple[tuple[int, ...], int]:
@@ -100,7 +108,8 @@ def _generate(entry: tuple[tuple[int, ...], int], lo: int, hi: int, n_out: int
         stop = min(hi, 1 << 32 * n_words)
         values = np.arange(lo, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
         end = j + _POOL_SIZE * n_words
-        hash_a = np.array(_hash_a(end + 1)[j : end + 1], np.uint32)
+        hash_a = np.array([_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32
+                           for k in range(j, end + 1)], np.uint32)
         pool = np.array(pool0, np.uint32)  # broadcast to (N, 4) by the first mix
         for w in range(n_words):
             i = _POOL_SIZE * w
@@ -210,10 +219,8 @@ class StreamBank:
     """
 
     def __init__(self, seed: int, p: float):
-        if not 0 < p <= 1:
-            raise ValueError(f"p={p} outside (0, 1]")
+        self.p = check_p(p)
         self.seed = int(seed)
-        self.p = float(p)
         # a raw word x gives the double (x >> 11) 2^-53, which is below p iff
         # x <= (ceil(p 2^53) << 11) - 1; at p = 1 that is every word
         self._threshold = np.uint64((math.ceil(self.p * 2.0**53) << 11) - 1)

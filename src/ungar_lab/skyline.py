@@ -38,9 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import _check_p
 from .errors import BoundViolation, DomainError, InvariantViolation, NotReached
-from .rng import StreamBank, replica_generator
+from .rng import StreamBank, check_p, replica_generator
 from .tamari import SimForest
 
 
@@ -203,7 +202,7 @@ def lower_bound_f(x: float, p: float, c1: float = 10.0) -> float:
     x = float(x)
     if x < 1:
         raise DomainError(f"f needs x >= 1, got {x}")
-    p = _check_p(p)
+    p = check_p(p)
     if x < 16:
         return 1.0
     logx = math.log(x)
@@ -216,11 +215,19 @@ def lower_bound_f(x: float, p: float, c1: float = 10.0) -> float:
 # -- events over the first-operation times -------------------------------------
 
 
+def _check_interval(n: int, i: int, j: int, m: int) -> None:
+    """DomainError unless ``1 <= i <= j <= n`` and ``m >= 1``: first-operation
+    times are at least 1, so ``g_i = m`` needs ``m >= 1``."""
+    if not 1 <= i <= j <= n:
+        raise DomainError(f"interval [{i}, {j}] out of range for n={n}")
+    if m < 1:
+        raise DomainError(f"first-operation times are at least 1, so g_i = {m} is impossible")
+
+
 def event_interval(g: Sequence[int], i: int, j: int, m: int) -> bool:
     """True iff ``g_i = m`` and ``g_l < m`` for all ``l`` in ``[i+1, j]``."""
     g = tuple(g)
-    if not 1 <= i <= j <= len(g):
-        raise ValueError(f"interval [{i}, {j}] out of range for n={len(g)}")
+    _check_interval(len(g), i, j, m)
     return g[i - 1] == m and all(g[l - 1] < m for l in range(i + 1, j + 1))
 
 
@@ -231,9 +238,10 @@ def event_array(g: Sequence[int], arr: TwoRowedArray) -> bool:
 
 def event_interval_probability(n: int, m: int, p: float, i: int = 1, j: int | None = None) -> float:
     """Closed form ``q^{m-1} p (1 - q^{m-1})^{j-i}`` by independence."""
-    p = _check_p(p)
+    p = check_p(p)
     if j is None:
         j = n
+    _check_interval(n, i, j, m)
     q = 1 - p
     return q ** (m - 1) * p * (1 - q ** (m - 1)) ** (j - i)
 
@@ -244,7 +252,7 @@ def sample_g_conditional(n: int, p: float, m: int, rng) -> np.ndarray:
     The conditioned coordinates are geometric(p) truncated to
     ``[1, m-1]``, sampled by inverse CDF.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if m < 2:
         raise DomainError("conditioning needs m >= 2 so that g_l < m is possible")
     if p == 1.0:
@@ -419,7 +427,7 @@ def algorithm1_run(
     behavior.  A run still unabsorbed after 10^9 steps raises
     :class:`NotReached`.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if n < 2:
         raise DomainError("need n >= 2")
     sim = SimForest.path(n)

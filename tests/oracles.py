@@ -27,11 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ungar_lab.engine import IdealLattice, _check_p, enumerate_states
+from ungar_lab.engine import DEFAULT_STATE_CAP, IdealLattice, enumerate_states
 from ungar_lab.errors import CapExceeded, DomainError, NotReached, UngarLabError
 from ungar_lab.perms import Permutation
-from ungar_lab.poset import DEFAULT_STATE_CAP, FinitePoset
-from ungar_lab.rng import replica_generator
+from ungar_lab.poset import FinitePoset
+from ungar_lab.rng import check_p, replica_generator
 from ungar_lab.tamari import OrderedForest, project_down, require_av312
 
 DEFAULT_CHAIN_CAP = 10**6
@@ -245,14 +245,14 @@ def dict_back_substitution(lattice, p: float) -> dict:
     The library's solver adds the same weighted terms in the same order,
     so its values must be the same floats.
     """
-    return _back_substitution(lattice, _check_p(p))
+    return _back_substitution(lattice, check_p(p))
 
 
 def rational_back_substitution(lattice, p: float) -> dict:
     """``{state: E}`` as exact ``Fraction``s, by :func:`_back_substitution`
     at ``p``'s exact binary value.  Nothing of the solver's tables is read,
     so the float solvers can be measured against it in ulps."""
-    return _back_substitution(lattice, Fraction(_check_p(p)))
+    return _back_substitution(lattice, Fraction(check_p(p)))
 
 
 def _back_substitution(lattice, p) -> dict:
@@ -423,7 +423,7 @@ def plain_zeta_estimate(
     ``max(1, 2_000_000 // n)`` rows, about 2e6 draws each, to bound
     memory.  Returns ``(estimate, standard error)``.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
     rng = replica_generator(seed, 0)
@@ -458,7 +458,7 @@ def one_shot_lpp_grid_samples(
     n: int, m: int, p: float, reps: int, seed: int
 ) -> np.ndarray:
     """Grid passage times from one ``(reps, n, m)`` draw of every weight."""
-    weights = replica_generator(seed, 0).geometric(_check_p(p), size=(reps, n, m))
+    weights = replica_generator(seed, 0).geometric(check_p(p), size=(reps, n, m))
     return grid_passage(weights)
 
 
@@ -535,7 +535,7 @@ def tasep_trajectory(
     ``bit_fn(step, row, col)`` overrides the coin flips (used by the
     window-independence tests).
     """
-    p = _check_p(p)
+    p = check_p(p)
     lam = [0] * n
     out = [tuple(lam)]
     t = 0

@@ -329,6 +329,16 @@ def test_p_sampling_cannot_tell_from_zero_is_domain_error(capsys, command):
         assert "2**-53" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("fluctuation", "--rows", "2", "--cols", "2"),
+    ("zeta", "--n", "3"),
+], ids=" ".join)
+def test_open_p_commands_reject_p_1_by_the_library_rule(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--p", "1")
+    assert (code, out) == (2, ""), err
+    assert "outside (0, 1)" in err
+
+
 def test_p_just_above_2_to_the_minus_53_still_solves(capsys):
     code, out, _ = run_cli(capsys, "exact", "--lattice", "sn", "--n", "3", "--p", "2.3e-16")
     assert code == 0 and out.startswith("backend,p,states,expected_steps\nsn-3,2.3e-16,6,")

@@ -887,6 +887,17 @@ def test_geometric_tail_bound_dominates_empirical(k, p, t):
     assert low <= geometric_tail_bound(k, p, t, "lower") + 3 * stderr
 
 
+@pytest.mark.parametrize("m, horizon", [(0, 5), (1, 0), (1, -3), (0, 0)])
+def test_first_passage_counts_rejects_m_0_and_an_empty_horizon(monkeypatch, m, horizon):
+    # index 0 means censored, so a walk that hits m = 0 at time 0 has no bin
+    def no_draw(*args):
+        raise AssertionError("drew before checking m and horizon")
+
+    monkeypatch.setattr(engine, "replica_generator", no_draw)
+    with pytest.raises(DomainError):
+        first_passage_counts(m, horizon, 10, seed=1)
+
+
 def test_walk_hitting_time_small_probabilities():
     counts = first_passage_counts(1, 5, 400_000, seed=12)
     total = counts.sum()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ungar_lab import rng
+from ungar_lab.errors import DomainError
 from ungar_lab.rng import STREAM_NAMES, StreamBank, replica_random, replica_state
 
 
@@ -203,6 +204,14 @@ def test_bank_labels_start_at_1(label):
     bank = StreamBank(4, 0.5)
     with pytest.raises(ValueError, match="label"):
         bank.bernoulli("S", label, 1)
+
+
+@pytest.mark.parametrize("p", [0.0, 2**-60, 2**-53, -0.5, 1.5])
+def test_bank_rejects_p_sampling_cannot_flip(p):
+    # at p = 2**-60 the threshold (ceil(p 2^53) << 11) - 1 is 2047, so
+    # every bit would come up true with probability 2**-53, not p
+    with pytest.raises(DomainError):
+        StreamBank(1, p)
 
 
 def test_bank_scalar_read_is_a_bool():

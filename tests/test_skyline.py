@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,26 @@ def test_event_interval_truth_table():
     assert event_interval([5, 1, 4, 2], 1, 4, 5)
     with pytest.raises(ValueError):
         event_interval([1, 2], 1, 3, 1)
+
+
+@pytest.mark.parametrize("n, m, i, j", [
+    (5, 0, 1, 5), (5, -1, 1, 5), (5, 3, 4, 2), (5, 3, 0, 5), (5, 3, 1, 9), (5, 3, 6, 6),
+])
+def test_events_over_an_impossible_interval_are_domain_errors(n, m, i, j):
+    # g_l >= 1 makes m < 1 impossible, and [i, j] must lie in [1, n]; the
+    # closed form alone gives 1.0 at (n, m) = (5, 0)
+    with pytest.raises(DomainError):
+        event_interval([3, 1, 2, 1, 1], i, j, m)
+    with pytest.raises(DomainError):
+        event_interval_probability(n, m, 0.5, i, j)
+
+
+def test_skyline_does_not_load_the_engine():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, ungar_lab.skyline; sys.exit('ungar_lab.engine' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_event_array_is_skyline_equality():
