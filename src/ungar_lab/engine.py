@@ -22,16 +22,24 @@ otherwise of its highest run of adjacent sites, applied unless the run is
 one site.  The residual audit applies every whole selection with the
 backend's ``apply``, so it checks that composition instead of repeating it.
 
-Monte Carlo runs each replica on one sampler, chosen by the backend.
-``TamariForestLattice`` and ``IdealLattice`` have a
-``fast_absorption_sample`` (a mutable forest, Kahn counters).  The others
-(``SnLattice``, ``TamariAvLattice``, ``ChainLattice``) are compiled, by
-the exact solve's own successor rule, into a table of every state's
-successor under every selection, when it holds at most ``reps`` entries;
-a replica's step is then its coins and one lookup.  Larger lattices run
-the generic ``run_chain`` loop, as do ``simulate --trace`` and the
-coupled runs.  All three flip the same coins from the same replica
-stream, so they give the same samples.
+Monte Carlo runs each replica on one of three samplers, chosen by the
+backend's ``compiles`` and ``fast_absorption_sample``:
+
+- the successor table: a backend that ``compiles`` (``SnLattice``,
+  ``TamariAvLattice``, ``ChainLattice``) is compiled, by the exact
+  solve's own successor rule, into a table of every state's successor
+  under every selection, when it holds at most ``reps`` entries; a
+  replica's step is then its coins and one lookup;
+- the backend's own ``fast_absorption_sample``: always for
+  ``TamariForestLattice`` (a mutable forest) and ``IdealLattice`` (Kahn
+  counters), which do not compile, and for ``SnLattice`` (one mutable
+  word) where its table is refused;
+- the generic ``run_chain`` loop: a ``TamariAvLattice`` or
+  ``ChainLattice`` too large for its table, ``simulate --trace`` on every
+  backend, and the coupled runs.
+
+All three flip the same coins from the same replica stream, so they give
+the same samples.
 
 Also here: the two-sided tail bound for sums of geometrics, and the
 histogram of simple random-walk hitting times.
@@ -42,12 +50,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularSystem, StateExplosion
-from .perms import Permutation, ungar_move
+from .perms import Permutation, _reverse_runs, ungar_move
 from .poset import FinitePoset
 from .rng import check_p, replica_generator, replica_random
 from .tamari import OrderedForest, SimForest, av_ungar_move
@@ -62,6 +72,8 @@ _SUBSET_ENUM_CAP = 22  # 2^22 transition terms per state is already generous
 class _WordLattice:
     """Permutations of ``1..n`` under the weak order, from the decreasing
     word down to the identity; sites are descent positions."""
+
+    compiles = True  # Monte Carlo tries the successor table first
 
     def __init__(self, n: int):
         self.n = n
@@ -88,6 +100,27 @@ class SnLattice(_WordLattice):
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return ungar_move(state, selected)
 
+    def fast_absorption_sample(self, p: float, rnd) -> int:
+        """Steps one mutable word from the decreasing one to the identity.
+
+        A step flips one coin per descent in ascending order, as
+        ``run_chain`` flips them over ``pick_sites``, so both give the same
+        sample from the same stream, and reverses the selected runs in
+        place with ``ungar_move``'s kernel; a selection drawn from the
+        descents needs no check.  The descents are rescanned each step by
+        C-level iteration over the adjacent pairs, which was faster than
+        updating them around each reversal at n = 40 and n = 400.
+        """
+        w, bottom = list(self._top), list(self._bottom)
+        positions = range(1, self.n)
+        draw = rnd.random
+        t = 0
+        while w != bottom:
+            t += 1
+            descents = compress(positions, map(gt, w, w[1:]))
+            _reverse_runs(w, [i for i in descents if draw() < p])
+        return t
+
 
 class TamariAvLattice(_WordLattice):
     """Tamari lattice as 312-avoiding permutations under the weak order."""
@@ -106,6 +139,7 @@ class TamariForestLattice:
     """Tamari lattice as ordered forests; sites are non-leaf vertices."""
 
     sitewise = True  # ``ungar`` operates its vertices one at a time, ascending
+    compiles = False  # Monte Carlo runs the forest sampler
 
     def __init__(self, n: int):
         self.n = n
@@ -130,15 +164,18 @@ class TamariForestLattice:
         Each replica starts from a copy of one path forest built with the
         lattice (list slices, no rebuild).  Each operation is O(1) pointer
         work, plus a bisect and a list deletion the at most ``n`` times a
-        vertex becomes a leaf; each step also copies the non-leaf list.
+        vertex becomes a leaf.  A step's coins are flipped over the live
+        non-leaf list, which ``operate`` edits in place; the selection is
+        complete before the first ``operate``, so no copy is needed.
         """
         sim = self._start.copy()
+        live = sim._non_leaves
+        draw, operate = rnd.random, sim.operate
         t = 0
-        while not sim.absorbed():
+        while live:
             t += 1
-            selected = [v for v in sim.non_leaves() if rnd.random() < p]
-            for v in selected:
-                sim.operate(v)
+            for v in [v for v in live if draw() < p]:
+                operate(v)
         return t
 
 
@@ -164,6 +201,7 @@ class IdealLattice:
     """
 
     sitewise = True  # ``apply`` deletes its elements one at a time
+    compiles = False  # Monte Carlo runs the Kahn-counter sampler
 
     def __init__(self, poset: FinitePoset, name: str | None = None):
         self.poset = poset
@@ -208,6 +246,7 @@ class IdealLattice:
         below = self._below
         live = self._parent_counts[:]
         frontier = self._top_sites
+        draw = rnd.random
         left = self.n
         t = 0
         while left:
@@ -215,7 +254,7 @@ class IdealLattice:
             kept = []
             exposed = False
             for x in frontier:
-                if rnd.random() < p:
+                if draw() < p:
                     left -= 1
                     for c in below[x]:
                         live[c] -= 1
@@ -234,6 +273,7 @@ class ChainLattice:
     """A chain 0 < 1 < ... < length; absorption is a sum of geometrics."""
 
     sitewise = True  # at most one site
+    compiles = True
 
     def __init__(self, length: int):
         self.length = length
@@ -271,12 +311,13 @@ def run_chain(lattice, p: float, rnd, *, record: bool = False) -> ChainRun:
     p = check_p(p)
     state = lattice.top()
     bottom = lattice.bottom()
+    draw = rnd.random
     states = [state]
     picks = []
     t = 0
     while state != bottom:
         sites = lattice.pick_sites(state)
-        selected = [s for s in sites if rnd.random() < p]
+        selected = [s for s in sites if draw() < p]
         state = lattice.apply(state, selected)
         t += 1
         if record:
@@ -605,29 +646,26 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
 
     Replica ``r`` draws from the stream derived with spawn key
     ``(replica, r)``, so results are reproducible given ``(seed, reps)``
-    and invariant to execution order.  A backend's
-    ``fast_absorption_sample`` replaces the generic ``run_chain`` loop:
-    ``TamariForestLattice`` steps a mutable forest, ``IdealLattice`` keeps
-    Kahn counters over the poset.  Any other backend (``SnLattice``,
-    ``TamariAvLattice``, ``ChainLattice``) is stepped through its
-    successor table (:func:`_successor_table`) when that table holds at
-    most ``reps`` entries, one per state and selection of its sites, so
-    its 4-byte entries take at most half the space of the samples.  The
-    enumeration stops at ``reps`` states, so a lattice too large to
-    compile costs at most one move per site of ``reps`` states (S_40 at
-    200 replicas: 200 moves) before it runs on ``run_chain``.  Every
-    sampler gives the sample ``run_chain`` would give from the same
-    stream.
+    and invariant to execution order.  The sampler is the first of the
+    module docstring's three that applies: the successor table
+    (:func:`_successor_table`) of a backend that ``compiles``, when it
+    holds at most ``reps`` entries, one per state and selection of its
+    sites, so its 4-byte entries take at most half the space of the
+    samples; else the backend's ``fast_absorption_sample``; else
+    ``run_chain``.  The enumeration stops at ``reps`` states, so a
+    lattice too large to compile costs at most one move per site of
+    ``reps`` states (S_40 at 200 replicas: 200 moves).  Every sampler
+    gives the sample ``run_chain`` would give from the same stream.
     """
     p = check_p(p)
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    fast = getattr(lattice, "fast_absorption_sample", None)
     samples = np.empty(reps, dtype=np.int64)
-    tables = None if fast is not None else _successor_table(lattice, reps)
+    tables = _successor_table(lattice, reps) if lattice.compiles else None
     if tables is not None:
         _table_samples(tables, p, seed, samples)
         return McResult.from_samples(samples)
+    fast = getattr(lattice, "fast_absorption_sample", None)
     for r in range(reps):
         rnd = replica_random(seed, r)
         if fast is not None:
@@ -721,12 +759,15 @@ def first_passage_counts(m: int, horizon: int, reps: int, seed: int) -> np.ndarr
 
     ``out`` has length ``horizon + 1``; index 0 counts walks that had not
     hit ``m`` by the horizon (censored).  ``m = 0``, which every walk hits
-    at time 0, and an empty horizon raise DomainError before any draw.
+    at time 0, an empty horizon and ``reps < 1`` raise DomainError before
+    any draw.
     """
     if m == 0:
         raise DomainError("m must be a nonzero integer")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
     rng = replica_generator(seed, 0)
     out = np.zeros(horizon + 1, dtype=np.int64)
     chunk = max(1, min(reps, 2_000_000 // horizon))

@@ -252,6 +252,8 @@ def sample_g_conditional(n: int, p: float, m: int, rng) -> np.ndarray:
     The conditioned coordinates are geometric(p) truncated to
     ``[1, m-1]``, sampled by inverse CDF.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     p = check_p(p)
     if m < 2:
         raise DomainError("conditioning needs m >= 2 so that g_l < m is possible")

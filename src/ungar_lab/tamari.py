@@ -171,7 +171,8 @@ class SimForest:
     vertex keeps its parent, subtree size, last child and previous
     sibling; the next sibling of ``v`` is the label just past its
     subtree when that label shares ``v``'s parent.  Non-leaves can only
-    become leaves, never the reverse, and are kept in one ascending list.
+    become leaves, never the reverse, and are kept in one ascending list,
+    edited in place; the engine's forest sampler reads it live.
     """
 
     __slots__ = ("n", "parent", "size", "last_child", "prev_sib", "_non_leaves")

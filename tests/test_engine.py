@@ -746,9 +746,55 @@ def test_a_lattice_too_large_to_compile_costs_at_most_one_move_per_replica():
     generic = [run_chain(SnLattice(40), 0.5, replica_random(31, r)).absorption
                for r in range(reps)]
     assert samples.tolist() == generic
-    # run_chain applies once per step; the compile attempt, which stops at
+    # the word sampler applies no move; the compile attempt, which stops at
     # ``reps`` states, applies at most one move per state it finds
-    assert lattice.applied - sum(generic) <= reps
+    assert lattice.applied <= reps
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("sampler not expected here")
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [7, 12, 40])
+def test_word_samples_are_the_run_chain_samples(monkeypatch, n, p):
+    # 40 replicas are far too few for any of these tables (S_7 needs
+    # 47,293 entries), so every replica runs on the word sampler, and each
+    # gives run_chain's sample from run_chain's coins
+    lattice, reps = SnLattice(n), 40
+    streams = []
+
+    def replica(seed, r):
+        streams.append(_counting_stream(seed, r))
+        return streams[-1]
+
+    monkeypatch.setattr(engine, "replica_random", replica)
+    monkeypatch.setattr(engine, "run_chain", _refuse)
+    samples = monte_carlo_expectation(lattice, p, reps=reps, seed=23).samples
+    assert len(streams) == reps
+    generic = []
+    for r, stream in enumerate(streams):
+        rnd = _counting_stream(23, r)
+        generic.append(run_chain(lattice, p, rnd).absorption)
+        assert rnd.calls == stream.calls, r
+    assert samples.tolist() == generic
+
+
+def test_a_compiled_sn_keeps_its_table_beside_the_word_sampler(monkeypatch):
+    # S_5's table (541 entries) fits 5,000 replicas, so the table steps them
+    stepped = []
+    table_samples = engine._table_samples
+
+    def spy(*args):
+        stepped.append(args[0])
+        table_samples(*args)
+
+    monkeypatch.setattr(engine, "_table_samples", spy)
+    monkeypatch.setattr(SnLattice, "fast_absorption_sample", _refuse)
+    monkeypatch.setattr(engine, "run_chain", _refuse)
+    res = monte_carlo_expectation(SnLattice(5), 0.7, reps=5000, seed=3)
+    assert len(stepped) == 1 and len(stepped[0][1]) == 120  # a size per state of S_5
+    assert res.reps == 5000
 
 
 @pytest.mark.parametrize("n, reps", [(6, 4683), (5, 540)], ids=["sn-6-built", "sn-5-refused"])
@@ -896,6 +942,17 @@ def test_first_passage_counts_rejects_m_0_and_an_empty_horizon(monkeypatch, m, h
     monkeypatch.setattr(engine, "replica_generator", no_draw)
     with pytest.raises(DomainError):
         first_passage_counts(m, horizon, 10, seed=1)
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_first_passage_counts_rejects_reps_below_1(monkeypatch, reps):
+    # an all-zero histogram would read as every walk censored
+    def no_draw(*args):
+        raise AssertionError("drew before checking reps")
+
+    monkeypatch.setattr(engine, "replica_generator", no_draw)
+    with pytest.raises(DomainError, match="reps must be >= 1"):
+        first_passage_counts(1, 5, reps, seed=1)
 
 
 def test_walk_hitting_time_small_probabilities():

@@ -97,6 +97,21 @@ def test_tracer_counts_grid_mask_layers(capsys):
     assert tracer.calls["engine.pick_sites.ideal"] > tracer.calls["poset.maximal_of_mask"]
 
 
+def test_tracer_counts_moves_and_draws_on_sn_40(capsys):
+    """``large_n`` requires nonzero ``perms.ungar_move``, ``rng.replica_random``
+    and ``rng.scalar_draws``.  S_40's replicas run on the word sampler, so
+    its moves come from the refused compile attempt only; a refusal that
+    applied no move would zero the first."""
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        assert cli.main(["simulate", "--lattice", "sn", "--n", "40", "--p", "0.5",
+                         "--reps", "200", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert tracer.calls["perms.ungar_move"] > 0
+    assert tracer.calls["rng.replica_random"] > 0
+    assert tracer.counts["rng.scalar_draws"] > 0
+
+
 def test_tracer_counts_upsilon_under_zeta(capsys):
     """``zeta`` must reach ``upsilon`` through the module attribute the
     tracer replaces, or ``percolation.upsilon`` reads 0 on ``large_n``."""

@@ -225,6 +225,12 @@ def test_conditional_sampler_matches_conditioning():
     assert pvalue > 0.001
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_conditional_sampler_names_n_below_1(n):
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        sample_g_conditional(n, 0.5, 3, replica_generator(4, 0))
+
+
 def test_summary_length_bounds_arithmetic():
     # at n = e^e: log n = e and log log n = 1, so the bounds are exactly
     # (e - 3, 2e + 2)
