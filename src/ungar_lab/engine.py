@@ -22,23 +22,25 @@ otherwise of its highest run of adjacent sites, applied unless the run is
 one site.  The residual audit applies every whole selection with the
 backend's ``apply``, so it checks that composition instead of repeating it.
 
-Monte Carlo runs each replica on one of three samplers, chosen by the
-backend's ``compiles`` and ``fast_absorption_sample``:
+Monte Carlo runs each replica on one of four samplers, chosen by the
+backend's ``compiles``, ``lockstep_samples`` and ``fast_absorption_sample``:
 
 - the successor table: a backend that ``compiles`` (``SnLattice``,
   ``TamariAvLattice``, ``ChainLattice``) is compiled, by the exact
   solve's own successor rule, into a table of every state's successor
   under every selection, when it holds at most ``reps`` entries; a
   replica's step is then its coins and one lookup;
-- the backend's own ``fast_absorption_sample``: always for
-  ``TamariForestLattice`` (a mutable forest) and ``IdealLattice`` (Kahn
-  counters), which do not compile, and for ``SnLattice`` (one mutable
-  word) where its table is refused;
+- ``SnLattice.lockstep_samples``, where the S_n table is refused: blocks
+  of replicas stepped together as rows of a numpy word array, each row
+  on its own stream;
+- the backend's own ``fast_absorption_sample``: ``TamariForestLattice``
+  (a mutable forest) and ``IdealLattice`` (Kahn counters), which do not
+  compile;
 - the generic ``run_chain`` loop: a ``TamariAvLattice`` or
   ``ChainLattice`` too large for its table, ``simulate --trace`` on every
   backend, and the coupled runs.
 
-All three flip the same coins from the same replica stream, so they give
+All four flip the same coins from the same replica stream, so they give
 the same samples.
 
 Also here: the two-sided tail bound for sums of geometrics, and the
@@ -50,20 +52,23 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from operator import gt
+from itertools import chain, compress, repeat, starmap
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularSystem, StateExplosion
-from .perms import Permutation, _reverse_runs, ungar_move
+from .perms import Permutation, ungar_move
 from .poset import FinitePoset
 from .rng import check_p, replica_generator, replica_random
 from .tamari import OrderedForest, SimForest, av_ungar_move
 
 DEFAULT_STATE_CAP = 10**6
 _SUBSET_ENUM_CAP = 22  # 2^22 transition terms per state is already generous
+# a lockstep block of S_n replicas holds about 2^18 cells of 8 bytes, 2 MB: a
+# replica's word takes n cells and its random.Random, about 3 kB, 384 more
+_LOCKSTEP_CELLS = 1 << 18
+_STREAM_CELLS = 384
 
 
 # -- backends -----------------------------------------------------------------
@@ -89,7 +94,9 @@ class _WordLattice:
 
 
 class SnLattice(_WordLattice):
-    """Weak order on S_n; sites are descent positions."""
+    """Weak order on S_n; sites are descent positions.  Monte Carlo past
+    the successor table steps its replicas in lockstep
+    (:meth:`lockstep_samples`)."""
 
     _kind = "sn"
     sitewise = False  # a run of adjacent descents reverses as one block
@@ -100,26 +107,46 @@ class SnLattice(_WordLattice):
     def apply(self, state: Permutation, selected: Sequence[int]) -> Permutation:
         return ungar_move(state, selected)
 
-    def fast_absorption_sample(self, p: float, rnd) -> int:
-        """Steps one mutable word from the decreasing one to the identity.
+    def lockstep_samples(self, p: float, reps: int, seed: int) -> np.ndarray:
+        """Absorption times of replicas ``0..reps-1``, replica ``r`` on
+        ``replica_random(seed, r)``, stepped in lockstep as rows of words.
 
-        A step flips one coin per descent in ascending order, as
-        ``run_chain`` flips them over ``pick_sites``, so both give the same
-        sample from the same stream, and reverses the selected runs in
-        place with ``ungar_move``'s kernel; a selection drawn from the
-        descents needs no check.  The descents are rescanned each step by
-        C-level iteration over the adjacent pairs, which was faster than
-        updating them around each reversal at n = 40 and n = 400.
+        Replicas go in blocks of ``_LOCKSTEP_CELLS // (n + _STREAM_CELLS)``,
+        one ``int64`` row each.  A step marks every row's descents, takes
+        each live row's coins from its own stream, one per descent and row
+        after row (the row-major order of the descent cells, so each
+        replica flips exactly the coins ``run_chain`` flips over
+        ``pick_sites``), and sorts the selected runs with
+        :func:`_sort_runs`.  A row with no descent is the identity: its
+        step count is recorded and the row and its stream are dropped.
+        Every replica reads only its own stream, so the samples do not
+        depend on the block size.
         """
-        w, bottom = list(self._top), list(self._bottom)
-        positions = range(1, self.n)
-        draw = rnd.random
-        t = 0
-        while w != bottom:
-            t += 1
-            descents = compress(positions, map(gt, w, w[1:]))
-            _reverse_runs(w, [i for i in descents if draw() < p])
-        return t
+        n = self.n
+        samples = np.empty(reps, dtype=np.int64)
+        top = np.arange(n, 0, -1, dtype=np.int64)
+        block = max(1, _LOCKSTEP_CELLS // (n + _STREAM_CELLS))
+        for lo in range(0, reps, block):
+            rows = np.arange(lo, min(reps, lo + block))
+            draws = [replica_random(seed, r).random for r in rows.tolist()]
+            w = np.tile(top, (len(rows), 1))
+            t = 0
+            while True:
+                desc = w[:, :-1] > w[:, 1:]
+                counts = desc.sum(axis=1)
+                live = counts > 0
+                if not live.all():
+                    samples[rows[~live]] = t
+                    if not live.any():
+                        break
+                    rows, w, desc, counts = rows[live], w[live], desc[live], counts[live]
+                    draws = list(compress(draws, live.tolist()))
+                t += 1
+                coins = chain.from_iterable(starmap(draw, repeat((), c))  # c calls of draw()
+                                            for draw, c in zip(draws, counts.tolist()))
+                desc[desc] = np.fromiter(coins, np.float64) < p
+                w = _sort_runs(w, desc)
+        return samples
 
 
 class TamariAvLattice(_WordLattice):
@@ -647,15 +674,16 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
     Replica ``r`` draws from the stream derived with spawn key
     ``(replica, r)``, so results are reproducible given ``(seed, reps)``
     and invariant to execution order.  The sampler is the first of the
-    module docstring's three that applies: the successor table
+    module docstring's four that applies: the successor table
     (:func:`_successor_table`) of a backend that ``compiles``, when it
     holds at most ``reps`` entries, one per state and selection of its
     sites, so its 4-byte entries take at most half the space of the
-    samples; else the backend's ``fast_absorption_sample``; else
-    ``run_chain``.  The enumeration stops at ``reps`` states, so a
-    lattice too large to compile costs at most one move per site of
-    ``reps`` states (S_40 at 200 replicas: 200 moves).  Every sampler
-    gives the sample ``run_chain`` would give from the same stream.
+    samples; else the backend's ``lockstep_samples`` (S_n); else its
+    ``fast_absorption_sample``; else ``run_chain``.  The enumeration
+    stops at ``reps`` states, so a lattice too large to compile costs at
+    most one move per site of ``reps`` states (S_40 at 200 replicas: 200
+    moves).  Every sampler gives the sample ``run_chain`` would give from
+    the same stream, and draws the same number of coins.
     """
     p = check_p(p)
     if reps < 1:
@@ -665,6 +693,9 @@ def monte_carlo_expectation(lattice, p: float, *, reps: int, seed: int) -> McRes
     if tables is not None:
         _table_samples(tables, p, seed, samples)
         return McResult.from_samples(samples)
+    lockstep = getattr(lattice, "lockstep_samples", None)
+    if lockstep is not None:
+        return McResult.from_samples(lockstep(p, reps, seed))
     fast = getattr(lattice, "fast_absorption_sample", None)
     for r in range(reps):
         rnd = replica_random(seed, r)
@@ -700,12 +731,17 @@ def _sort_runs(word: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 
 def sn_absorption_samples(n: int, p: float, reps: int, seed: int) -> np.ndarray:
-    """Vectorized S_n sampler (all replicas stepped in lockstep).
+    """S_n absorption times on one batch stream, independent of
+    ``monte_carlo_expectation``.
 
-    Every step draws one ``(reps, n - 1)`` uniform array, selects each
-    descent below ``p`` and sorts each selected run (``_sort_runs``).  Same
-    chain as the scalar path, used where 1e5 x n is uncomfortable in pure
-    Python.
+    All replicas read ``replica_generator(seed, 0)``: every step draws one
+    ``(reps, n - 1)`` uniform array, one coin per position whether or not
+    it is a descent, selects each descent below ``p`` and sorts each
+    selected run (:func:`_sort_runs`).  It is the same chain as
+    :meth:`SnLattice.lockstep_samples` on another stream.  No CLI path
+    uses it: acceptance criteria 2 and 11 check it against exact values
+    and the linear bound, and the benchmark's S_40 check compares the
+    CLI's mean with its mean.
     """
     p = check_p(p)
     rng = replica_generator(seed, 0)

@@ -95,9 +95,6 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
     is the trivial move.  A run of consecutive selected descents at
     positions ``i..i+k`` reverses the factor at positions ``i..i+k+1``,
     which is strictly decreasing, so each block reversal sorts its factor.
-    The selection is checked here; the reversal is :func:`_reverse_runs`,
-    which the S_n word sampler in :mod:`ungar_lab.engine` calls on its
-    own word with selections drawn from its descents.
 
     A :class:`Permutation` is valid by construction, so it is trusted; any
     other word is validated first.  A block reversal of a permutation is a
@@ -106,6 +103,8 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
     if type(sigma) is not Permutation:
         sigma = Permutation(sigma)
     n = len(sigma)
+    w = list(sigma)
+    start = end = -1  # the run of selected descents being collected
     chosen = sorted(map(int, selected))
     for i in chosen:
         if not (0 < i < n and sigma[i - 1] > sigma[i]):
@@ -113,25 +112,14 @@ def ungar_move(sigma: Permutation, selected: Iterable[int]) -> Permutation:
                 f"selection {sorted(set(chosen))} not contained in descents "
                 f"{list(sigma.descents())}"
             )
-    w = list(sigma)
-    _reverse_runs(w, chosen)
-    return tuple.__new__(Permutation, w)
-
-
-def _reverse_runs(w: list, chosen: Iterable[int]) -> None:
-    """Reverse in place the factor of ``w`` under each run of adjacent
-    positions of ``chosen``: a run ``i..i+k`` reverses positions
-    ``i..i+k+1`` (1-indexed).  ``chosen`` is ascending descents of ``w``;
-    a repeated position extends nothing."""
-    start = end = -1  # the run being collected
-    for i in chosen:
-        if i > end + 1:  # a new run
+        if i > end + 1:  # a new run; a repeated position extends nothing
             if end > 0:
                 w[start - 1 : end + 1] = reversed(w[start - 1 : end + 1])
             start = i
         end = i
     if end > 0:
         w[start - 1 : end + 1] = reversed(w[start - 1 : end + 1])
+    return tuple.__new__(Permutation, w)
 
 
 # -- the prefix projection to grid order ideals ------------------------------

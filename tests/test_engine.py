@@ -674,6 +674,20 @@ def _counting_stream(seed: int, r: int) -> CountingRandom:
     return rnd
 
 
+@pytest.fixture
+def streams(monkeypatch) -> list:
+    """The replica streams the engine opens, in order, each counting its
+    draws."""
+    streams = []
+
+    def replica(seed, r):
+        streams.append(_counting_stream(seed, r))
+        return streams[-1]
+
+    monkeypatch.setattr(engine, "replica_random", replica)
+    return streams
+
+
 def _table_entries(lattice) -> int:
     """One entry per state and selection of its sites."""
     return sum(1 << len(lattice.pick_sites(x)) for x in engine.enumerate_states(lattice))
@@ -708,19 +722,12 @@ def test_successor_table_rows_follow_the_bottom(lattice):
     + [ChainLattice(10)],
     ids=lambda lattice: lattice.name,
 )
-def test_compiled_samples_are_the_run_chain_samples(monkeypatch, lattice, p):
+def test_compiled_samples_are_the_run_chain_samples(streams, lattice, p):
     # the table is used at ``reps >= entries`` and falls back below; either
     # way every replica gives run_chain's sample from run_chain's coins
     entries = _table_entries(lattice)
     assert engine._successor_table(lattice, entries) is not None
     assert entries == 1 or engine._successor_table(lattice, entries - 1) is None
-    streams = []
-
-    def replica(seed, r):
-        streams.append(_counting_stream(seed, r))
-        return streams[-1]
-
-    monkeypatch.setattr(engine, "replica_random", replica)
     for reps in ([entries - 1] if entries > 1 else []) + [entries + 1]:
         streams.clear()
         samples = monte_carlo_expectation(lattice, p, reps=reps, seed=17).samples
@@ -746,8 +753,8 @@ def test_a_lattice_too_large_to_compile_costs_at_most_one_move_per_replica():
     generic = [run_chain(SnLattice(40), 0.5, replica_random(31, r)).absorption
                for r in range(reps)]
     assert samples.tolist() == generic
-    # the word sampler applies no move; the compile attempt, which stops at
-    # ``reps`` states, applies at most one move per state it finds
+    # the lockstep sampler applies no move; the compile attempt, which stops
+    # at ``reps`` states, applies at most one move per state it finds
     assert lattice.applied <= reps
 
 
@@ -757,18 +764,11 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n", [7, 12, 40])
-def test_word_samples_are_the_run_chain_samples(monkeypatch, n, p):
+def test_word_samples_are_the_run_chain_samples(monkeypatch, streams, n, p):
     # 40 replicas are far too few for any of these tables (S_7 needs
-    # 47,293 entries), so every replica runs on the word sampler, and each
-    # gives run_chain's sample from run_chain's coins
+    # 47,293 entries), so every replica runs on the lockstep sampler, and
+    # each gives run_chain's sample from run_chain's coins
     lattice, reps = SnLattice(n), 40
-    streams = []
-
-    def replica(seed, r):
-        streams.append(_counting_stream(seed, r))
-        return streams[-1]
-
-    monkeypatch.setattr(engine, "replica_random", replica)
     monkeypatch.setattr(engine, "run_chain", _refuse)
     samples = monte_carlo_expectation(lattice, p, reps=reps, seed=23).samples
     assert len(streams) == reps
@@ -790,11 +790,42 @@ def test_a_compiled_sn_keeps_its_table_beside_the_word_sampler(monkeypatch):
         table_samples(*args)
 
     monkeypatch.setattr(engine, "_table_samples", spy)
-    monkeypatch.setattr(SnLattice, "fast_absorption_sample", _refuse)
+    monkeypatch.setattr(SnLattice, "lockstep_samples", _refuse)
     monkeypatch.setattr(engine, "run_chain", _refuse)
     res = monte_carlo_expectation(SnLattice(5), 0.7, reps=5000, seed=3)
     assert len(stepped) == 1 and len(stepped[0][1]) == 120  # a size per state of S_5
     assert res.reps == 5000
+
+
+@pytest.mark.parametrize("n", [7, 12, 40])
+def test_lockstep_samples_do_not_depend_on_the_block_size(monkeypatch, streams, n):
+    # blocks of 1 and 7 replicas, then the default, which holds all 40: every
+    # replica reads its own stream, so its sample and coin count stay run_chain's
+    lattice, p, reps = SnLattice(n), 0.5, 40
+    row = n + engine._STREAM_CELLS  # the cells of one replica
+    default = engine._LOCKSTEP_CELLS
+    assert default // row >= reps
+    runs = []
+    for cells in (row, 7 * row, default):
+        monkeypatch.setattr(engine, "_LOCKSTEP_CELLS", cells)
+        streams.clear()
+        runs.append(lattice.lockstep_samples(p, reps, 29))
+        assert len(streams) == reps
+        for r, stream in enumerate(streams):
+            rnd = _counting_stream(29, r)
+            assert run_chain(lattice, p, rnd).absorption == runs[-1][r], (cells, r)
+            assert rnd.calls == stream.calls, (cells, r)
+    assert all(np.array_equal(run, runs[0]) for run in runs)
+
+
+def test_lockstep_samples_below_three(streams):
+    # S_0 and S_1 start absorbed and flip no coin; S_2 at p = 1 moves once
+    # on its one descent's coin
+    for n, p, expected, coins in ((0, 0.5, 0, 0), (1, 0.5, 0, 0), (2, 1.0, 1, 1)):
+        streams.clear()
+        samples = SnLattice(n).lockstep_samples(p, 4, 1)
+        assert samples.tolist() == [expected] * 4, n
+        assert [stream.calls for stream in streams] == [coins] * 4, n
 
 
 @pytest.mark.parametrize("n, reps", [(6, 4683), (5, 540)], ids=["sn-6-built", "sn-5-refused"])

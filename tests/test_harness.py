@@ -52,6 +52,11 @@ def _bindings():
 
 
 def test_tracer_counts_forest_and_bank_layers_and_restores(capsys):
+    """The forest, bank and skyline counters move, and every binding is
+    restored.  The forest Monte Carlo sampler reads ``SimForest``'s live
+    non-leaf list without calling ``non_leaves()``, so the
+    ``tamari.simforest.non_leaves`` count comes from the ``skyline`` run's
+    ``algorithm1_run`` alone."""
     tracer = _load_tracer().Tracer()
     before = _bindings()
     with tracer.installed():
@@ -99,9 +104,9 @@ def test_tracer_counts_grid_mask_layers(capsys):
 
 def test_tracer_counts_moves_and_draws_on_sn_40(capsys):
     """``large_n`` requires nonzero ``perms.ungar_move``, ``rng.replica_random``
-    and ``rng.scalar_draws``.  S_40's replicas run on the word sampler, so
-    its moves come from the refused compile attempt only; a refusal that
-    applied no move would zero the first."""
+    and ``rng.scalar_draws``.  S_40's replicas run on the lockstep sampler,
+    which applies no move, so its moves come from the refused compile
+    attempt only; a refusal that applied no move would zero the first."""
     tracer = _load_tracer().Tracer()
     with tracer.installed():
         assert cli.main(["simulate", "--lattice", "sn", "--n", "40", "--p", "0.5",
